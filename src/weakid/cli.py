@@ -189,9 +189,6 @@ def build_parser():
         sp.add_argument("--out", metavar="FILE", help="write a JSON report to FILE")
         sp.add_argument("--no-timings", action="store_true",
                         help="omit timings from JSON output (byte-stable reruns)")
-        sp.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for evaluation tables "
-                             "(default: WEAKID_WORKERS or 1)")
 
     sp = sub.add_parser("verify", help="compare consequences with weak identities")
     sp.add_argument("--degree", type=int, required=True, choices=range(4, 8),
@@ -237,8 +234,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None):
-        os.environ["WEAKID_WORKERS"] = str(max(1, args.workers))
     try:
         return args.func(args)
     except ValueError as e:

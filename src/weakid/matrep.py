@@ -274,25 +274,14 @@ def _coords(mat):
     return out
 
 
-def eval_rows(words, workers=1):
+def eval_rows(words):
     """Coordinate dicts of the generic evaluation of each word.
 
     Words are processed in sorted order with a prefix stack, so the table for
     all multilinear words of degree n costs one matrix product per distinct
-    prefix.  ``workers`` > 1 splits the sorted word list into contiguous
-    chunks evaluated in separate processes; chunk results are concatenated in
-    order, so the output does not depend on the worker count.
+    prefix.
     """
     order = sorted(set(words))
-    if workers > 1 and len(order) > 2 * workers:
-        rows = _eval_rows_parallel(order, workers)
-    else:
-        rows = _eval_rows_seq(order)
-    table = dict(zip(order, rows))
-    return [table[w] for w in words]
-
-
-def _eval_rows_seq(order):
     rows = []
     stack = [SymMat2.identity()]
     prev = ()
@@ -305,20 +294,8 @@ def _eval_rows_seq(order):
             stack.append(stack[-1] * SymMat2.generic(letter))
         rows.append(_coords(stack[-1]))
         prev = w
-    return rows
-
-
-def _eval_rows_parallel(order, workers):
-    import multiprocessing
-
-    chunk = (len(order) + workers - 1) // workers
-    parts = [order[i:i + chunk] for i in range(0, len(order), chunk)]
-    try:
-        with multiprocessing.Pool(len(parts)) as pool:
-            results = pool.map(_eval_rows_seq, parts)
-    except OSError:
-        return _eval_rows_seq(order)
-    return [row for part in results for row in part]
+    table = dict(zip(order, rows))
+    return [table[w] for w in words]
 
 
 def eval_columns(coord_rows):

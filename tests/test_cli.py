@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON schema, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -74,6 +75,15 @@ def test_check_parse_error_exit_two(capsys):
 def test_check_consequence_rejects_inhomogeneous(capsys):
     assert main(["check", "--expr", "x1 + x1*x2", "--mode", "consequence"]) == 2
     assert "multihomogeneous" in capsys.readouterr().err
+
+
+def test_check_consequence_rejects_high_degree_fast(capsys):
+    # degree 9: linearized (x1^5*x2^4) and already multilinear
+    for expr in ("x1^5*x2^4", "[[x1,x2],[x3,x4]]*x5*x6*x7*x8*x9"):
+        t0 = time.perf_counter()
+        assert main(["check", "--expr", expr, "--mode", "consequence"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "degree 9" in capsys.readouterr().err
 
 
 def test_verify_proper_mode(capsys):

@@ -236,13 +236,6 @@ def test_kernel_rejects_mixed_degrees():
         weak_identity_kernel([x1, x1 * x2])
 
 
-def test_eval_rows_worker_count_does_not_change_output():
-    from weakid.matrep import eval_rows
-
-    words = list(multilinear_words(4))
-    assert eval_rows(words, workers=2) == eval_rows(words, workers=1)
-
-
 def test_image_rank_complements_kernel():
     fam = list(proper_basis(4))
     assert image_rank(fam) + weak_identity_kernel(fam).dim == len(fam)

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from weakid.freealg import (NcPoly, coeff_vector, comm, multilinear_words,
-                            substitute, word_index)
+from weakid.freealg import (NcPoly, coeff_vector, comm, from_coeffs,
+                            multilinear_words, proper_span, substitute,
+                            word_index)
 from weakid.jordan import sj_multilinear_span
-from weakid.linalg import echelonize, subspace_contains, subspace_equal, subspace_sum
+from weakid.linalg import (echelonize, subspace_contains, subspace_equal,
+                           subspace_intersect, subspace_sum)
 from weakid.matrep import is_weak_identity
 from weakid.tideal import (consequence_family, consequences_span,
                            default_generators, is_consequence, metabelian,
@@ -160,8 +162,17 @@ def test_kernel_dims_low_degrees():
 
 
 def test_family_members_are_weak_identities():
+    """verify_degree certifies containment on the family alone; every RREF
+    row of the span and of its proper part must then be a weak identity too,
+    checked here on the independent ``evaluate`` path."""
     for g in consequence_family(default_generators(), 5):
         assert is_weak_identity(g)
+    words = multilinear_words(5)
+    span = consequences_span(None, 5)
+    for space in (span, subspace_intersect(span, proper_span(5))):
+        assert space.dim > 0
+        for row in space.rows:
+            assert is_weak_identity(from_coeffs(row, words))
 
 
 def test_family_at_degree_4():
