@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -20,14 +19,8 @@ from .repthy import decompose, decompose_quotient
 from .series import closed_form_series, image_dims
 from .tideal import is_consequence, proper_kernel, verify_degree
 
-DEFAULT_DEGREE_CAP = 10
-
-
-def _degree_cap():
-    try:
-        return int(os.environ.get("WEAKID_DEGREE_CAP", DEFAULT_DEGREE_CAP))
-    except ValueError:
-        return DEFAULT_DEGREE_CAP
+# Highest degree ``hilbert --max`` accepts.
+_HILBERT_CAP = 10
 
 
 def _emit(payload, args):
@@ -130,10 +123,8 @@ def cmd_decompose(args):
 
 def cmd_hilbert(args):
     n_max = args.max
-    cap = _degree_cap()
-    if n_max > cap:
-        print(f"error: degree {n_max} above cap {cap} "
-              f"(raise WEAKID_DEGREE_CAP to override)", file=sys.stderr)
+    if n_max > _HILBERT_CAP:
+        print(f"error: degree {n_max} above cap {_HILBERT_CAP}", file=sys.stderr)
         return 2
     computed = image_dims(n_max)
     closed = closed_form_series(n_max)

@@ -13,7 +13,9 @@ Grammar (whitespace between tokens is ignored):
     var      := "x" nat | "x" | "y"                 x = x1, y = x2
     rational := int ("/" posint)?
 
-Errors carry 1-based line and column positions.
+Errors carry 1-based line and column positions.  Expressions whose total
+degree or number of terms may exceed the caps below are rejected with
+``ValueError`` before they are elaborated.
 """
 
 from __future__ import annotations
@@ -235,6 +237,74 @@ def parse(src):
     return e
 
 
+# Caps on an expression's size, checked on its parse tree so that an
+# oversized ``check`` fails at once instead of running for minutes.  The cost
+# of a check grows with both: on a 2-vCPU machine S6 (720 terms) takes about
+# 1 s, (x+y)^10 (1024 terms) about 7 s and S7 (5040 terms) over 10 s, and the
+# generic value of a multilinear word doubles in size with every letter.
+_MAX_DEGREE = 12
+_MAX_TERMS = 1000
+
+
+def _times(a, b):
+    """Product of two term bounds, saturated just above the cap."""
+    return min(a * b, _MAX_TERMS + 1)
+
+
+def _power(t, k):
+    """t**k for a term bound t >= 1, saturated just above the cap."""
+    out = 1
+    for _ in range(k if t > 1 else 0):
+        out = _times(out, t)
+        if out > _MAX_TERMS:
+            break
+    return out
+
+
+def _bounds(node):
+    """(degree, terms): upper bounds on the total degree and the number of
+    terms of the polynomial a node elaborates to, each saturated just above
+    its cap so that no bound is ever a large number."""
+    tag = node[0]
+    if tag == "num":
+        return 0, 1
+    if tag == "var":
+        return 1, 1
+    if tag == "pow":
+        d, t = _bounds(node[1])
+        return min(d * node[2], _MAX_DEGREE + 1), _power(t, node[2])
+    if tag == "ad":  # g (ad f)^m: each bracket doubles the terms
+        df, tf = _bounds(node[1])
+        dg, tg = _bounds(node[2])
+        m = node[3]
+        return (min(dg + df * m, _MAX_DEGREE + 1),
+                _times(tg, _power(_times(2, tf), m)))
+    if tag == "sum":
+        sizes = [_bounds(t) for _, t in node[1]]
+        return (max(d for d, _ in sizes),
+                min(sum(t for _, t in sizes), _MAX_TERMS + 1))
+    if tag == "prod":
+        args, terms = node[1], 1
+    elif tag == "bracket":  # k arguments: 2^(k-1) orders
+        args, terms = node[1], _power(2, len(node[1]) - 1)
+    elif tag == "circ":
+        args, terms = node[1:], 2
+    elif tag == "std":  # k! signed orders
+        args, terms = node[2], 1
+        for i in range(2, node[1] + 1):
+            terms = _times(terms, i)
+            if terms > _MAX_TERMS:
+                break
+    else:
+        raise ValueError(f"unknown node {tag!r}")
+    degree = 0
+    for a in args:
+        d, t = _bounds(a)
+        degree = min(degree + d, _MAX_DEGREE + 1)
+        terms = _times(terms, t)
+    return degree, terms
+
+
 def elaborate(node):
     """Expression tree -> noncommutative polynomial."""
     tag = node[0]
@@ -273,5 +343,13 @@ def elaborate(node):
 
 
 def parse_poly(src):
-    """Parse and elaborate in one step."""
-    return elaborate(parse(src))
+    """Parse, check the size caps and elaborate in one step."""
+    node = parse(src)
+    degree, terms = _bounds(node)
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"expression too large: total degree may exceed "
+                         f"{_MAX_DEGREE}")
+    if terms > _MAX_TERMS:
+        raise ValueError(f"expression too large: may have more than "
+                         f"{_MAX_TERMS} terms")
+    return elaborate(node)

@@ -1,7 +1,8 @@
 """Arithmetic in the free associative algebra Q<x1, x2, ...>.
 
 Words are tuples of variable indices (1-based); the empty word is the unit.
-Polynomials are finite maps word -> Fraction.  The module also builds the
+Polynomials are finite maps word -> Fraction on the dict-polynomial base
+``DictPoly``, which ``matrep.CommPoly`` shares.  The module also builds the
 spanning families the rest of the toolkit consumes: all multilinear words of
 degree n, the multilinear proper polynomials (products of left-normed
 commutators), and the two-variable commutator-product families.
@@ -37,7 +38,6 @@ __all__ = [
     "render",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -45,26 +45,15 @@ def _deglex(word):
     return (len(word), word)
 
 
-class NcPoly:
-    """Noncommutative polynomial: finite map from words to rationals."""
+class DictPoly:
+    """Finite map key -> nonzero coefficient, with the module operations.
+
+    Subclasses fix what a key is and how two keys multiply; each keeps its
+    own inline ``__mul__`` loop.  Sums start from the int 0, so integer
+    coefficients stay integers.
+    """
 
     __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                f = Fraction(c)
-                if not f:
-                    continue
-                w = tuple(w)
-                s = t.get(w, _F0) + f
-                if s:
-                    t[w] = s
-                else:
-                    del t[w]
-        self.terms = t
-        self._hash = None
 
     @classmethod
     def _raw(cls, terms):
@@ -76,6 +65,77 @@ class NcPoly:
     @classmethod
     def zero(cls):
         return cls._raw({})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            s = t.get(k, 0) + c
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+        return self._raw(t)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            s = t.get(k, 0) - c
+            if s:
+                t[k] = s
+            else:
+                del t[k]
+        return self._raw(t)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        f = Fraction(c)
+        if not f:
+            return self.zero()
+        return self._raw({k: v * f for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+
+class NcPoly(DictPoly):
+    """Noncommutative polynomial: finite map from words to rationals."""
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for w, c in terms.items() if isinstance(terms, dict) else terms:
+                f = Fraction(c)
+                if not f:
+                    continue
+                w = tuple(w)
+                s = t.get(w, 0) + f
+                if s:
+                    t[w] = s
+                else:
+                    del t[w]
+        self.terms = t
+        self._hash = None
 
     @classmethod
     def one(cls):
@@ -94,40 +154,13 @@ class NcPoly:
 
     # -- ring structure ------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, _F0) + c
-            if s:
-                t[w] = s
-            else:
-                del t[w]
-        return NcPoly._raw(t)
-
-    def __sub__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, _F0) - c
-            if s:
-                t[w] = s
-            else:
-                del t[w]
-        return NcPoly._raw(t)
-
-    def __neg__(self):
-        return NcPoly._raw({w: -c for w, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, NcPoly):
             t = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     w = w1 + w2
-                    s = t.get(w, _F0) + c1 * c2
+                    s = t.get(w, 0) + c1 * c2
                     if s:
                         t[w] = s
                     else:
@@ -146,19 +179,7 @@ class NcPoly:
             out = out * self
         return out
 
-    def scale(self, c):
-        f = Fraction(c)
-        if not f:
-            return NcPoly.zero()
-        return NcPoly._raw({w: v * f for w, v in self.terms.items()})
-
     # -- structure queries ----------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def support(self):
         """Set of variable indices occurring in the polynomial."""
@@ -199,16 +220,6 @@ class NcPoly:
             return self
         return NcPoly._raw({w: v / c for w, v in self.terms.items()})
 
-    def __eq__(self, other):
-        if isinstance(other, NcPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
     def __repr__(self):
         return f"NcPoly({render(self)!r})"
 
@@ -237,7 +248,7 @@ def involution(f):
     t = {}
     for w, c in f.terms.items():
         rw = w[::-1]
-        s = t.get(rw, _F0) + c
+        s = t.get(rw, 0) + c
         if s:
             t[rw] = s
         else:
@@ -317,7 +328,7 @@ def linearize(f):
                 for pos, fresh in zip(positions[v], perm):
                     nw[pos] = fresh
             nw = tuple(nw)
-            s = t.get(nw, _F0) + c
+            s = t.get(nw, 0) + c
             if s:
                 t[nw] = s
             else:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import factorial
 
 from .freealg import NcPoly, circ, coeff_vector, comm, from_coeffs
-from .linalg import Subspace, echelonize, subspace_equal
+from .linalg import Subspace, echelonize
 
 __all__ = [
     "JordanSpan",
@@ -99,8 +99,7 @@ def cohn_check(varset):
     varset = frozenset(varset)
     if len(varset) > 3:
         raise ValueError("the coincidence holds only for at most 3 variables")
-    return subspace_equal(sj_multilinear_span(varset).space,
-                          reversible_span(varset))
+    return sj_multilinear_span(varset).space == reversible_span(varset)
 
 
 def bracket_span_check(n):

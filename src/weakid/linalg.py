@@ -13,7 +13,6 @@ fed in.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -22,16 +21,8 @@ __all__ = [
     "Subspace",
     "echelonize",
     "rank",
-    "kernel_basis",
     "left_kernel",
-    "subspace_contains",
-    "subspace_equal",
-    "subspace_sum",
     "subspace_intersect",
-    "rank_mod",
-    "rref_mod",
-    "random_prime",
-    "modular_rank_check",
 ]
 
 _STRIP_EVERY = 8  # axpy steps between content reductions of a work vector
@@ -230,21 +221,14 @@ class Subspace:
 
     __slots__ = ("_rows", "_finalized", "_frac_rows")
 
-    def __init__(self, vectors=(), *, _rows=None, _finalized=False):
-        if _rows is not None:
-            self._rows = _rows
-            self._finalized = _finalized
-        else:
-            b = _Builder()
-            for vec in vectors:
-                b.add(_int_row(vec))
-            self._rows = b.rows
-            self._finalized = False
+    def __init__(self, rows):
+        self._rows = rows  # pivot column -> content-1 integer row
+        self._finalized = False
         self._frac_rows = None
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls({})
 
     @property
     def dim(self):
@@ -278,17 +262,6 @@ class Subspace:
         b.rows = self._rows
         return b.contains(_int_row(vec))
 
-    def coords(self, vec):
-        """Coefficients of vec in the RREF basis, or None if not in the space.
-
-        For a vector of the space the expansion coefficients are just its
-        values at the pivot columns.
-        """
-        if not self.contains(vec):
-            return None
-        d = {c: Fraction(v) for c, v in _as_pairs(vec)}
-        return tuple(d.get(p, Fraction(0)) for p in self.pivots)
-
     def _canonical(self):
         self._finalize()
         return {p: tuple(sorted(row.items())) for p, row in self._rows.items()}
@@ -297,12 +270,6 @@ class Subspace:
         if isinstance(other, Subspace):
             return self._canonical() == other._canonical()
         return NotImplemented
-
-    def __le__(self, other):
-        """Containment of subspaces."""
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return all(other.contains(r) for r in self.rows)
 
     def __hash__(self):
         return hash(frozenset(self._canonical().items()))
@@ -326,42 +293,11 @@ def echelonize(vectors, *, stop_dim=None, presort=True):
     for r in rows:
         if b.add(r) and stop_dim is not None and len(b.rows) >= stop_dim:
             break
-    return Subspace(_rows=b.rows)
+    return Subspace(b.rows)
 
 
 def rank(vectors):
     return echelonize(vectors).dim
-
-
-def kernel_basis(rows, ncols):
-    """RREF basis of { v in Q^ncols : M v = 0 } for the matrix with the given rows."""
-    rows = [_int_row(r) for r in rows]
-    for r in rows:
-        if r and max(r) >= ncols:
-            raise ValueError(f"row index {max(r)} out of range for {ncols} columns")
-    space = Subspace(_rows=_Builder_rows(rows))
-    space._finalize()
-    pivot_cols = space.pivots
-    pivot_set = set(pivot_cols)
-    rref = space.rows
-    vecs = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = {free: Fraction(1)}
-        for p, row in zip(pivot_cols, rref):
-            val = row.get(free)
-            if val:
-                v[p] = -val
-        vecs.append(v)
-    return echelonize(vecs, presort=False)
-
-
-def _Builder_rows(int_rows):
-    b = _Builder()
-    for r in int_rows:
-        b.add(dict(r))
-    return b.rows
 
 
 def left_kernel(rows):
@@ -391,19 +327,6 @@ def left_kernel(rows):
     return echelonize(kvecs, presort=False)
 
 
-def subspace_contains(space, vec):
-    return space.contains(vec)
-
-
-def subspace_equal(a, b):
-    return a == b
-
-
-def subspace_sum(a, b):
-    vecs = [r.to_dict() for r in a.rows] + [r.to_dict() for r in b.rows]
-    return echelonize(vecs, presort=False)
-
-
 def subspace_intersect(a, b):
     """Zassenhaus: eliminate [u|u] rows for a and [w|0] rows for b; rows whose
     left block vanishes carry a basis of the intersection in the right block."""
@@ -427,116 +350,3 @@ def subspace_intersect(a, b):
         if p >= offset:
             vecs.append({c - offset: v for c, v in row.items()})
     return echelonize(vecs, presort=False)
-
-
-# -- modular self-checks ----------------------------------------------------
-#
-# Never the primary result: ranks over Q are recomputed mod large primes as an
-# independent cross-check (rank mod p can only drop, so agreement certifies).
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def random_prime(bits=62, rng=None):
-    rng = rng or random
-    while True:
-        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(n):
-            return n
-
-
-def _mod_rows(vectors, p):
-    out = []
-    for vec in vectors:
-        d = {}
-        for c, v in _as_pairs(vec):
-            f = Fraction(v)
-            if f.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            x = f.numerator * pow(f.denominator, -1, p) % p
-            if x:
-                d[c] = x
-        out.append(d)
-    return out
-
-
-def rref_mod(vectors, p):
-    """RREF over GF(p): returns {pivot: row-dict} with pivot value 1."""
-    rows = {}
-    for v in _mod_rows(vectors, p):
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                inv = pow(v[lead], -1, p)
-                rows[lead] = {c: x * inv % p for c, x in v.items()}
-                v = None
-                break
-            b = v.pop(lead)
-            for c, x in row.items():
-                if c == lead:
-                    continue
-                y = (v.get(c, 0) - b * x) % p
-                if y:
-                    v[c] = y
-                else:
-                    v.pop(c, None)
-    pivots = sorted(rows)
-    for i in range(len(pivots) - 1, -1, -1):
-        piv = pivots[i]
-        rp = rows[piv]
-        for q in pivots[:i]:
-            rq = rows[q]
-            b = rq.get(piv)
-            if not b:
-                continue
-            for c, x in rp.items():
-                y = (rq.get(c, 0) - b * x) % p
-                if y:
-                    rq[c] = y
-                else:
-                    rq.pop(c, None)
-    return rows
-
-
-def rank_mod(vectors, p):
-    return len(rref_mod(vectors, p))
-
-
-def modular_rank_check(vectors, *, primes=None, seed=2026):
-    """True iff the exact rank agrees with the rank modulo two large primes."""
-    if primes is None:
-        rng = random.Random(seed)
-        p1 = random_prime(rng=rng)
-        p2 = random_prime(rng=rng)
-        while p2 == p1:
-            p2 = random_prime(rng=rng)
-        primes = (p1, p2)
-    exact = rank(vectors)
-    try:
-        return all(rank_mod(vectors, p) == exact for p in primes)
-    except ZeroDivisionError:
-        return modular_rank_check(vectors, seed=seed + 1)

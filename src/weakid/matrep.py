@@ -7,7 +7,11 @@ matrices over any commutative Q-algebra.  Over an exact field this makes the
 generic test a complete weak-identity test, multilinear or not.
 
 Commutative monomials are sorted tuples of slot ids; slot 3*(i-1)+0/1/2 is
-a_i / b_i / c_i.
+a_i / b_i / c_i.  A word evaluates to a matrix whose entries have integer
+coefficients, so its evaluation row is an integer vector.  ``eval_table``
+builds those rows once per word universe (a sorted tuple of words), and the
+rank, kernel and certification passes read them from there; ``evaluate``
+stays the independent path the tests check them against.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .freealg import NcPoly
+from .freealg import DictPoly, NcPoly, word_index
 from .linalg import Subspace, echelonize, left_kernel, rank
 
 __all__ = [
@@ -26,7 +31,7 @@ __all__ = [
     "generic_assignment",
     "evaluate",
     "eval_rows",
-    "eval_columns",
+    "eval_table",
     "is_weak_identity",
     "weak_identity_witness",
     "Witness",
@@ -37,7 +42,6 @@ __all__ = [
 ]
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def slot_a(i):
@@ -52,67 +56,18 @@ def slot_c(i):
     return 3 * (i - 1) + 2
 
 
-class CommPoly:
+class CommPoly(DictPoly):
     """Commutative polynomial over Q in the generic matrix entries."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for m, c in terms.items() if isinstance(terms, dict) else terms:
-                f = Fraction(c)
-                if not f:
-                    continue
-                m = tuple(sorted(m))
-                s = t.get(m, _F0) + f
-                if s:
-                    t[m] = s
-                else:
-                    del t[m]
-        self.terms = t
-
-    @classmethod
-    def _raw(cls, terms):
-        p = cls.__new__(cls)
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def const(cls, c):
-        f = Fraction(c)
-        return cls._raw({(): f} if f else {})
+        return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, slot):
-        return cls._raw({(slot,): _F1})
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, _F0) + c
-            if s:
-                t[m] = s
-            else:
-                del t[m]
-        return CommPoly._raw(t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m, _F0) - c
-            if s:
-                t[m] = s
-            else:
-                del t[m]
-        return CommPoly._raw(t)
-
-    def __neg__(self):
-        return CommPoly._raw({m: -c for m, c in self.terms.items()})
+        return cls._raw({(slot,): 1})
 
     def __mul__(self, other):
         if isinstance(other, CommPoly):
@@ -120,42 +75,13 @@ class CommPoly:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = tuple(sorted(m1 + m2))
-                    s = t.get(m, _F0) + c1 * c2
+                    s = t.get(m, 0) + c1 * c2
                     if s:
                         t[m] = s
                     else:
                         del t[m]
             return CommPoly._raw(t)
-        f = Fraction(other)
-        if not f:
-            return CommPoly.zero()
-        return CommPoly._raw({m: c * f for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, CommPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def subs(self, values):
-        """Evaluate at slot -> Fraction values."""
-        total = _F0
-        for m, c in self.terms.items():
-            v = c
-            for s in m:
-                v *= values[s]
-            total += v
-        return total
+        return self.scale(other)
 
     def __repr__(self):
         return f"CommPoly({self.terms!r})"
@@ -298,19 +224,19 @@ def eval_rows(words):
     return [table[w] for w in words]
 
 
-def eval_columns(coord_rows):
-    """Deterministic column numbering: (entry, monomial) keys in deg-lex order."""
+@lru_cache(maxsize=None)
+def eval_table(words):
+    """(index, rows) for a sorted tuple of words: index maps each word to its
+    row, and rows are the integer evaluation rows with columns numbered by
+    (entry, monomial) in deg-lex order."""
+    rows = eval_rows(words)
     keys = set()
-    for row in coord_rows:
+    for row in rows:
         keys.update(row)
     ordered = sorted(keys, key=lambda k: (len(k[1]), k[1], k[0]))
-    return {k: i for i, k in enumerate(ordered)}
-
-
-def indexed_rows(coord_rows, columns=None):
-    if columns is None:
-        columns = eval_columns(coord_rows)
-    return [{columns[k]: v for k, v in row.items()} for row in coord_rows], columns
+    columns = {k: i for i, k in enumerate(ordered)}
+    return (word_index(words),
+            tuple({columns[k]: v for k, v in row.items()} for row in rows))
 
 
 def poly_eval_row(f, word_rows, index):
@@ -372,14 +298,15 @@ def _numeric_value(f, mats):
     return rows, val.is_zero()
 
 
-def weak_identity_witness(f, *, seed=0):
+def weak_identity_witness(f):
     """A symmetric substitution where f does not vanish, or None.
 
     Multilinear inputs are searched over the basis {E11, E12+E21, E22} per
     variable (a complete test set for multilinear polynomials), so the
     returned witness is the lexicographically first failing basis
     substitution.  Other inputs fall back to seeded small random symmetric
-    matrices; a nonvanishing polynomial fails on small integers quickly.
+    matrices (seed 0); a nonvanishing polynomial fails on small integers
+    quickly.
     """
     if is_weak_identity(f):
         return None
@@ -390,7 +317,7 @@ def weak_identity_witness(f, *, seed=0):
             rows, zero = _numeric_value(f, mats)
             if not zero:
                 return Witness(mats, rows)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     while True:
         mats = {}
         for v in variables:
@@ -408,11 +335,9 @@ def _family_rows(family):
     degs = {len(w) for f in family for w in f.terms}
     if len(degs) > 1:
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
-    words = sorted({w for f in family for w in f.terms})
-    index = {w: i for i, w in enumerate(words)}
-    word_rows = eval_rows(words)
-    rows = [poly_eval_row(f, word_rows, index) for f in family]
-    return indexed_rows(rows)[0]
+    words = tuple(sorted({w for f in family for w in f.terms}))
+    index, word_rows = eval_table(words)
+    return [poly_eval_row(f, word_rows, index) for f in family]
 
 
 def weak_identity_kernel(family):

@@ -198,26 +198,24 @@ def _multiplicities(traces, n, dim):
     return result
 
 
-def decompose(space, n, *, check_stability=True):
+def decompose(space, n):
     """Decompose a Sym(n)-stable subspace of the multilinear component into
     irreducible multiplicities {partition: multiplicity}."""
     index = word_index(multilinear_words(n))
-    if check_stability:
-        _check_stable(space, n, index)
+    _check_stable(space, n, index)
     rev = {i: w for w, i in index.items()}
     traces = {rho: _trace(space, class_representative(rho), index, rev)
               for rho in cycle_types(n)}
     return _multiplicities(traces, n, space.dim)
 
 
-def decompose_quotient(ambient, sub, n, *, check_stability=True):
+def decompose_quotient(ambient, sub, n):
     """Decompose ambient/sub; ambient=None means the full multilinear component."""
     index = word_index(multilinear_words(n))
     rev = {i: w for w, i in index.items()}
-    if check_stability:
-        _check_stable(sub, n, index)
-        if ambient is not None:
-            _check_stable(ambient, n, index)
+    _check_stable(sub, n, index)
+    if ambient is not None:
+        _check_stable(ambient, n, index)
     if ambient is not None:
         for row in sub.rows:
             if not ambient.contains(row):
@@ -231,7 +229,3 @@ def decompose_quotient(ambient, sub, n, *, check_stability=True):
     dim = (factorial(n) if ambient is None else ambient.dim) - sub.dim
     return _multiplicities(traces, n, dim)
 
-
-def decomposition_key(dec):
-    """Serialized form: sorted list of (partition, multiplicity)."""
-    return sorted((list(lam), m) for lam, m in dec.items())

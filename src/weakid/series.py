@@ -19,7 +19,7 @@ from functools import lru_cache
 from .freealg import (coeff_vector, comm, two_var_commutator,
                       two_var_commutator_family)
 from .linalg import echelonize
-from .matrep import image_rank, is_weak_identity
+from .matrep import image_rank
 
 __all__ = [
     "closed_form_series",
@@ -33,7 +33,6 @@ __all__ = [
     "tail_family",
     "tail_family_spans_image",
     "degree6_relations",
-    "low_degree_report",
 ]
 
 
@@ -152,19 +151,3 @@ def degree6_relations():
     r3 = comm(w(0, 1), w(1, 0)) + 4 * (w(0, 0) ** 3)
     return r1, r2, r3
 
-
-def low_degree_report(n_max=6):
-    """Per-degree dimensions through n_max plus the degree-6 structure:
-    GL(2) decompositions of the full component and of the weak-identity part,
-    and the three degree-6 relations checked against the evaluation."""
-    report = {
-        "family_dims": family_dims(n_max),
-        "image_dims": image_dims(n_max),
-        "intersection_dims": intersection_dims(n_max),
-    }
-    if n_max >= 6:
-        report["component6"] = gl2_decomposition(6)
-        report["intersection6"] = gl2_intersection_decomposition(6)
-        report["relations_hold"] = tuple(
-            is_weak_identity(r) for r in degree6_relations())
-    return report

@@ -31,7 +31,7 @@ from .freealg import (NcPoly, coeff_vector, linearize,
                       standard_poly, substitute, word_index)
 from .jordan import sj_multilinear_span
 from .linalg import echelonize, rank, subspace_intersect
-from .matrep import eval_rows, indexed_rows, poly_eval_row
+from .matrep import eval_table, poly_eval_row
 
 __all__ = [
     "metabelian",
@@ -141,21 +141,13 @@ def consequence_family(gens, n):
     return list(emitted.values())
 
 
-# -- evaluation tables for the full multilinear component ---------------------
-
-
-@lru_cache(maxsize=None)
-def _pn_rows(n):
-    """Generic-evaluation coordinate rows for all multilinear words of degree n."""
-    words = multilinear_words(n)
-    rows = eval_rows(list(words))
-    return tuple(indexed_rows(rows)[0])
+# -- the full multilinear component -------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def pn_kernel_dim(n):
     """Dimension of the weak identities inside the multilinear component."""
-    return factorial(n) - rank(_pn_rows(n))
+    return factorial(n) - rank(eval_table(multilinear_words(n))[1])
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +155,7 @@ def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member was verified to be a weak identity."""
     family = consequence_family(gens, n)
-    index = word_index(multilinear_words(n))
-    word_rows = _pn_rows(n)
+    index, word_rows = eval_table(multilinear_words(n))
     certified = all(not poly_eval_row(g, word_rows, index) for g in family)
     ceiling = pn_kernel_dim(n) if certified else None
     span = echelonize([coeff_vector(g, index) for g in family],

@@ -86,6 +86,15 @@ def test_check_consequence_rejects_high_degree_fast(capsys):
         assert "degree 9" in capsys.readouterr().err
 
 
+def test_check_rejects_oversized_expressions_fast(capsys):
+    s12 = "S12(" + ",".join(f"x{i}" for i in range(1, 13)) + ")"
+    for expr in (s12, "(x+y)^40", "x^100000000", "ad(x,y,40)"):
+        t0 = time.perf_counter()
+        assert main(["check", "--expr", expr]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "too large" in capsys.readouterr().err
+
+
 def test_verify_proper_mode(capsys):
     assert main(["verify", "--degree", "4", "--proper", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -126,9 +135,8 @@ def test_hilbert(capsys):
     assert payload["computed"] == ["1", "0", "1", "2", "4", "6", "9"]
 
 
-def test_hilbert_respects_degree_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WEAKID_DEGREE_CAP", "5")
-    assert main(["hilbert", "--max", "6"]) == 2
+def test_hilbert_respects_degree_cap(capsys):
+    assert main(["hilbert", "--max", "11"]) == 2
     assert "cap" in capsys.readouterr().err
 
 

@@ -85,6 +85,17 @@ def test_no_implicit_multiplication():
         parse("[x1,x2][x3,x4]")
 
 
+def test_size_caps():
+    # the bounds are exact on these shapes, so each cap is met, then passed
+    assert parse_poly("x^12") == x1 ** 12
+    assert len(parse_poly("S6(x1,x2,x3,x4,x5,x6)").terms) == 720
+    assert len(parse_poly("(x+y)^9").terms) == 512
+    for src in ("x^13", "x1*[x2,x3]^6", "(x+y)^10", "S7(x1,x2,x3,x4,x5,x6,x7)",
+                "ad(x,y,10)", "o(x,y)^10"):
+        with pytest.raises(ValueError, match="too large"):
+            parse_poly(src)
+
+
 def test_golden_round_trips():
     golden = [
         "[x1,x2]",

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from weakid.freealg import (NcPoly, comm, involution, left_normed,
                             multilinear_words, proper_basis, standard_poly,
                             word_index)
-from weakid.linalg import subspace_equal, subspace_intersect
-from weakid.matrep import (BASIS_MATRICES, SymMat2, evaluate,
+from weakid import matrep, tideal
+from weakid.linalg import subspace_intersect
+from weakid.matrep import (BASIS_MATRICES, SymMat2, eval_rows, evaluate,
                            generic_assignment, image_rank, is_weak_identity,
                            weak_identities_within, weak_identity_kernel,
                            weak_identity_witness)
@@ -154,6 +155,33 @@ def test_involution_transpose_intertwining(f):
     assert evaluate(involution(f), assignment) == evaluate(f, assignment).transpose()
 
 
+def test_eval_rows_are_integral():
+    # products of generic symmetric matrices have integer coefficients
+    bidegree_3_2 = [w for w in itertools.product((1, 2), repeat=5)
+                    if w.count(1) == 3]
+    for words in (list(multilinear_words(4)), bidegree_3_2):
+        rows = eval_rows(words)
+        assert len(rows) == len(words)
+        assert all(type(v) is int for row in rows for v in row.values())
+
+
+def test_proper_verify_evaluates_the_words_once(monkeypatch):
+    for cached in (matrep.eval_table, tideal.pn_kernel_dim,
+                   tideal._consequences, tideal.proper_kernel):
+        cached.cache_clear()
+    calls = []
+    real = matrep.eval_rows
+
+    def counting(words):
+        calls.append(sorted(words))
+        return real(words)
+
+    monkeypatch.setattr(matrep, "eval_rows", counting)
+    report = tideal.verify_degree(5, proper=True, with_decomposition=True)
+    assert report.equal
+    assert calls.count(list(multilinear_words(5))) == 1
+
+
 # -- weak identity testing -----------------------------------------------------
 
 
@@ -250,5 +278,4 @@ def test_proper_kernel_is_full_kernel_intersected(n):
     full_side = weak_identities_within(p_family, index)
     from weakid.freealg import proper_span
 
-    assert subspace_equal(gamma_side,
-                          subspace_intersect(full_side, proper_span(n)))
+    assert gamma_side == subspace_intersect(full_side, proper_span(n))
