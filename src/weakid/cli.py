@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .expr import ParseError, parse_poly, render
 from .freealg import proper_span
-from .matrep import is_weak_identity, weak_identity_witness
+from .matrep import weak_identity_witness
 from .repthy import decompose, decompose_quotient
 from .series import closed_form_series, image_dims
 from .tideal import is_consequence, proper_kernel, verify_degree
@@ -68,13 +68,12 @@ def cmd_check(args):
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.mode == "identity":
-        ok = is_weak_identity(f)
+        witness = weak_identity_witness(f)
+        ok = witness is None
         payload = {"expr": args.expr, "canonical": render(f),
                    "mode": "identity", "result": ok,
                    "toolkit_version": __version__}
-        witness = None
         if not ok:
-            witness = weak_identity_witness(f)
             payload["witness"] = {
                 "assignment": {f"x{i}": [[str(v) for v in row] for row in m]
                                for i, m in sorted(witness.assignment.items())},

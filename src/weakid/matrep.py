@@ -10,26 +10,27 @@ Commutative monomials are sorted tuples of slot ids; slot 3*(i-1)+0/1/2 is
 a_i / b_i / c_i.  A word evaluates to a matrix whose entries have integer
 coefficients, so its evaluation row is an integer vector.  ``eval_table``
 builds those rows once per word universe (a sorted tuple of words), and the
-rank, kernel and certification passes read them from there; ``evaluate``
-stays the independent path the tests check them against.
+rank, kernel and certification passes read them from there.  The weak
+identity test and the witness search read the generic coordinates of the one
+polynomial they are given, from the same prefix-stack walk and the same
+``poly_eval_row``.  The independent evaluation oracle the tests check all of
+this against lives in ``tests/``.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .freealg import DictPoly, NcPoly, word_index
+from .freealg import DictPoly, NcPoly
 from .linalg import Subspace, echelonize, left_kernel, rank
 
 __all__ = [
     "CommPoly",
     "SymMat2",
-    "generic_assignment",
-    "evaluate",
     "eval_rows",
     "eval_table",
     "is_weak_identity",
@@ -40,8 +41,6 @@ __all__ = [
     "weak_identities_within",
     "BASIS_MATRICES",
 ]
-
-_F0 = Fraction(0)
 
 
 def slot_a(i):
@@ -113,17 +112,6 @@ class SymMat2:
         zero = CommPoly.zero()
         return cls(one, zero, zero, one)
 
-    @classmethod
-    def zero(cls):
-        z = CommPoly.zero()
-        return cls(z, z, z, z)
-
-    @classmethod
-    def constant(cls, rows):
-        (a, b), (c, d) = rows
-        return cls(CommPoly.const(a), CommPoly.const(b),
-                   CommPoly.const(c), CommPoly.const(d))
-
     def __mul__(self, other):
         return SymMat2(
             self.e11 * other.e11 + self.e12 * other.e21,
@@ -132,60 +120,11 @@ class SymMat2:
             self.e21 * other.e12 + self.e22 * other.e22,
         )
 
-    def __add__(self, other):
-        return SymMat2(self.e11 + other.e11, self.e12 + other.e12,
-                       self.e21 + other.e21, self.e22 + other.e22)
-
-    def __sub__(self, other):
-        return SymMat2(self.e11 - other.e11, self.e12 - other.e12,
-                       self.e21 - other.e21, self.e22 - other.e22)
-
-    def scale(self, c):
-        return SymMat2(self.e11 * c, self.e12 * c, self.e21 * c, self.e22 * c)
-
-    def transpose(self):
-        return SymMat2(self.e11, self.e21, self.e12, self.e22)
-
     def entries(self):
         return (self.e11, self.e12, self.e21, self.e22)
 
-    def is_zero(self):
-        return not (self.e11 or self.e12 or self.e21 or self.e22)
-
-    def is_symmetric(self):
-        return self.e12 == self.e21
-
-    def __eq__(self, other):
-        if isinstance(other, SymMat2):
-            return self.entries() == other.entries()
-        return NotImplemented
-
     def __repr__(self):
         return f"SymMat2{self.entries()!r}"
-
-
-def generic_assignment(variables):
-    return {i: SymMat2.generic(i) for i in variables}
-
-
-def evaluate(f, assignment):
-    """Evaluation homomorphism; the unit goes to the identity matrix."""
-    acc = SymMat2.zero()
-    cache = {(): SymMat2.identity()}
-
-    def word_value(w):
-        m = cache.get(w)
-        if m is None:
-            try:
-                m = word_value(w[:-1]) * assignment[w[-1]]
-            except KeyError:
-                raise KeyError(f"variable x{w[-1]} is not assigned") from None
-            cache[w] = m
-        return m
-
-    for w, c in f.terms.items():
-        acc = acc + word_value(w).scale(c)
-    return acc
 
 
 # -- evaluation coordinate vectors -------------------------------------------
@@ -200,31 +139,39 @@ def _coords(mat):
     return out
 
 
-def eval_rows(words):
-    """Coordinate dicts of the generic evaluation of each word.
+def _walk(words):
+    """Yield (word, generic value) for each distinct word in sorted order.
 
-    Words are processed in sorted order with a prefix stack, so the table for
-    all multilinear words of degree n costs one matrix product per distinct
-    prefix.
+    A prefix stack keeps the values of the current word's prefixes, so a set
+    of words costs one matrix product per distinct prefix.
     """
-    order = sorted(set(words))
-    rows = []
     stack = [SymMat2.identity()]
     prev = ()
-    for w in order:
+    for w in sorted(set(words)):
         k = 0
         while k < len(prev) and k < len(w) and prev[k] == w[k]:
             k += 1
         del stack[k + 1:]
         for letter in w[k:]:
             stack.append(stack[-1] * SymMat2.generic(letter))
-        rows.append(_coords(stack[-1]))
+        yield w, stack[-1]
         prev = w
-    table = dict(zip(order, rows))
+
+
+def eval_rows(words):
+    """Coordinate dicts of the generic evaluation of each word."""
+    table = {w: _coords(m) for w, m in _walk(words)}
     return [table[w] for w in words]
 
 
-@lru_cache(maxsize=None)
+# Word universes eval_table keeps.  A proof run reads one universe per
+# degree, and the Hilbert series reads each bidegree once, so a small bound
+# costs no recomputation while keeping long sessions from holding every
+# table they ever built.
+_TABLES = 8
+
+
+@lru_cache(maxsize=_TABLES)
 def eval_table(words):
     """(index, rows) for a sorted tuple of words: index maps each word to its
     row, and rows are the integer evaluation rows with columns numbered by
@@ -235,21 +182,37 @@ def eval_table(words):
         keys.update(row)
     ordered = sorted(keys, key=lambda k: (len(k[1]), k[1], k[0]))
     columns = {k: i for i, k in enumerate(ordered)}
-    return (word_index(words),
+    return ({w: i for i, w in enumerate(words)},
             tuple({columns[k]: v for k, v in row.items()} for row in rows))
 
 
 def poly_eval_row(f, word_rows, index):
-    """Evaluation coordinates of f as a combination of word rows."""
+    """Evaluation coordinates of f as a combination of word rows.
+
+    The word rows are integral, so f's coefficients are scaled by their
+    common denominator, summed as ints and divided once at the end.
+    """
+    den = lcm(*(c.denominator for c in f.terms.values()))
     acc = {}
     for w, c in f.terms.items():
+        c = c.numerator * (den // c.denominator)
         for k, v in word_rows[index[w]].items():
-            s = acc.get(k, _F0) + c * v
+            s = acc.get(k, 0) + c * v
             if s:
                 acc[k] = s
             else:
                 del acc[k]
+    if den != 1:
+        acc = {k: Fraction(v, den) for k, v in acc.items()}
     return acc
+
+
+def _generic_coords(f):
+    """Coordinates {(entry, monomial): value} of f at generic symmetric
+    matrices, from a walk over f's own words (no shared table grows)."""
+    walk = list(_walk(f.terms))
+    index = {w: i for i, (w, _) in enumerate(walk)}
+    return poly_eval_row(f, [_coords(m) for _, m in walk], index)
 
 
 # -- weak identity testing ----------------------------------------------------
@@ -257,9 +220,7 @@ def poly_eval_row(f, word_rows, index):
 
 def is_weak_identity(f):
     """True iff f vanishes under the generic symmetric substitution."""
-    if f.is_zero():
-        return True
-    return evaluate(f, generic_assignment(f.support())).is_zero()
+    return not _generic_coords(f)
 
 
 # E11, E12 + E21, E22: a basis of the symmetric 2x2 matrices.
@@ -290,42 +251,43 @@ def _fmt_mat(rows):
         ", ".join(str(v) for v in rows[1]) + "]]"
 
 
-def _numeric_value(f, mats):
-    assignment = {i: SymMat2.constant(m) for i, m in mats.items()}
-    val = evaluate(f, assignment)
-    rows = tuple(tuple(p.terms.get((), _F0) for p in row)
-                 for row in ((val.e11, val.e12), (val.e21, val.e22)))
-    return rows, val.is_zero()
-
-
 def weak_identity_witness(f):
     """A symmetric substitution where f does not vanish, or None.
 
-    Multilinear inputs are searched over the basis {E11, E12+E21, E22} per
-    variable (a complete test set for multilinear polynomials), so the
-    returned witness is the lexicographically first failing basis
-    substitution.  Other inputs fall back to seeded small random symmetric
-    matrices (seed 0); a nonvanishing polynomial fails on small integers
-    quickly.
+    Multilinear input is answered over the basis {E11, E12+E21, E22} per
+    variable (a complete test set for multilinear polynomials): the
+    substitution x_v = basis[k_v] sends the monomial with slot 3*(v-1)+k_v
+    for every v to 1 and every other monomial to 0, so the lexicographically
+    first failing basis substitution is the least (slot mod 3 per variable)
+    over the nonzero coordinates, and its value is the four entries at that
+    monomial.  Other input is substituted into the coordinates at seeded
+    small random symmetric matrices (seed 0); a nonvanishing polynomial fails
+    on small integers quickly.
     """
-    if is_weak_identity(f):
+    coords = _generic_coords(f)
+    if not coords:
         return None
     variables = sorted(f.support())
-    if f.is_multilinear() and len(variables) <= 6:
-        for combo in itertools.product(range(3), repeat=len(variables)):
-            mats = {v: BASIS_MATRICES[c] for v, c in zip(variables, combo)}
-            rows, zero = _numeric_value(f, mats)
-            if not zero:
-                return Witness(mats, rows)
+    if f.is_multilinear():
+        choice = min(tuple(s % 3 for s in m) for _, m in coords)
+        m = tuple(slot_a(v) + k for v, k in zip(variables, choice))
+        e = [coords.get((i, m), 0) for i in range(4)]
+        return Witness({v: BASIS_MATRICES[k] for v, k in zip(variables, choice)},
+                       ((e[0], e[1]), (e[2], e[3])))
     rng = random.Random(0)
     while True:
-        mats = {}
+        mats, point = {}, {}
         for v in variables:
             a, b, c = (Fraction(rng.randint(-3, 3)) for _ in range(3))
             mats[v] = ((a, b), (b, c))
-        rows, zero = _numeric_value(f, mats)
-        if not zero:
-            return Witness(mats, rows)
+            point[slot_a(v)], point[slot_b(v)], point[slot_c(v)] = a, b, c
+        e = [0] * 4
+        for (i, m), c in coords.items():
+            for s in m:
+                c *= point[s]
+            e[i] += c
+        if any(e):
+            return Witness(mats, ((e[0], e[1]), (e[2], e[3])))
 
 
 # -- kernels of the evaluation map --------------------------------------------

@@ -16,8 +16,7 @@ import pytest
 from weakid.freealg import (NcPoly, comm, involution, multilinear_words,
                             perm_sign, proper_span, standard_poly,
                             substitute, word_index)
-from weakid.matrep import (evaluate, generic_assignment, is_weak_identity,
-                           weak_identity_witness)
+from weakid.matrep import is_weak_identity, weak_identity_witness
 from weakid.repthy import (character, class_size, cycle_types, decompose,
                            decompose_quotient, partitions, sym_dim)
 from weakid.series import (closed_form_series, family_dims,
@@ -28,6 +27,8 @@ from weakid.tideal import (consequences_span, is_consequence, metabelian,
                            proper_kernel, verify_degree)
 
 from tests import identities as ids
+from tests.eval_oracle import (coords, generic_eval, mat_mul, mat_transpose,
+                               package_coords)
 
 
 class Budget:
@@ -167,17 +168,17 @@ def test_criterion_9_property_suites():
                 terms[w] = terms.get(w, 0) + rng.randint(-3, 3)
             return NcPoly(terms)
 
-        assignment = generic_assignment({1, 2, 3})
+        # (the package's coordinates against the oracle's matrix product)
         for _ in range(100):
             f, g = random_poly(), random_poly()
-            assert evaluate(f * g, assignment) == \
-                evaluate(f, assignment) * evaluate(g, assignment)
+            assert package_coords(f * g) == \
+                coords(mat_mul(generic_eval(f), generic_eval(g)))
 
         # involution / transpose intertwining, 100 random cases
         for _ in range(100):
             f = random_poly()
-            assert evaluate(involution(f), assignment) == \
-                evaluate(f, assignment).transpose()
+            assert package_coords(involution(f)) == \
+                coords(mat_transpose(generic_eval(f)))
 
         # alternation of the degree-4 standard polynomial, all 24 slot
         # permutations plus 100 random repeated-argument substitutions

@@ -1,12 +1,20 @@
 """CLI surface: exit codes, JSON schema, determinism."""
 
+import io
 import json
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from weakid import __version__
 from weakid.cli import main
+
+# ``check --mode identity --json`` output of one expression per benchmark
+# check-mix template (seed 1) and a few hand-picked ones, recorded before the
+# witness search moved onto the generic coordinates.
+GOLDEN_CHECKS = Path(__file__).parent / "data" / "check_identity_golden.json"
 
 REPORT_KEYS = {"degree", "dim_P", "dim_kernel", "dim_consequences",
                "containment", "equal", "decomposition", "timings_ms",
@@ -49,6 +57,17 @@ def test_check_identity_false_prints_witness(capsys):
     assert "witness substitution" in out
     assert "x1 = [[" in out
     assert "value = [[" in out
+
+
+def test_check_identity_replays_the_golden_file():
+    cases = json.loads(GOLDEN_CHECKS.read_text())
+    assert len(cases) == 39
+    for case in cases:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["check", "--mode", "identity", "--json",
+                         f"--expr={case['expr']}"])
+        assert (code, out.getvalue()) == (case["exit"], case["stdout"]), case["expr"]
 
 
 def test_check_consequence(capsys):

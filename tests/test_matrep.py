@@ -9,59 +9,27 @@ from hypothesis import given, settings, strategies as st
 from weakid.freealg import (NcPoly, comm, involution, left_normed,
                             multilinear_words, proper_basis, standard_poly,
                             word_index)
-from weakid import matrep, tideal
+from weakid import matrep, series, tideal
+from weakid.cli import main
+from weakid.expr import parse_poly
 from weakid.linalg import subspace_intersect
-from weakid.matrep import (BASIS_MATRICES, SymMat2, eval_rows, evaluate,
-                           generic_assignment, image_rank, is_weak_identity,
-                           weak_identities_within, weak_identity_kernel,
-                           weak_identity_witness)
+from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
+                           is_weak_identity, weak_identities_within,
+                           weak_identity_kernel, weak_identity_witness)
 from weakid.tideal import metabelian
 
+from tests.eval_oracle import (MAT_ZERO, brute_eval,
+                               coords, first_failing_basis_substitution,
+                               generic_coords, generic_eval, mat_add, mat_mul,
+                               mat_scale, mat_transpose, package_coords)
+
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
-
-
-# -- independent 2x2 oracle ----------------------------------------------------
-# plain tuple arithmetic, no shared code with the package
-
-
-def mat_mul(a, b):
-    return ((a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]))
-
-
-def mat_add(a, b):
-    return tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(tuple(c * v for v in row) for row in a)
-
-
-MAT_ZERO = ((Fraction(0),) * 2,) * 2
-MAT_ONE = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def brute_eval(f, mats):
-    acc = MAT_ZERO
-    for w, c in f.terms.items():
-        m = MAT_ONE
-        for i in w:
-            m = mat_mul(m, mats[i])
-        acc = mat_add(acc, mat_scale(c, m))
-    return acc
 
 
 def brute_is_weak_identity(f):
     """Complete test for multilinear f: all substitutions from the basis
     {E11, E12+E21, E22} per variable."""
-    variables = sorted(f.support())
-    for combo in itertools.product(BASIS_MATRICES, repeat=len(variables)):
-        mats = dict(zip(variables, combo))
-        if brute_eval(f, mats) != MAT_ZERO:
-            return False
-    return True
+    return first_failing_basis_substitution(f) is None
 
 
 def brute_kernel_dim(family):
@@ -91,39 +59,42 @@ def brute_kernel_dim(family):
 
 
 def test_eval_single_variable():
-    m = evaluate(x1, generic_assignment({1}))
-    assert m.is_symmetric()
-    assert m.e11.terms == {(0,): 1}
-    assert m.e12.terms == {(1,): 1}
-    assert m.e22.terms == {(2,): 1}
+    assert eval_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1, (2, (1,)): 1,
+                                  (3, (2,)): 1}]
+    assert package_coords(x1) == generic_coords(x1)
 
 
 def test_eval_unit():
-    assert evaluate(NcPoly.one(), {}) == SymMat2.identity()
+    assert eval_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
+    assert package_coords(NcPoly.one()) == generic_coords(NcPoly.one())
+
+
+def _at_point(coords_, point):
+    """Substitute {slot: number} into generic coordinates; a 2x2 tuple."""
+    e = [0] * 4
+    for (i, m), c in coords_.items():
+        for s in m:
+            c *= point[s]
+        e[i] += c
+    return ((e[0], e[1]), (e[2], e[3]))
 
 
 def test_eval_commutator_structure():
     # [x1, x2] evaluates to mu*(e12 - e21) with
     # mu = a1 b2 + b1 c2 - a2 b1 - b2 c1; cross-checked against the hand oracle
-    ev = evaluate(comm(x1, x2), generic_assignment({1, 2}))
-    assert ev.e11.is_zero() and ev.e22.is_zero()
-    assert ev.e12 == -ev.e21
+    ev = package_coords(comm(x1, x2))
+    assert ev == generic_coords(comm(x1, x2))
+    assert {e for e, _ in ev} == {1, 2}
     mu = {(0, 4): Fraction(1), (1, 5): Fraction(1),
           (1, 3): Fraction(-1), (2, 4): Fraction(-1)}
-    assert ev.e12.terms == mu
+    assert {m: c for (e, m), c in ev.items() if e == 1} == mu
+    assert {m: -c for (e, m), c in ev.items() if e == 2} == mu
 
     g = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(3)))
     h = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(5)))
     by_hand = mat_add(mat_mul(g, h), mat_scale(-1, mat_mul(h, g)))
-    mats = {1: SymMat2.constant(g), 2: SymMat2.constant(h)}
-    ours = evaluate(comm(x1, x2), mats)
-    assert tuple(tuple(p.terms.get((), Fraction(0)) for p in row)
-                 for row in ((ours.e11, ours.e12), (ours.e21, ours.e22))) == by_hand
-
-
-def test_eval_unassigned_variable():
-    with pytest.raises(KeyError):
-        evaluate(x1 * x2, generic_assignment({1}))
+    point = dict(enumerate((1, 2, 3, 0, 1, 5)))
+    assert _at_point(ev, point) == by_hand
 
 
 small_coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -142,17 +113,24 @@ def nc_polys(draw):
 @settings(max_examples=100, deadline=None)
 @given(nc_polys(), nc_polys())
 def test_eval_is_homomorphism(f, g):
-    assignment = generic_assignment({1, 2, 3})
-    lhs = evaluate(f * g, assignment)
-    rhs = evaluate(f, assignment) * evaluate(g, assignment)
+    lhs = package_coords(f * g)
+    rhs = coords(mat_mul(generic_eval(f), generic_eval(g)))
     assert lhs == rhs
 
 
 @settings(max_examples=100, deadline=None)
 @given(nc_polys())
 def test_involution_transpose_intertwining(f):
-    assignment = generic_assignment({1, 2, 3})
-    assert evaluate(involution(f), assignment) == evaluate(f, assignment).transpose()
+    assert package_coords(involution(f)) == coords(mat_transpose(generic_eval(f)))
+
+
+def test_poly_eval_row_on_fractional_coefficients():
+    f = parse_poly("1/3*x*y - 2/5*y*x + 7/6*x*x*y")
+    ours = package_coords(f)
+    assert ours == generic_coords(f)
+    assert any(type(v) is Fraction and v.denominator > 1 for v in ours.values())
+    # integral input stays integral
+    assert all(type(v) is int for v in package_coords(comm(x1, x2)).values())
 
 
 def test_eval_rows_are_integral():
@@ -190,6 +168,7 @@ def test_known_weak_identities():
     assert is_weak_identity(metabelian())
     assert not is_weak_identity(standard_poly(3))
     assert not is_weak_identity(comm(x1, x2))
+    assert is_weak_identity(NcPoly.zero())
 
 
 def test_s3_witness_is_the_basis_substitution():
@@ -227,6 +206,71 @@ def test_generic_test_agrees_with_brute_force_on_multilinear(f):
     if not f.is_multilinear() or f.is_zero():
         return
     assert is_weak_identity(f) == brute_is_weak_identity(f)
+
+
+@st.composite
+def multilinear_polys(draw):
+    """Multilinear polynomials on up to 4 variables with small coefficients."""
+    variables = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4,
+                              unique=True))
+    words = list(itertools.permutations(variables))
+    chosen = draw(st.lists(st.sampled_from(words), max_size=6, unique=True))
+    return NcPoly({w: draw(small_coeff.filter(bool)) for w in chosen})
+
+
+@settings(max_examples=150, deadline=None)
+@given(multilinear_polys())
+def test_multilinear_witness_is_the_first_failing_basis_substitution(f):
+    w = weak_identity_witness(f)
+    first = first_failing_basis_substitution(f)
+    if first is None:
+        assert w is None
+        return
+    assert (w.assignment, w.value) == first
+    assert brute_eval(f, w.assignment) == w.value
+
+
+def test_large_multilinear_witness_is_the_first_basis_substitution():
+    f = parse_poly("S3(x1,x2,x3)*x4*x5*x6*x7")
+    w = weak_identity_witness(f)
+    assert (w.assignment, w.value) == first_failing_basis_substitution(f)
+    assert w.assignment[1] == BASIS_MATRICES[0]
+    assert w.assignment[2] == BASIS_MATRICES[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(nc_polys())
+def test_non_multilinear_witness_value_matches_the_oracle(f):
+    w = weak_identity_witness(f)
+    if w is None:
+        assert not generic_coords(f)
+        return
+    assert w.value != MAT_ZERO
+    assert brute_eval(f, w.assignment) == w.value
+
+
+def test_check_evaluates_a_non_identity_once(monkeypatch, capsys):
+    calls = []
+    real = matrep._generic_coords
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(matrep, "_generic_coords", counting)
+    assert main(["check", "--expr", "[x1,x2]*x3", "--mode", "identity"]) == 1
+    assert "witness substitution" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_eval_table_cache_is_bounded():
+    for cached in (matrep.eval_table, series.image_dim, series._family):
+        cached.cache_clear()
+    assert series.image_dims(7) == [1, 0, 1, 2, 4, 6, 9, 12]
+    info = eval_table.cache_info()
+    assert info.maxsize == matrep._TABLES
+    # image_dims(7) reads 21 bidegrees, more than the cache keeps
+    assert info.currsize <= matrep._TABLES < info.misses
 
 
 # -- kernels --------------------------------------------------------------------

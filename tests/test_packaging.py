@@ -1,11 +1,15 @@
 """The package stays pure standard library."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import weakid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +36,11 @@ def test_package_is_pure_standard_library():
     assert result["heavy"] == []
     text = (ROOT / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+def test_every_exported_name_resolves():
+    modules = [weakid] + [importlib.import_module(f"weakid.{m.name}")
+                          for m in pkgutil.iter_modules(weakid.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

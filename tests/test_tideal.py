@@ -16,6 +16,7 @@ from weakid.tideal import (consequence_family, consequences_span,
                            pn_kernel_dim, verify_degree)
 
 from tests import identities as ids
+from tests.eval_oracle import oracle_is_weak_identity
 from tests.linalg_oracles import subspace_sum
 
 
@@ -164,15 +165,16 @@ def test_kernel_dims_low_degrees():
 def test_family_members_are_weak_identities():
     """verify_degree certifies containment on the family alone; every RREF
     row of the span and of its proper part must then be a weak identity too,
-    checked here on the independent ``evaluate`` path."""
+    checked here on the tests' own evaluation oracle, which shares no code
+    with the certification's ``poly_eval_row``."""
     for g in consequence_family(default_generators(), 5):
-        assert is_weak_identity(g)
+        assert oracle_is_weak_identity(g)
     words = multilinear_words(5)
     span = consequences_span(None, 5)
     for space in (span, subspace_intersect(span, proper_span(5))):
         assert space.dim > 0
         for row in space.rows:
-            assert is_weak_identity(from_coeffs(row, words))
+            assert oracle_is_weak_identity(from_coeffs(row, words))
 
 
 def test_family_at_degree_4():
