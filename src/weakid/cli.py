@@ -147,6 +147,9 @@ def cmd_report(args):
     except ValueError:
         print(f"error: bad degree list {args.degrees!r}", file=sys.stderr)
         return 2
+    if not degrees:
+        print(f"error: no degree in {args.degrees!r}", file=sys.stderr)
+        return 2
     reports = []
     all_equal = True
     for n in degrees:

@@ -1,11 +1,12 @@
 """Arithmetic in the free associative algebra Q<x1, x2, ...>.
 
 Words are tuples of variable indices (1-based); the empty word is the unit.
-Polynomials are finite maps word -> Fraction on the dict-polynomial base
-``DictPoly``, which ``matrep.CommPoly`` shares.  The module also builds the
-spanning families the rest of the toolkit consumes: all multilinear words of
-degree n, the multilinear proper polynomials (products of left-normed
-commutators), and the two-variable commutator-product families.
+A polynomial is a finite map word -> nonzero coefficient, an int or a
+``Fraction`` only where a denominator above 1 appears, so integer input
+stays integral through every operation.  The module also builds the spanning
+families the rest of the toolkit consumes: all multilinear words of degree
+n, the multilinear proper polynomials (products of left-normed commutators),
+and the two-variable commutator-product families.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
+from numbers import Rational
 
 from .linalg import echelonize
 
@@ -32,28 +34,43 @@ __all__ = [
     "from_coeffs",
     "proper_family",
     "proper_span",
-    "proper_basis",
     "two_var_commutator",
     "two_var_commutator_family",
     "render",
 ]
-
-_F1 = Fraction(1)
 
 
 def _deglex(word):
     return (len(word), word)
 
 
-class DictPoly:
-    """Finite map key -> nonzero coefficient, with the module operations.
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction; floats are refused."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficients must be exact rationals, not {c!r}")
+    return c.numerator if c.denominator == 1 else Fraction(c)
 
-    Subclasses fix what a key is and how two keys multiply; each keeps its
-    own inline ``__mul__`` loop.  Sums start from the int 0, so integer
-    coefficients stay integers.
-    """
+
+class NcPoly:
+    """Noncommutative polynomial: finite map from words to nonzero rationals."""
 
     __slots__ = ("terms", "_hash")
+
+    def __init__(self, terms=None):
+        t = {}
+        if terms:
+            for w, c in terms.items() if isinstance(terms, dict) else terms:
+                c = _exact(c)
+                if not c:
+                    continue
+                w = tuple(w)
+                s = t.get(w, 0) + c
+                if s:
+                    t[w] = s
+                else:
+                    del t[w]
+        self.terms = t
+        self._hash = None
 
     @classmethod
     def _raw(cls, terms):
@@ -66,38 +83,55 @@ class DictPoly:
     def zero(cls):
         return cls._raw({})
 
+    @classmethod
+    def one(cls):
+        return cls._raw({(): 1})
+
+    @classmethod
+    def variable(cls, i):
+        if i < 1:
+            raise ValueError("variable indices start at 1")
+        return cls._raw({(i,): 1})
+
+    @classmethod
+    def scalar(cls, c):
+        c = _exact(c)
+        return cls._raw({(): c} if c else {})
+
+    # -- module structure ------------------------------------------------
+
     def __add__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, NcPoly):
             return NotImplemented
         t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, 0) + c
+        for w, c in other.terms.items():
+            s = t.get(w, 0) + c
             if s:
-                t[k] = s
+                t[w] = s
             else:
-                del t[k]
-        return self._raw(t)
+                del t[w]
+        return NcPoly._raw(t)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, NcPoly):
             return NotImplemented
         t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, 0) - c
+        for w, c in other.terms.items():
+            s = t.get(w, 0) - c
             if s:
-                t[k] = s
+                t[w] = s
             else:
-                del t[k]
-        return self._raw(t)
+                del t[w]
+        return NcPoly._raw(t)
 
     def __neg__(self):
-        return self._raw({k: -c for k, c in self.terms.items()})
+        return NcPoly._raw({w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
-        f = Fraction(c)
-        if not f:
-            return self.zero()
-        return self._raw({k: v * f for k, v in self.terms.items()})
+        c = _exact(c)
+        if not c:
+            return NcPoly.zero()
+        return NcPoly._raw({w: v * c for w, v in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -106,7 +140,7 @@ class DictPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if type(other) is type(self):
+        if isinstance(other, NcPoly):
             return self.terms == other.terms
         return NotImplemented
 
@@ -114,43 +148,6 @@ class DictPoly:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-
-class NcPoly(DictPoly):
-    """Noncommutative polynomial: finite map from words to rationals."""
-
-    __slots__ = ()
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                f = Fraction(c)
-                if not f:
-                    continue
-                w = tuple(w)
-                s = t.get(w, 0) + f
-                if s:
-                    t[w] = s
-                else:
-                    del t[w]
-        self.terms = t
-        self._hash = None
-
-    @classmethod
-    def one(cls):
-        return cls._raw({(): _F1})
-
-    @classmethod
-    def variable(cls, i):
-        if i < 1:
-            raise ValueError("variable indices start at 1")
-        return cls._raw({(i,): _F1})
-
-    @classmethod
-    def scalar(cls, c):
-        f = Fraction(c)
-        return cls._raw({(): f} if f else {})
 
     # -- ring structure ------------------------------------------------
 
@@ -218,7 +215,7 @@ class NcPoly(DictPoly):
         c = self.terms[lead]
         if c == 1:
             return self
-        return NcPoly._raw({w: v / c for w, v in self.terms.items()})
+        return NcPoly._raw({w: Fraction(v, c) for w, v in self.terms.items()})
 
     def __repr__(self):
         return f"NcPoly({render(self)!r})"
@@ -273,7 +270,7 @@ def standard_poly(k):
         raise ValueError("standard polynomial needs k >= 1")
     t = {}
     for perm in itertools.permutations(range(1, k + 1)):
-        t[perm] = Fraction(perm_sign(perm))
+        t[perm] = perm_sign(perm)
     return NcPoly._raw(t)
 
 
@@ -364,9 +361,8 @@ def coeff_vector(f, index):
 
 
 def from_coeffs(vec, words):
-    """Inverse of coeff_vector for a SparseVec/dict over the given word list."""
-    items = vec.items() if hasattr(vec, "items") else vec
-    return NcPoly({words[c]: v for c, v in items})
+    """Inverse of coeff_vector for a vector over the given word list."""
+    return NcPoly({words[c]: v for c, v in vec.items()})
 
 
 # -- proper (commutator-product) spanning families ---------------------------
@@ -420,13 +416,6 @@ def proper_span(n):
     coordinates of multilinear_words(n)."""
     index = word_index(multilinear_words(n))
     return echelonize([coeff_vector(f, index) for f in proper_family(n)])
-
-
-@lru_cache(maxsize=None)
-def proper_basis(n):
-    """Basis of the multilinear proper component, read off the RREF rows."""
-    words = multilinear_words(n)
-    return tuple(from_coeffs(r, words) for r in proper_span(n).rows)
 
 
 # -- two-variable commutator products (x = x1, y = x2) -----------------------

@@ -1,10 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 Every rank, kernel and subspace comparison in the toolkit runs through this
-module.  There is no floating point anywhere: vectors carry ``Fraction``
-values at the interface, and the elimination engine works on
+module.  There is no floating point anywhere.  A vector is a plain dict
+{column: number}; a number is an int, or a ``Fraction`` only where a
+denominator above 1 appears.  The elimination engine works on
 content-normalized integer rows (a scalar multiple of a row spans the same
-space, so scale-free integer arithmetic is both exact and fast).
+space, so scale-free integer arithmetic is both exact and fast), and integer
+input reaches it without building a single ``Fraction``.
 
 Row spaces are presented in reduced row echelon form.  RREF is unique for a
 given row space, so results do not depend on the order in which vectors are
@@ -14,10 +16,9 @@ fed in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
-    "SparseVec",
     "Subspace",
     "echelonize",
     "rank",
@@ -26,14 +27,6 @@ __all__ = [
 ]
 
 _STRIP_EVERY = 8  # axpy steps between content reductions of a work vector
-
-
-def _as_pairs(entries):
-    if isinstance(entries, SparseVec):
-        return entries.pairs
-    if isinstance(entries, dict):
-        return entries.items()
-    return entries
 
 
 def _strip(row):
@@ -53,90 +46,19 @@ def _strip(row):
     return row
 
 
-def _int_row_scaled(entries):
-    """(integer row, s) with row = s * entries, s a positive rational."""
-    acc = {}
-    for c, v in _as_pairs(entries):
-        f = Fraction(v)
-        if f:
-            acc[c] = acc.get(c, Fraction(0)) + f
-    acc = {c: f for c, f in acc.items() if f}
-    if not acc:
-        return {}, Fraction(1)
-    den = 1
-    for f in acc.values():
-        d = f.denominator
-        den = den // gcd(den, d) * d
-    row = {c: int(f * den) for c, f in acc.items()}
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g != 1:
-        for c in row:
-            row[c] //= g
-    return row, Fraction(den, g)
+def _int_row_scaled(vec):
+    """(row, den, g): the content-1 integer row den / g * vec, zeros dropped."""
+    den = lcm(*(v.denominator for v in vec.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+    g = gcd(*row.values()) or 1
+    if g > 1:
+        row = {c: v // g for c, v in row.items()}
+    return row, den, g
 
 
-def _int_row(entries):
-    """Clear denominators: rational entries -> content-1 integer dict."""
-    return _int_row_scaled(entries)[0]
-
-
-class SparseVec:
-    """Immutable sorted sparse vector with Fraction values."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, entries=()):
-        if isinstance(entries, SparseVec):
-            self.pairs = entries.pairs
-            return
-        acc = {}
-        for c, v in _as_pairs(entries):
-            f = Fraction(v)
-            if f:
-                c = int(c)
-                s = acc.get(c, Fraction(0)) + f
-                if s:
-                    acc[c] = s
-                else:
-                    del acc[c]
-        self.pairs = tuple(sorted(acc.items()))
-
-    def items(self):
-        return iter(self.pairs)
-
-    def to_dict(self):
-        return dict(self.pairs)
-
-    def get(self, col, default=Fraction(0)):
-        for c, v in self.pairs:
-            if c == col:
-                return v
-        return default
-
-    def leading(self):
-        """(column, value) of the first nonzero entry, or None."""
-        return self.pairs[0] if self.pairs else None
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __bool__(self):
-        return bool(self.pairs)
-
-    def __eq__(self, other):
-        if isinstance(other, SparseVec):
-            return self.pairs == other.pairs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return f"SparseVec({list(self.pairs)!r})"
+def _int_row(vec):
+    """Clear denominators: a vector -> a fresh content-1 integer dict."""
+    return _int_row_scaled(vec)[0]
 
 
 class _Builder:
@@ -214,17 +136,17 @@ class Subspace:
     """A vector subspace of Q^N held as a reduced row echelon basis.
 
     Internally rows are content-1 integer vectors; the ``rows`` property
-    materializes the usual pivot-is-1 rational RREF.  Instances are
+    materializes the usual pivot-is-1 RREF as dicts.  Instances are
     conceptually immutable: RREF finalization is a cached, deterministic
     normalization and every query is read-only.
     """
 
-    __slots__ = ("_rows", "_finalized", "_frac_rows")
+    __slots__ = ("_rows", "_finalized", "_rref")
 
     def __init__(self, rows):
         self._rows = rows  # pivot column -> content-1 integer row
         self._finalized = False
-        self._frac_rows = None
+        self._rref = None
 
     @classmethod
     def zero(cls):
@@ -246,16 +168,18 @@ class Subspace:
 
     @property
     def rows(self):
-        """RREF rows (pivot value 1) in increasing pivot order."""
-        if self._frac_rows is None:
+        """RREF rows in increasing pivot order: dicts with pivot value 1 and
+        keys in increasing column order.  Every caller gets the same cached
+        dicts, so they are read-only."""
+        if self._rref is None:
             self._finalize()
             out = []
             for p in sorted(self._rows):
-                row = self._rows[p]
-                piv = row[p]
-                out.append(SparseVec((c, Fraction(v, piv)) for c, v in row.items()))
-            self._frac_rows = tuple(out)
-        return self._frac_rows
+                piv = self._rows[p][p]
+                out.append({c: Fraction(v, piv) if v % piv else v // piv
+                            for c, v in sorted(self._rows[p].items())})
+            self._rref = tuple(out)
+        return self._rref
 
     def contains(self, vec):
         b = _Builder()
@@ -310,41 +234,41 @@ def left_kernel(rows):
     """
     scaled = [_int_row_scaled(r) for r in rows]
     offset = 0
-    for r, _ in scaled:
+    for r, _, _ in scaled:
         if r:
             offset = max(offset, max(r) + 1)
     b = _Builder()
-    for i, (r, _) in enumerate(scaled):
+    for i, (r, _, _) in enumerate(scaled):
         aug = dict(r)
         aug[offset + i] = 1
         b.add(aug)
     kvecs = []
     for p, row in b.rows.items():
         if p >= offset:
-            # c_i applies to s_i * rows_i, so c_i * s_i applies to rows_i
-            kvecs.append({c - offset: v * scaled[c - offset][1]
-                          for c, v in row.items()})
+            # c_i applies to den_i / g_i * rows_i, so c_i * den_i / g_i
+            # applies to rows_i; scaling by the lcm of the g_i keeps it integral
+            m = lcm(*(scaled[c - offset][2] for c in row))
+            vec = {}
+            for c, v in row.items():
+                _, den, g = scaled[c - offset]
+                vec[c - offset] = v * den * (m // g)
+            kvecs.append(vec)
     return echelonize(kvecs, presort=False)
 
 
 def subspace_intersect(a, b):
     """Zassenhaus: eliminate [u|u] rows for a and [w|0] rows for b; rows whose
-    left block vanishes carry a basis of the intersection in the right block."""
-    offset = 0
-    for s in (a, b):
-        for r in s.rows:
-            if r:
-                offset = max(offset, r.pairs[-1][0] + 1)
-    stacked = []
-    for r in a.rows:
-        d = r.to_dict()
-        d.update({c + offset: v for c, v in r.items()})
-        stacked.append(d)
-    for r in b.rows:
-        stacked.append(r.to_dict())
+    left block vanishes carry a basis of the intersection in the right block.
+    Any basis of a and b will do, so the stored integer rows are stacked."""
+    offset = 1 + max((c for s in (a, b) for r in s._rows.values() for c in r),
+                     default=-1)
     builder = _Builder()
-    for v in stacked:
-        builder.add(_int_row(v))
+    for r in a._rows.values():
+        d = dict(r)
+        d.update({c + offset: v for c, v in r.items()})
+        builder.add(d)
+    for r in b._rows.values():
+        builder.add(dict(r))
     vecs = []
     for p, row in builder.rows.items():
         if p >= offset:

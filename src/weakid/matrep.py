@@ -7,14 +7,16 @@ matrices over any commutative Q-algebra.  Over an exact field this makes the
 generic test a complete weak-identity test, multilinear or not.
 
 Commutative monomials are sorted tuples of slot ids; slot 3*(i-1)+0/1/2 is
-a_i / b_i / c_i.  A word evaluates to a matrix whose entries have integer
-coefficients, so its evaluation row is an integer vector.  ``eval_table``
-builds those rows once per word universe (a sorted tuple of words), and the
-rank, kernel and certification passes read them from there.  The weak
-identity test and the witness search read the generic coordinates of the one
-polynomial they are given, from the same prefix-stack walk and the same
-``poly_eval_row``.  The independent evaluation oracle the tests check all of
-this against lives in ``tests/``.
+a_i / b_i / c_i.  A matrix over these polynomials is held only as its
+coordinate dict {(entry, monomial): number}, entries numbered 2*row + column.
+A word evaluates to a matrix whose entries have integer coefficients, so its
+evaluation row is an integer dict.  ``eval_table`` builds those rows once
+per word universe (a sorted tuple of words), and the rank, kernel and
+certification passes read them from there.  The weak identity test and the
+witness search read the generic coordinates of the one polynomial they are
+given, from the same prefix-stack walk and the same ``poly_eval_row``.  The
+independent evaluation oracle the tests check all of this against lives in
+``tests/``.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .freealg import DictPoly, NcPoly
+from .freealg import coeff_vector
 from .linalg import Subspace, echelonize, left_kernel, rank
 
 __all__ = [
-    "CommPoly",
-    "SymMat2",
     "eval_rows",
     "eval_table",
     "is_weak_identity",
@@ -55,97 +55,31 @@ def slot_c(i):
     return 3 * (i - 1) + 2
 
 
-class CommPoly(DictPoly):
-    """Commutative polynomial over Q in the generic matrix entries."""
-
-    __slots__ = ()
-
-    @classmethod
-    def const(cls, c):
-        return cls._raw({(): c} if c else {})
-
-    @classmethod
-    def variable(cls, slot):
-        return cls._raw({(slot,): 1})
-
-    def __mul__(self, other):
-        if isinstance(other, CommPoly):
-            t = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(sorted(m1 + m2))
-                    s = t.get(m, 0) + c1 * c2
-                    if s:
-                        t[m] = s
-                    else:
-                        del t[m]
-            return CommPoly._raw(t)
-        return self.scale(other)
-
-    def __repr__(self):
-        return f"CommPoly({self.terms!r})"
-
-
-class SymMat2:
-    """2x2 matrix with CommPoly entries.
-
-    Generic substitutions are symmetric (e12 == e21); products of symmetric
-    matrices need not be, so the type carries all four entries.
-    """
-
-    __slots__ = ("e11", "e12", "e21", "e22")
-
-    def __init__(self, e11, e12, e21, e22):
-        self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
-
-    @classmethod
-    def generic(cls, i):
-        """Generic symmetric matrix [[a_i, b_i], [b_i, c_i]] for variable i."""
-        a = CommPoly.variable(slot_a(i))
-        b = CommPoly.variable(slot_b(i))
-        c = CommPoly.variable(slot_c(i))
-        return cls(a, b, b, c)
-
-    @classmethod
-    def identity(cls):
-        one = CommPoly.const(1)
-        zero = CommPoly.zero()
-        return cls(one, zero, zero, one)
-
-    def __mul__(self, other):
-        return SymMat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def entries(self):
-        return (self.e11, self.e12, self.e21, self.e22)
-
-    def __repr__(self):
-        return f"SymMat2{self.entries()!r}"
-
-
 # -- evaluation coordinate vectors -------------------------------------------
 
 
-def _coords(mat):
-    """Sparse coordinates {(entry, monomial): value} of a SymMat2."""
+def _times_generic(coords, i):
+    """coords * [[a_i, b_i], [b_i, c_i]]: entry (r, k) feeds entry (r, j)
+    through the slot a_i + k + j.  Every coefficient of a product of generic
+    matrices is a positive integer (each factor's are), so no sum cancels
+    and the loop needs no zero check."""
+    base = slot_a(i)
     out = {}
-    for e, p in enumerate(mat.entries()):
-        for m, c in p.terms.items():
-            out[(e, m)] = c
+    for (e, m), v in coords.items():
+        r, k = divmod(e, 2)
+        for j in (0, 1):
+            key = (2 * r + j, tuple(sorted(m + (base + k + j,))))
+            out[key] = out.get(key, 0) + v
     return out
 
 
 def _walk(words):
-    """Yield (word, generic value) for each distinct word in sorted order.
+    """Yield (word, generic coordinates) for each distinct word in sorted order.
 
-    A prefix stack keeps the values of the current word's prefixes, so a set
-    of words costs one matrix product per distinct prefix.
+    A prefix stack keeps the coordinates of the current word's prefixes, so a
+    set of words costs one matrix product per distinct prefix.
     """
-    stack = [SymMat2.identity()]
+    stack = [{(0, ()): 1, (3, ()): 1}]
     prev = ()
     for w in sorted(set(words)):
         k = 0
@@ -153,14 +87,14 @@ def _walk(words):
             k += 1
         del stack[k + 1:]
         for letter in w[k:]:
-            stack.append(stack[-1] * SymMat2.generic(letter))
+            stack.append(_times_generic(stack[-1], letter))
         yield w, stack[-1]
         prev = w
 
 
 def eval_rows(words):
     """Coordinate dicts of the generic evaluation of each word."""
-    table = {w: _coords(m) for w, m in _walk(words)}
+    table = dict(_walk(words))
     return [table[w] for w in words]
 
 
@@ -186,24 +120,25 @@ def eval_table(words):
             tuple({columns[k]: v for k, v in row.items()} for row in rows))
 
 
-def poly_eval_row(f, word_rows, index):
-    """Evaluation coordinates of f as a combination of word rows.
+def poly_eval_row(coeffs, word_rows):
+    """Evaluation coordinates of sum_i coeffs[i] * word_rows[i].
 
-    The word rows are integral, so f's coefficients are scaled by their
+    The word rows are integral, so the coefficients are scaled by their
     common denominator, summed as ints and divided once at the end.
     """
-    den = lcm(*(c.denominator for c in f.terms.values()))
+    den = lcm(*(c.denominator for c in coeffs.values()))
     acc = {}
-    for w, c in f.terms.items():
+    for i, c in coeffs.items():
         c = c.numerator * (den // c.denominator)
-        for k, v in word_rows[index[w]].items():
+        for k, v in word_rows[i].items():
             s = acc.get(k, 0) + c * v
             if s:
                 acc[k] = s
             else:
                 del acc[k]
     if den != 1:
-        acc = {k: Fraction(v, den) for k, v in acc.items()}
+        acc = {k: Fraction(v, den) if v % den else v // den
+               for k, v in acc.items()}
     return acc
 
 
@@ -211,8 +146,8 @@ def _generic_coords(f):
     """Coordinates {(entry, monomial): value} of f at generic symmetric
     matrices, from a walk over f's own words (no shared table grows)."""
     walk = list(_walk(f.terms))
-    index = {w: i for i, (w, _) in enumerate(walk)}
-    return poly_eval_row(f, [_coords(m) for _, m in walk], index)
+    return poly_eval_row({i: f.terms[w] for i, (w, _) in enumerate(walk)},
+                         [coords for _, coords in walk])
 
 
 # -- weak identity testing ----------------------------------------------------
@@ -224,11 +159,7 @@ def is_weak_identity(f):
 
 
 # E11, E12 + E21, E22: a basis of the symmetric 2x2 matrices.
-BASIS_MATRICES = (
-    ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),
-    ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
-    ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
-)
+BASIS_MATRICES = (((1, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -278,7 +209,7 @@ def weak_identity_witness(f):
     while True:
         mats, point = {}, {}
         for v in variables:
-            a, b, c = (Fraction(rng.randint(-3, 3)) for _ in range(3))
+            a, b, c = (rng.randint(-3, 3) for _ in range(3))
             mats[v] = ((a, b), (b, c))
             point[slot_a(v)], point[slot_b(v)], point[slot_c(v)] = a, b, c
         e = [0] * 4
@@ -299,7 +230,7 @@ def _family_rows(family):
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
     words = tuple(sorted({w for f in family for w in f.terms}))
     index, word_rows = eval_table(words)
-    return [poly_eval_row(f, word_rows, index) for f in family]
+    return [poly_eval_row(coeff_vector(f, index), word_rows) for f in family]
 
 
 def weak_identity_kernel(family):
@@ -322,20 +253,20 @@ def image_rank(family):
     return rank(_family_rows(family))
 
 
-def weak_identities_within(family, index):
-    """Word-coordinate subspace of span(family) consisting of weak identities.
+def weak_identities_within(space, word_rows):
+    """The weak identities inside a subspace of word coordinates.
 
-    ``index`` maps words to columns; use the full multilinear word universe to
-    compare kernels of different families in one ambient space.
+    ``word_rows`` are the evaluation rows of the words the columns of
+    ``space`` number.  The kernel of the evaluation on the RREF rows gives
+    the combinations of those rows that vanish.
     """
-    from .freealg import coeff_vector
-
-    family = list(family)
-    kern = weak_identity_kernel(family)
+    rows = space.rows
+    kern = left_kernel([poly_eval_row(r, word_rows) for r in rows])
     vecs = []
-    for row in kern.rows:
-        g = NcPoly.zero()
-        for i, c in row.items():
-            g = g + family[i].scale(c)
-        vecs.append(coeff_vector(g, index))
+    for k in kern.rows:
+        acc = {}
+        for i, c in k.items():
+            for col, v in rows[i].items():
+                acc[col] = acc.get(col, 0) + c * v
+        vecs.append(acc)
     return echelonize(vecs, presort=False)

@@ -164,28 +164,27 @@ def _trace(space, perm, index, rev):
     inv = [0] * len(perm)
     for i, img in enumerate(perm):
         inv[img - 1] = i + 1
-    total = Fraction(0)
+    total = 0
     pivots = space.pivots
     for piv, row in zip(pivots, space.rows):
         # (s.v)[pivot] = v[s^{-1}.pivot word]
         pre = index[_apply_perm_word(rev[piv], inv)]
-        total += row.get(pre)
+        total += row.get(pre, 0)
     return total
 
 
 def _full_trace(perm, index, rev):
-    return Fraction(sum(1 for i, w in rev.items()
-                        if _apply_perm_word(w, perm) == w))
+    return sum(1 for w in rev.values() if _apply_perm_word(w, perm) == w)
 
 
 def _multiplicities(traces, n, dim):
     """First orthogonality against the Murnaghan-Nakayama characters."""
     result = {}
     for lam in partitions(n):
-        s = Fraction(0)
+        s = 0
         for rho, tr in traces.items():
             s += class_size(rho) * character(lam, rho) * tr
-        m = s / factorial(n)
+        m = Fraction(s, factorial(n))
         if m.denominator != 1 or m < 0:
             raise DecompositionError(
                 f"multiplicity of {lam} is {m}, not a nonnegative integer")

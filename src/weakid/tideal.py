@@ -26,12 +26,11 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .freealg import (NcPoly, coeff_vector, linearize,
-                      multilinear_words, proper_basis, proper_span,
-                      standard_poly, substitute, word_index)
+from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
+                      proper_span, standard_poly, substitute, word_index)
 from .jordan import sj_multilinear_span
 from .linalg import echelonize, rank, subspace_intersect
-from .matrep import eval_table, poly_eval_row
+from .matrep import eval_table, poly_eval_row, weak_identities_within
 
 __all__ = [
     "metabelian",
@@ -48,6 +47,11 @@ __all__ = [
 # Highest degree the consequence engine accepts: degree 7 already takes about
 # 90 minutes, and the slot-label enumeration alone grows like 6^n.
 _MAX_DEGREE = 7
+
+# Consequence spans kept, keyed by (generators, degree).  One per supported
+# degree and one to spare, so the default generators never rebuild a span,
+# while each other presentation a caller passes in cannot hold one for good.
+_SPANS = 8
 
 
 def metabelian():
@@ -150,17 +154,15 @@ def pn_kernel_dim(n):
     return factorial(n) - rank(eval_table(multilinear_words(n))[1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPANS)
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member was verified to be a weak identity."""
-    family = consequence_family(gens, n)
     index, word_rows = eval_table(multilinear_words(n))
-    certified = all(not poly_eval_row(g, word_rows, index) for g in family)
+    vectors = [coeff_vector(g, index) for g in consequence_family(gens, n)]
+    certified = all(not poly_eval_row(v, word_rows) for v in vectors)
     ceiling = pn_kernel_dim(n) if certified else None
-    span = echelonize([coeff_vector(g, index) for g in family],
-                      stop_dim=ceiling)
-    return span, certified
+    return echelonize(vectors, stop_dim=ceiling), certified
 
 
 def _norm_gens(gens):
@@ -187,12 +189,17 @@ def is_consequence(f, gens=None):
     Multilinear polynomials are tested directly; multihomogeneous ones are
     fully linearized first (an equivalence in characteristic 0).  Total
     degrees above 7 are rejected before linearizing, as in ``verify_degree``.
+    A nonzero constant is never a consequence: generators are multilinear of
+    positive degree, so every consequence has positive degree.
     """
     gens = _norm_gens(gens)
     if f.is_zero():
         return True
-    if f.multidegree() is None:
+    md = f.multidegree()
+    if md is None:
         raise ValueError("membership is defined for multihomogeneous input")
+    if not md:
+        return False
     if f.degree() > _MAX_DEGREE:
         raise ValueError(f"total degree {f.degree()} is above "
                          f"the supported maximum {_MAX_DEGREE}")
@@ -211,10 +218,8 @@ def is_consequence(f, gens=None):
 @lru_cache(maxsize=None)
 def proper_kernel(n):
     """Word-coordinate subspace of the proper multilinear weak identities."""
-    from .matrep import weak_identities_within
-
-    index = word_index(multilinear_words(n))
-    return weak_identities_within(proper_basis(n), index)
+    return weak_identities_within(proper_span(n),
+                                  eval_table(multilinear_words(n))[1])
 
 
 # -- degree-by-degree verification ---------------------------------------------

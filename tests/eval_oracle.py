@@ -3,14 +3,37 @@
 The package evaluates through one prefix-stack walk and ``poly_eval_row``;
 the tests check that path against this one, which shares none of its code.
 Matrices are ((m11, m12), (m21, m22)) tuples whose entries are numbers
-(numeric substitutions) or ``CommPoly`` (the generic substitution
+(numeric substitutions) or ``Comm`` polynomials (the generic substitution
 x_i -> [[a_i, b_i], [b_i, c_i]], with slots 3*(i-1) + 0/1/2).
 """
 
 import itertools
 from fractions import Fraction
 
-from weakid.matrep import BASIS_MATRICES, CommPoly, eval_rows, poly_eval_row
+from weakid.matrep import BASIS_MATRICES, eval_rows, poly_eval_row
+
+
+class Comm:
+    """Commutative polynomial {sorted tuple of slots: nonzero coefficient}."""
+
+    def __init__(self, terms):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            t[m] = t.get(m, 0) + c
+        return Comm(t)
+
+    def __mul__(self, other):
+        if not isinstance(other, Comm):
+            return Comm({m: c * other for m, c in self.terms.items()})
+        t = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                t[m] = t.get(m, 0) + c1 * c2
+        return Comm(t)
 
 
 def mat_mul(a, b):
@@ -53,19 +76,19 @@ def brute_eval(f, mats, zero=MAT_ZERO, one=MAT_ONE):
 
 
 def generic(i):
-    a, b, c = (CommPoly.variable(3 * (i - 1) + k) for k in range(3))
+    a, b, c = (Comm({(3 * (i - 1) + k,): 1}) for k in range(3))
     return ((a, b), (b, c))
 
 
 def generic_eval(f):
-    """Value of f at generic symmetric matrices, entries ``CommPoly``."""
-    z, u = CommPoly.zero(), CommPoly.const(1)
+    """Value of f at generic symmetric matrices, entries ``Comm``."""
+    z, u = Comm({}), Comm({(): 1})
     return brute_eval(f, {i: generic(i) for i in f.support()},
                       zero=((z, z), (z, z)), one=((u, z), (z, u)))
 
 
 def coords(mat):
-    """{(entry, monomial): value} of a CommPoly matrix, entries numbered 0..3
+    """{(entry, monomial): value} of a Comm matrix, entries numbered 0..3
     row by row, as ``matrep`` numbers its coordinates."""
     out = {}
     for e, p in enumerate(p for row in mat for p in row):
@@ -82,8 +105,8 @@ def package_coords(f):
     """The package's generic coordinates of f, read through the public
     ``eval_rows`` and ``poly_eval_row``."""
     words = sorted(f.terms)
-    return poly_eval_row(f, eval_rows(words),
-                         {w: i for i, w in enumerate(words)})
+    return poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
+                         eval_rows(words))
 
 
 def oracle_is_weak_identity(f):

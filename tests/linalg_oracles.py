@@ -34,7 +34,7 @@ def kernel_basis(rows, ncols):
 
 
 def subspace_sum(a, b):
-    vecs = [r.to_dict() for r in a.rows] + [r.to_dict() for r in b.rows]
+    vecs = list(a.rows) + list(b.rows)
     return echelonize(vecs, presort=False)
 
 

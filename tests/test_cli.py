@@ -16,6 +16,12 @@ from weakid.cli import main
 # witness search moved onto the generic coordinates.
 GOLDEN_CHECKS = Path(__file__).parent / "data" / "check_identity_golden.json"
 
+# stdout of ``verify`` (degrees 4 and 5, both modes, ``--json --no-timings``),
+# ``decompose --json`` (degrees 4 and 5, all three spaces) and
+# ``hilbert --max 8 --json``, recorded before the layers below ``NcPoly``
+# moved to plain exact-number dicts.
+GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden.json"
+
 REPORT_KEYS = {"degree", "dim_P", "dim_kernel", "dim_consequences",
                "containment", "equal", "decomposition", "timings_ms",
                "toolkit_version"}
@@ -70,6 +76,16 @@ def test_check_identity_replays_the_golden_file():
         assert (code, out.getvalue()) == (case["exit"], case["stdout"]), case["expr"]
 
 
+def test_cli_replays_the_golden_file():
+    cases = json.loads(GOLDEN_CLI.read_text())
+    assert len(cases) == 11
+    for case in cases:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(case["argv"])
+        assert (code, out.getvalue()) == (case["exit"], case["stdout"]), case["argv"]
+
+
 def test_check_consequence(capsys):
     assert main(["check", "--expr", "S4(x1,x2,x3,x4)", "--mode", "consequence"]) == 0
     assert main(["check", "--expr", "[x1,x2]", "--mode", "consequence"]) == 1
@@ -89,6 +105,17 @@ def test_check_two_variable_relations_via_surface_syntax(capsys):
 def test_check_parse_error_exit_two(capsys):
     assert main(["check", "--expr", "[x1", "--mode", "identity"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_check_consequence_of_a_nonzero_constant_is_false(capsys):
+    # every consequence has positive degree; identity mode agrees
+    for expr in ("1", "3/2", "x^0"):
+        assert main(["check", "--expr", expr, "--mode", "consequence"]) == 1
+        captured = capsys.readouterr()
+        assert "consequence of the generators: False" in captured.out
+        assert captured.err == ""
+        assert main(["check", "--expr", expr, "--mode", "identity"]) == 1
+    assert main(["check", "--expr", "0", "--mode", "consequence"]) == 0
 
 
 def test_check_consequence_rejects_inhomogeneous(capsys):
@@ -176,6 +203,12 @@ def test_report_byte_identical_reruns(tmp_path):
     assert main(["report", "--degrees", "4", "--out", str(a), "--no-timings"]) == 0
     assert main(["report", "--degrees", "4", "--out", str(b), "--no-timings"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_report_without_degrees_is_a_usage_error(capsys):
+    for degrees in (",,", "", " , "):
+        assert main(["report", "--degrees", degrees]) == 2
+        assert "no degree" in capsys.readouterr().err
 
 
 def test_bad_degree_usage_error():

@@ -201,3 +201,32 @@ def test_render_parse_round_trip(f):
     from weakid.expr import parse_poly
 
     assert parse_poly(render(f)) == f
+
+
+def _all_int(f):
+    return all(type(c) is int for c in f.terms.values())
+
+
+def test_integer_input_keeps_int_coefficients():
+    f = NcPoly({(1, 2): 2, (2,): Fraction(3)}) - 3 * x1 * x2 * x1
+    assert _all_int(f) and f.terms[(2,)] == 3
+    assert _all_int(NcPoly.one()) and _all_int(x1)
+    assert _all_int(NcPoly.scalar(Fraction(4, 2)))
+    assert _all_int(f * f) and _all_int(comm(f, x3)) and _all_int(f.scale(-2))
+    assert _all_int(substitute(comm(x1, x2), {1: f, 2: x1 + 2 * x3}))
+    assert _all_int(linearize(x1 * x1 * x2 - 4 * x2 * x1 * x1))
+    assert _all_int(standard_poly(4))
+    assert all(c in (1, -1) for c in standard_poly(4).terms.values())
+    half = NcPoly({(1,): Fraction(1, 2)})
+    assert type(half.terms[(1,)]) is Fraction
+
+
+def test_normalized_gives_fractions_never_floats():
+    g = (2 * x1 * x2 + 3 * x2 * x1).normalized()
+    assert g.terms == {(1, 2): 1, (2, 1): Fraction(3, 2)}
+    assert all(type(c) is Fraction for c in g.terms.values())
+    assert (4 * comm(x1, x2)).normalized().terms == {(1, 2): 1, (2, 1): -1}
+    for make in (lambda: NcPoly({(1,): 0.5}), lambda: 0.5 * x1,
+                 lambda: NcPoly.scalar(0.5)):
+        with pytest.raises(TypeError):
+            make()

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakid.linalg import (SparseVec, echelonize, left_kernel, rank,
-                           subspace_intersect)
+from weakid import linalg
+from weakid.linalg import echelonize, left_kernel, rank, subspace_intersect
 
 from tests.linalg_oracles import (kernel_basis, modular_rank_check, rank_mod,
                                   rref_mod, subspace_sum)
@@ -38,9 +38,9 @@ def test_echelonize_examples():
 def test_echelonize_idempotent():
     vecs = [{0: 2, 2: 4}, {1: 3, 2: 1}, {0: 1, 1: Fraction(3, 2), 2: Fraction(5, 2)}]
     s1 = echelonize(vecs)
-    s2 = echelonize([r.to_dict() for r in s1.rows])
+    s2 = echelonize(s1.rows)
     assert s1 == s2
-    assert all(row.leading()[1] == 1 for row in s1.rows)
+    assert all(row[min(row)] == 1 for row in s1.rows)
 
 
 def test_rref_pivot_columns_cleared():
@@ -49,7 +49,7 @@ def test_rref_pivot_columns_cleared():
     for row in s.rows:
         for c, v in row.items():
             if c in pivots:
-                assert (c, v) == (row.leading()[0], 1)
+                assert (c, v) == (min(row), 1)
 
 
 def test_kernel_examples():
@@ -111,8 +111,8 @@ def test_sum_and_intersect():
     assert inter.contains({1: 1})
 
 
-small_fraction = st.fractions(
-    min_value=-4, max_value=4, max_denominator=3)
+small_number = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3))
 
 
 @st.composite
@@ -121,7 +121,7 @@ def sparse_matrices(draw, max_rows=6, max_cols=6):
     ncols = draw(st.integers(1, max_cols))
     rows = []
     for _ in range(nrows):
-        row = draw(st.dictionaries(st.integers(0, ncols - 1), small_fraction,
+        row = draw(st.dictionaries(st.integers(0, ncols - 1), small_number,
                                    max_size=ncols))
         rows.append({c: v for c, v in row.items() if v})
     return rows, ncols
@@ -146,7 +146,7 @@ def test_rank_nullity(data):
 def test_echelonize_projection(data):
     rows, _ = data
     s = echelonize(rows)
-    again = echelonize([r.to_dict() for r in s.rows])
+    again = echelonize(s.rows)
     assert s == again
     for r in rows:
         assert s.contains(r)
@@ -158,7 +158,7 @@ def test_kernel_vectors_annihilate(data):
     rows, ncols = data
     for vec in kernel_basis(rows, ncols).rows:
         for r in rows:
-            s = sum(Fraction(v) * vec.get(c) for c, v in r.items())
+            s = sum(v * vec.get(c, 0) for c, v in r.items())
             assert s == 0
 
 
@@ -210,11 +210,33 @@ def test_rank_mod_simple():
     assert rank_mod(rows, 101) == 1
 
 
-def test_sparsevec_normalizes():
-    v = SparseVec([(3, Fraction(1, 2)), (1, 2), (3, Fraction(-1, 2)), (0, 0)])
-    assert v.pairs == ((1, Fraction(2)),)
-    assert v.leading() == (1, 2)
-    assert bool(SparseVec({})) is False
+def test_echelonize_drops_zero_entries():
+    s = echelonize([{3: Fraction(0), 1: 2, 0: 0}])
+    assert s.pivots == (1,)
+    assert s.rows == ({1: 1},)
+    assert echelonize([{0: 0}, {2: Fraction(0)}, {}]).dim == 0
+
+
+def test_integer_rows_build_no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Fraction was built for integer input")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    rows = [{0: 2, 1: 4}, {0: 3, 2: -6}, {1: 6, 2: 3}, {0: 5, 1: 4, 2: -3}]
+    assert rank(rows) == 3
+    assert left_kernel(rows).dim == 1
+    assert subspace_intersect(echelonize(rows[:2]), echelonize(rows[2:])).dim == 1
+
+
+def test_rows_are_dicts_in_column_order_with_pivot_one():
+    s = echelonize([{4: 3, 0: 2, 2: 1}, {3: 2, 1: 4, 4: 5}, {2: 7, 4: 1}])
+    assert s.pivots == (0, 1, 2)
+    for piv, row in zip(s.pivots, s.rows):
+        assert type(row) is dict
+        assert list(row) == sorted(row)
+        assert min(row) == piv and row[piv] == 1
+        assert all(type(v) is int or v.denominator > 1 for v in row.values())
+    assert s.rows[0] == {0: 1, 4: Fraction(10, 7)}
 
 
 def test_stop_dim_caps_insertion():

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakid.freealg import (NcPoly, comm, involution, left_normed,
-                            multilinear_words, proper_basis, standard_poly,
-                            word_index)
+from weakid.freealg import (NcPoly, comm, from_coeffs, involution,
+                            left_normed, multilinear_words, proper_span,
+                            standard_poly)
 from weakid import matrep, series, tideal
 from weakid.cli import main
 from weakid.expr import parse_poly
-from weakid.linalg import subspace_intersect
+from weakid.linalg import echelonize, subspace_intersect
 from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
                            is_weak_identity, weak_identities_within,
                            weak_identity_kernel, weak_identity_witness)
@@ -30,6 +30,11 @@ def brute_is_weak_identity(f):
     """Complete test for multilinear f: all substitutions from the basis
     {E11, E12+E21, E22} per variable."""
     return first_failing_basis_substitution(f) is None
+
+
+def proper_basis(n):
+    """The proper component's RREF rows as polynomials."""
+    return [from_coeffs(r, multilinear_words(n)) for r in proper_span(n).rows]
 
 
 def brute_kernel_dim(family):
@@ -283,18 +288,18 @@ def test_kernel_p2_is_trivial():
 
 
 def test_kernel_gamma4():
-    fam = list(proper_basis(4))
+    fam = proper_basis(4)
     assert weak_identity_kernel(fam).dim == 4
     assert brute_kernel_dim(fam) == 4
 
 
 def test_kernel_gamma5():
-    fam = list(proper_basis(5))
+    fam = proper_basis(5)
     assert weak_identity_kernel(fam).dim == 35
 
 
 def test_kernel_vectors_are_weak_identities():
-    fam = list(proper_basis(4))
+    fam = proper_basis(4)
     kern = weak_identity_kernel(fam)
     for row in kern.rows:
         g = NcPoly.zero()
@@ -309,17 +314,15 @@ def test_kernel_rejects_mixed_degrees():
 
 
 def test_image_rank_complements_kernel():
-    fam = list(proper_basis(4))
+    fam = proper_basis(4)
     assert image_rank(fam) + weak_identity_kernel(fam).dim == len(fam)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_proper_kernel_is_full_kernel_intersected(n):
-    index = word_index(multilinear_words(n))
-    words = multilinear_words(n)
-    p_family = [NcPoly({w: 1}) for w in words]
-    gamma_side = weak_identities_within(list(proper_basis(n)), index)
-    full_side = weak_identities_within(p_family, index)
-    from weakid.freealg import proper_span
-
+    word_rows = eval_table(multilinear_words(n))[1]
+    everything = echelonize([{i: 1} for i in range(len(word_rows))])
+    gamma_side = weak_identities_within(proper_span(n), word_rows)
+    full_side = weak_identities_within(everything, word_rows)
     assert gamma_side == subspace_intersect(full_side, proper_span(n))
+    assert gamma_side == tideal.proper_kernel(n)

@@ -249,3 +249,22 @@ def test_odd_product_reduces_to_even_products_mod_ideal():
     assert not is_consequence(f)
     total = subspace_sum(even_span, consequences_span(None, n))
     assert total.contains(vec)
+
+
+def test_consequence_cache_is_bounded():
+    """Each generator presentation a caller passes keys its own span; the
+    cache keeps a fixed number of them, at least one per supported degree."""
+    from weakid import tideal
+
+    s4, mb = default_generators()
+    presentations = []
+    for perm in itertools.permutations(range(1, 5)):
+        g = substitute(mb, {i: NcPoly.variable(perm[i - 1]) for i in range(1, 5)})
+        for gens in ((s4, g), (g, s4)):
+            if gens not in presentations:
+                presentations.append(gens)
+    bound = tideal._consequences.cache_info().maxsize
+    assert 7 <= bound < len(presentations)
+    for gens in presentations:
+        assert verify_degree(4, generators=gens).equal
+    assert tideal._consequences.cache_info().currsize <= bound
