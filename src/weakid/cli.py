@@ -150,20 +150,20 @@ def cmd_report(args):
     if not degrees:
         print(f"error: no degree in {args.degrees!r}", file=sys.stderr)
         return 2
+    lines = not _want_json(args) or args.out
     reports = []
     all_equal = True
     for n in degrees:
         report = verify_degree(n, with_decomposition=True)
         reports.append(_report_dict(report, args))
         all_equal = all_equal and report.equal
-        print(f"degree {n}: equal={report.equal} "
-              f"(kernel {report.dim_kernel}, consequences {report.dim_consequences})")
-    payload = {"reports": reports, "toolkit_version": __version__}
+        if lines:
+            print(f"degree {n}: equal={report.equal} (kernel {report.dim_kernel}, "
+                  f"consequences {report.dim_consequences})")
+    if _want_json(args):
+        _emit({"reports": reports, "toolkit_version": __version__}, args)
     if args.out:
-        _emit(payload, args)
         print(f"wrote {args.out}")
-    elif args.json:
-        _emit(payload, args)
     return 0 if all_equal else 1
 
 

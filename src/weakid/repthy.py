@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from .freealg import multilinear_words, word_index
+from .linalg import Subspace
 
 __all__ = [
     "partitions",
@@ -173,10 +174,6 @@ def _trace(space, perm, index, rev):
     return total
 
 
-def _full_trace(perm, index, rev):
-    return sum(1 for w in rev.values() if _apply_perm_word(w, perm) == w)
-
-
 def _multiplicities(traces, n, dim):
     """First orthogonality against the Murnaghan-Nakayama characters."""
     result = {}
@@ -200,31 +197,21 @@ def _multiplicities(traces, n, dim):
 def decompose(space, n):
     """Decompose a Sym(n)-stable subspace of the multilinear component into
     irreducible multiplicities {partition: multiplicity}."""
-    index = word_index(multilinear_words(n))
-    _check_stable(space, n, index)
-    rev = {i: w for w, i in index.items()}
-    traces = {rho: _trace(space, class_representative(rho), index, rev)
-              for rho in cycle_types(n)}
-    return _multiplicities(traces, n, space.dim)
+    return decompose_quotient(space, Subspace.zero(), n)
 
 
 def decompose_quotient(ambient, sub, n):
-    """Decompose ambient/sub; ambient=None means the full multilinear component."""
+    """Decompose the quotient ambient/sub of Sym(n)-stable subspaces."""
     index = word_index(multilinear_words(n))
     rev = {i: w for w, i in index.items()}
     _check_stable(sub, n, index)
-    if ambient is not None:
-        _check_stable(ambient, n, index)
-    if ambient is not None:
-        for row in sub.rows:
-            if not ambient.contains(row):
-                raise DecompositionError("sub is not contained in ambient")
+    _check_stable(ambient, n, index)
+    for row in sub.rows:
+        if not ambient.contains(row):
+            raise DecompositionError("sub is not contained in ambient")
     traces = {}
     for rho in cycle_types(n):
         perm = class_representative(rho)
-        top = _full_trace(perm, index, rev) if ambient is None \
-            else _trace(ambient, perm, index, rev)
-        traces[rho] = top - _trace(sub, perm, index, rev)
-    dim = (factorial(n) if ambient is None else ambient.dim) - sub.dim
-    return _multiplicities(traces, n, dim)
-
+        traces[rho] = (_trace(ambient, perm, index, rev)
+                       - _trace(sub, perm, index, rev))
+    return _multiplicities(traces, n, ambient.dim - sub.dim)

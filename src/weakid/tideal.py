@@ -6,7 +6,8 @@ the u_j are multilinear Jordan elements on disjoint variable blocks (or the
 unit), and a, b are words over the remaining variables.  Restricting the u_j
 to multilinear blocks is lossless in characteristic 0: expanding a general
 Jordan substitution multihomogeneously, only the per-block multilinear parts
-can contribute to the multilinear component.
+can contribute to the multilinear component.  ``consequence_family`` builds
+the outer words one letter at a time, by induction on the degree.
 
 ``verify_degree`` compares that span with the kernel of the generic
 symmetric-matrix evaluation.  Equality is certified by two one-sided checks:
@@ -29,7 +30,7 @@ from math import factorial
 from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
                       proper_span, standard_poly, substitute, word_index)
 from .jordan import sj_multilinear_span
-from .linalg import echelonize, rank, subspace_intersect
+from .linalg import Subspace, echelonize, rank, subspace_intersect
 from .matrep import eval_table, poly_eval_row, weak_identities_within
 
 __all__ = [
@@ -45,12 +46,13 @@ __all__ = [
 ]
 
 # Highest degree the consequence engine accepts: degree 7 already takes about
-# 90 minutes, and the slot-label enumeration alone grows like 6^n.
+# 9 minutes and 620 MB, and degree 8 has 8! = 40320 multilinear words.
 _MAX_DEGREE = 7
 
-# Consequence spans kept, keyed by (generators, degree).  One per supported
-# degree and one to spare, so the default generators never rebuild a span,
-# while each other presentation a caller passes in cannot hold one for good.
+# Consequence spans kept, keyed by (generators, degree).  One per degree
+# 1.._MAX_DEGREE, all of which the induction visits, and one to spare, so the
+# default generators never rebuild a span, while each other presentation a
+# caller passes in cannot hold one for good.
 _SPANS = 8
 
 
@@ -95,18 +97,13 @@ def _unit_kills_slot(f, k, slot):
 
 
 def _slot_assignments(n, k, needs_block, sym_group):
-    """Distributions of {1..n} into (left word | k slot blocks | right word),
-    one representative per orbit of the slot-symmetry group."""
-    for labels in product(range(k + 2), repeat=n):
+    """Distributions of {1..n} into k slot blocks, with a nonempty block in
+    every slot the unit kills, one representative per orbit of the
+    slot-symmetry group."""
+    for labels in product(range(k), repeat=n):
         blocks = [[] for _ in range(k)]
-        left, right = [], []
         for e, lab in enumerate(labels, start=1):
-            if lab == 0:
-                left.append(e)
-            elif lab == k + 1:
-                right.append(e)
-            else:
-                blocks[lab - 1].append(e)
+            blocks[lab].append(e)
         if any(needs_block[j] and not blocks[j] for j in range(k)):
             continue
         key = tuple(tuple(b) for b in blocks)
@@ -115,34 +112,45 @@ def _slot_assignments(n, k, needs_block, sym_group):
                             for p in sym_group)
             if key != orbit_min:
                 continue
-        yield left, blocks, right
+        yield key
 
 
 def consequence_family(gens, n):
-    """Spanning family of the degree-n multilinear consequence space,
-    deduplicated up to scalar multiples."""
-    emitted = {}
+    """Spanning family of the degree-n multilinear consequence space: x_j * r
+    and r * x_j for each RREF row r of ``consequences_span(gens, n - 1)``,
+    relabelled onto the letters other than j, plus the core f(u_1, ..., u_k)
+    whose slot blocks cover {1..n}.  It spans the same space as every
+    a * f(u) * b (module docstring):
+
+    * with a = x_j * a', a * f(u) * b = x_j * (a' * f(u) * b), and
+      a' * f(u) * b is a degree-(n - 1) consequence on the other letters;
+      the same holds on the right;
+    * conversely x_j * c and c * x_j are consequences for every consequence c;
+    * at n = 1 no outer part is needed: f is multilinear, so
+      f(1, ..., 1) * x_1 = f(x_1, 1, ..., 1) is a core member, and both
+      vanish when the unit kills a slot.
+    """
+    family = []
+    if n > 1:
+        words = multilinear_words(n - 1)
+        for row in consequences_span(gens, n - 1).rows:
+            for j in range(1, n + 1):
+                r = {tuple(l + (l >= j) for l in words[c]): v
+                     for c, v in row.items()}
+                family.append(NcPoly({(j,) + w: v for w, v in r.items()}))
+                family.append(NcPoly({w + (j,): v for w, v in r.items()}))
     for f in gens:
         k = _arity(f)
         sym_group = _slot_symmetries(f, k)
         needs_block = [_unit_kills_slot(f, k, j) for j in range(1, k + 1)]
-        for left, blocks, right in _slot_assignments(n, k, needs_block, sym_group):
-            choices = []
-            for b in blocks:
-                if b:
-                    choices.append(sj_multilinear_span(frozenset(b)).basis)
-                else:
-                    choices.append((NcPoly.one(),))
+        for blocks in _slot_assignments(n, k, needs_block, sym_group):
+            choices = [sj_multilinear_span(frozenset(b)).basis if b
+                       else (NcPoly.one(),) for b in blocks]
             for us in product(*choices):
                 g = substitute(f, {j + 1: us[j] for j in range(k)})
-                if g.is_zero():
-                    continue
-                for a in permutations(left):
-                    ga = NcPoly({a: 1}) * g if a else g
-                    for b in permutations(right):
-                        gb = ga * NcPoly({b: 1}) if b else ga
-                        emitted.setdefault(gb.normalized(), gb)
-    return list(emitted.values())
+                if not g.is_zero():
+                    family.append(g)
+    return family
 
 
 # -- the full multilinear component -------------------------------------------
@@ -158,8 +166,12 @@ def pn_kernel_dim(n):
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member was verified to be a weak identity."""
+    family = consequence_family(gens, n)
+    if not family:
+        # nothing to certify, and no evaluation table to build
+        return Subspace.zero(), True
     index, word_rows = eval_table(multilinear_words(n))
-    vectors = [coeff_vector(g, index) for g in consequence_family(gens, n)]
+    vectors = [coeff_vector(g, index) for g in family]
     certified = all(not poly_eval_row(v, word_rows) for v in vectors)
     ceiling = pn_kernel_dim(n) if certified else None
     return echelonize(vectors, stop_dim=ceiling), certified
@@ -236,7 +248,6 @@ class DegreeReport:
     containment: bool
     equal: bool
     timings_ms: dict = field(compare=False)
-    mode: str = "full"
     decomposition: tuple | None = None
 
     def to_json_dict(self, toolkit_version, *, with_timings=True):
@@ -314,6 +325,5 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
         containment=containment,
         equal=equal,
         timings_ms=timings,
-        mode="proper" if proper else "full",
         decomposition=decomposition,
     )

@@ -19,7 +19,9 @@ GOLDEN_CHECKS = Path(__file__).parent / "data" / "check_identity_golden.json"
 # stdout of ``verify`` (degrees 4 and 5, both modes, ``--json --no-timings``),
 # ``decompose --json`` (degrees 4 and 5, all three spaces) and
 # ``hilbert --max 8 --json``, recorded before the layers below ``NcPoly``
-# moved to plain exact-number dicts.
+# moved to plain exact-number dicts; and of ``verify --degree 6 --full-p
+# --json --no-timings``, recorded before the consequence family was built by
+# induction on the degree.
 GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden.json"
 
 REPORT_KEYS = {"degree", "dim_P", "dim_kernel", "dim_consequences",
@@ -78,7 +80,7 @@ def test_check_identity_replays_the_golden_file():
 
 def test_cli_replays_the_golden_file():
     cases = json.loads(GOLDEN_CLI.read_text())
-    assert len(cases) == 11
+    assert len(cases) == 12
     for case in cases:
         out = io.StringIO()
         with redirect_stdout(out):
@@ -196,6 +198,17 @@ def test_report_writes_schema_file(tmp_path, capsys):
     assert set(record) == REPORT_KEYS
     assert record["equal"] is True
     assert record["decomposition"] == [[[3, 1], 1], [[2, 2], 1]]
+    printed = capsys.readouterr().out
+    assert "degree 4: equal=True" in printed and f"wrote {out}" in printed
+
+
+def test_report_json_to_stdout_is_valid_json(capsys):
+    assert main(["report", "--degrees", "4", "--json", "--no-timings"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["toolkit_version"] == __version__
+    (record,) = payload["reports"]
+    assert set(record) == REPORT_KEYS
+    assert record["degree"] == 4 and record["equal"] is True
 
 
 def test_report_byte_identical_reruns(tmp_path):

@@ -168,7 +168,8 @@ def test_decompose_gamma4_kernel_and_quotient():
 
 
 def test_decompose_p3_regular():
-    dec = decompose_quotient(None, Subspace.zero(), 3)
+    full = echelonize([{i: 1} for i in range(6)])
+    dec = decompose_quotient(full, Subspace.zero(), 3)
     assert dec == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
     for lam, mult in dec.items():
         assert mult == sym_dim(lam)

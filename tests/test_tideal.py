@@ -6,8 +6,8 @@ import random
 import pytest
 
 from weakid.freealg import (NcPoly, coeff_vector, comm, from_coeffs,
-                            multilinear_words, proper_span, substitute,
-                            word_index)
+                            multilinear_words, proper_span, standard_poly,
+                            substitute, word_index)
 from weakid.jordan import sj_multilinear_span
 from weakid.linalg import echelonize, subspace_intersect
 from weakid.matrep import is_weak_identity
@@ -48,16 +48,13 @@ def test_metabelian_span_contains_generator():
     assert span.contains(coeff_vector(swapped, index))
 
 
-def test_symmetry_reduced_enumeration_matches_full_enumeration():
-    """The enumeration keeps one ordered-block tuple per slot-symmetry orbit;
-    the span must equal the one from the unreduced enumeration."""
-    n = 4
-    index = word_index(multilinear_words(n))
-    reduced = consequences_span(None, n)
-
-    full_family = []
-    for f in default_generators():
-        k = 4
+def _unreduced_family(gens, n):
+    """Every a * f(u_1, ..., u_k) * b: each variable labelled into the left
+    word, a slot block or the right word, every order of both outer words,
+    no slot-symmetry reduction and no induction on the degree."""
+    family = []
+    for f in gens:
+        k = max(f.support())
         for labels in itertools.product(range(k + 2), repeat=n):
             blocks = [[] for _ in range(k)]
             left, right = [], []
@@ -78,9 +75,43 @@ def test_symmetry_reduced_enumeration_matches_full_enumeration():
                     continue
                 for a in itertools.permutations(left):
                     for b in itertools.permutations(right):
-                        full_family.append(NcPoly({a: 1}) * g * NcPoly({b: 1}))
-    full_span = echelonize([coeff_vector(g, index) for g in full_family])
-    assert reduced == full_span
+                        family.append(NcPoly({a: 1}) * g * NcPoly({b: 1}))
+    return family
+
+
+@pytest.mark.parametrize("gens, n", [
+    (default_generators(), 4),
+    ((metabelian(),), 4),
+    ((metabelian(),), 5),
+    # S3 does not vanish at a unit slot, so it reaches below its arity
+    ((standard_poly(3),), 2),
+    ((standard_poly(3),), 3),
+    ((standard_poly(3),), 4),
+    ((standard_poly(3),), 5),
+], ids=["default-4", "metabelian-4", "metabelian-5",
+        "s3-2", "s3-3", "s3-4", "s3-5"])
+def test_symmetry_reduced_enumeration_matches_full_enumeration(gens, n):
+    """The family keeps one ordered-block tuple per slot-symmetry orbit and
+    builds outer words one letter at a time from the degree below; its span
+    must equal the one from the unreduced enumeration."""
+    index = word_index(multilinear_words(n))
+    full_span = echelonize([coeff_vector(g, index)
+                            for g in _unreduced_family(gens, n)])
+    assert consequences_span(gens, n) == full_span
+
+
+def test_degree6_family_is_one_letter_multiples_plus_core():
+    """x_j * r and r * x_j for the 55 RREF rows r at degree 5 and the 6
+    letters j, then the 420 core members f(u_1, ..., u_4)."""
+    family = consequence_family(default_generators(), 6)
+    assert consequences_span(None, 5).dim == 55
+    assert len(family) == 2 * 6 * 55 + 420 == 1080
+
+    def one_letter_multiple(g):
+        return (len({w[0] for w in g.terms}) == 1
+                or len({w[-1] for w in g.terms}) == 1)
+
+    assert [one_letter_multiple(g) for g in family] == [True] * 660 + [False] * 420
 
 
 def test_verify_degree_4():
@@ -195,8 +226,6 @@ def test_low_degree_spans_are_zero():
 def test_verify_reports_failure_for_non_identity_generators():
     """With a generator that is not a weak identity, the certified ceiling is
     disabled, the span is computed in full, and the report says so."""
-    from weakid.freealg import standard_poly
-
     report = verify_degree(4, generators=(standard_poly(3),))
     assert report.containment is False
     assert report.equal is False
