@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import __version__
 from .expr import ParseError, parse_poly, render
@@ -167,7 +168,10 @@ def cmd_report(args):
     return 0 if all_equal else 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use and shared by every ``main``
+    call in the process (parsing leaves no state on it)."""
     p = argparse.ArgumentParser(
         prog="weakid",
         description="Verify that the weak identities of symmetric 2x2 matrices "

@@ -6,17 +6,32 @@ substitution iff it vanishes for every substitution of symmetric 2x2
 matrices over any commutative Q-algebra.  Over an exact field this makes the
 generic test a complete weak-identity test, multilinear or not.
 
-Commutative monomials are sorted tuples of slot ids; slot 3*(i-1)+0/1/2 is
-a_i / b_i / c_i.  A matrix over these polynomials is held only as its
-coordinate dict {(entry, monomial): number}, entries numbered 2*row + column.
+Slot 3*(i-1)+0/1/2 is a_i / b_i / c_i, and matrix entries are numbered
+2*row + column.  A matrix over these polynomials is held only as its
+coordinate dict {key: number}, one key per (entry, commutative monomial).
+Inside one walk over a set of words the key is a packed int,
+
+    key = entry + 4 * sum_s e_s * 2**(w*s),
+
+where e_s is the exponent of slot s and the width w is the bit length of
+the most times one letter occurs in one word of the walk (1 for multilinear
+words).  No field carries into the next: each occurrence of letter i raises
+the exponent of exactly one of its slots a_i, b_i, c_i by one, so a slot's
+exponent is at most the number of times its letter occurs, which is below
+2**w.  Multiplying by a letter then adds one precomputed int per coordinate
+and output entry.  Keys of different walks are not comparable; ``_decode``
+turns a key back into (entry, sorted tuple of slots), and is applied once
+per distinct column (``eval_table``) or per final coordinate (the weak
+identity test and the witness), never per row entry.
+
 A word evaluates to a matrix whose entries have integer coefficients, so its
 evaluation row is an integer dict.  ``eval_table`` builds those rows once
-per word universe (a sorted tuple of words), and the rank, kernel and
-certification passes read them from there.  The weak identity test and the
-witness search read the generic coordinates of the one polynomial they are
-given, from the same prefix-stack walk and the same ``poly_eval_row``.  The
-independent evaluation oracle the tests check all of this against lives in
-``tests/``.
+per word universe (a sorted tuple of words), with columns numbered in
+deg-lex order of (monomial, entry), and the rank, kernel and certification
+passes read them from there.  The weak identity test and the witness search
+read the generic coordinates of the one polynomial they are given, from the
+same prefix-stack walk and the same ``poly_eval_row``.  The independent
+evaluation oracle the tests check all of this against lives in ``tests/``.
 """
 
 from __future__ import annotations
@@ -58,28 +73,61 @@ def slot_c(i):
 # -- evaluation coordinate vectors -------------------------------------------
 
 
-def _times_generic(coords, i):
-    """coords * [[a_i, b_i], [b_i, c_i]]: entry (r, k) feeds entry (r, j)
-    through the slot a_i + k + j.  Every coefficient of a product of generic
-    matrices is a positive integer (each factor's are), so no sum cancels
-    and the loop needs no zero check."""
-    base = slot_a(i)
+def _width(words):
+    """Bits per slot exponent in the packed keys of a walk over the words:
+    the bit length of the most times one letter occurs in one word.  No
+    exponent carries into the next field, because each occurrence of a
+    letter raises exactly one of its three slot exponents by one."""
+    return max((w.count(letter) for w in words for letter in w),
+               default=0).bit_length()
+
+
+def _decode(key, width):
+    """(entry, sorted tuple of slots) of a packed key of the given width."""
+    entry, rest = key & 3, key >> 2
+    mask = (1 << width) - 1
+    slots = []
+    s = 0
+    while rest:
+        slots.extend((s,) * (rest & mask))
+        rest >>= width
+        s += 1
+    return entry, tuple(slots)
+
+
+def _steps(i, width):
+    """Per entry e = 2r + k of a coordinate, the two key increments of a
+    product with [[a_i, b_i], [b_i, c_i]]: entry (r, k) feeds entry (r, j)
+    through the slot a_i + k + j, so the entry moves by j - k and that slot's
+    exponent by one."""
+    return tuple(tuple(j - e % 2 + (4 << width * (slot_a(i) + e % 2 + j))
+                       for j in (0, 1)) for e in range(4))
+
+
+def _times_generic(coords, steps):
+    """coords * [[a_i, b_i], [b_i, c_i]], given ``_steps(i, width)``.  Every
+    coefficient of a product of generic matrices is a positive integer (each
+    factor's are), so no sum cancels and the loop needs no zero check."""
     out = {}
-    for (e, m), v in coords.items():
-        r, k = divmod(e, 2)
-        for j in (0, 1):
-            key = (2 * r + j, tuple(sorted(m + (base + k + j,))))
-            out[key] = out.get(key, 0) + v
+    get = out.get
+    for key, v in coords.items():
+        d0, d1 = steps[key & 3]
+        k = key + d0
+        out[k] = get(k, 0) + v
+        k = key + d1
+        out[k] = get(k, 0) + v
     return out
 
 
-def _walk(words):
-    """Yield (word, generic coordinates) for each distinct word in sorted order.
+def _walk(words, width):
+    """Yield (word, generic coordinates) for each distinct word in sorted
+    order, keyed by packed ints of the given width (at least ``_width``).
 
     A prefix stack keeps the coordinates of the current word's prefixes, so a
     set of words costs one matrix product per distinct prefix.
     """
-    stack = [{(0, ()): 1, (3, ()): 1}]
+    steps = {}
+    stack = [{0: 1, 3: 1}]
     prev = ()
     for w in sorted(set(words)):
         k = 0
@@ -87,14 +135,17 @@ def _walk(words):
             k += 1
         del stack[k + 1:]
         for letter in w[k:]:
-            stack.append(_times_generic(stack[-1], letter))
+            if letter not in steps:
+                steps[letter] = _steps(letter, width)
+            stack.append(_times_generic(stack[-1], steps[letter]))
         yield w, stack[-1]
         prev = w
 
 
 def eval_rows(words):
-    """Coordinate dicts of the generic evaluation of each word."""
-    table = dict(_walk(words))
+    """Coordinate dicts of the generic evaluation of each word, keyed by the
+    packed ints of one walk of width ``_width(words)``."""
+    table = dict(_walk(words, _width(words)))
     return [table[w] for w in words]
 
 
@@ -111,11 +162,16 @@ def eval_table(words):
     row, and rows are the integer evaluation rows with columns numbered by
     (entry, monomial) in deg-lex order."""
     rows = eval_rows(words)
+    width = _width(words)
     keys = set()
     for row in rows:
         keys.update(row)
-    ordered = sorted(keys, key=lambda k: (len(k[1]), k[1], k[0]))
-    columns = {k: i for i, k in enumerate(ordered)}
+
+    def deg_lex(key):
+        entry, m = _decode(key, width)
+        return len(m), m, entry
+
+    columns = {k: i for i, k in enumerate(sorted(keys, key=deg_lex))}
     return ({w: i for i, w in enumerate(words)},
             tuple({columns[k]: v for k, v in row.items()} for row in rows))
 
@@ -144,10 +200,13 @@ def poly_eval_row(coeffs, word_rows):
 
 def _generic_coords(f):
     """Coordinates {(entry, monomial): value} of f at generic symmetric
-    matrices, from a walk over f's own words (no shared table grows)."""
-    walk = list(_walk(f.terms))
-    return poly_eval_row({i: f.terms[w] for i, (w, _) in enumerate(walk)},
-                         [coords for _, coords in walk])
+    matrices, from a walk over f's own words (no shared table grows); only
+    the final coordinates are decoded."""
+    width = _width(f.terms)
+    walk = list(_walk(f.terms, width))
+    acc = poly_eval_row({i: f.terms[w] for i, (w, _) in enumerate(walk)},
+                        [coords for _, coords in walk])
+    return {_decode(k, width): v for k, v in acc.items()}
 
 
 # -- weak identity testing ----------------------------------------------------

@@ -17,6 +17,20 @@ linear and every vector of the span is an exact rational combination of
 family members, so a certified family puts the whole span (and every
 subspace of it, such as its proper part) inside the kernel, and the
 elimination may stop once it reaches the kernel dimension.
+
+The pass evaluates only the core members f(u_1, ..., u_k) and takes the rest
+of the family by induction on the degree.  Every other member is x_j * r or
+r * x_j, where r is a row of the degree-(n - 1) span relabelled onto the
+letters other than j.  If the degree-(n - 1) family was certified, r vanishes
+at generic symmetric matrices (a linear combination of certified members),
+so does its relabelling (a weak identity stays one under any renaming of
+its variables), and so do x_j * r and r * x_j, because the evaluation is an
+algebra homomorphism: X_j * 0 = 0 * X_j = 0.  So the degree-n family is
+certified iff the degree-(n - 1) one was and every core member evaluates to
+zero.  The converse half makes the flag exact, not only sound: if some
+degree-(n - 1) member does not vanish, neither does some row r, and then
+x_n * r does not vanish either, since the generic matrix X_n is invertible
+over the field of fractions of the slots.
 """
 
 from __future__ import annotations
@@ -118,9 +132,10 @@ def _slot_assignments(n, k, needs_block, sym_group):
 def consequence_family(gens, n):
     """Spanning family of the degree-n multilinear consequence space: x_j * r
     and r * x_j for each RREF row r of ``consequences_span(gens, n - 1)``,
-    relabelled onto the letters other than j, plus the core f(u_1, ..., u_k)
-    whose slot blocks cover {1..n}.  It spans the same space as every
-    a * f(u) * b (module docstring):
+    relabelled onto the letters other than j (these 2n multiples per row
+    come first), then the core f(u_1, ..., u_k) whose slot blocks cover
+    {1..n}.  It spans the same space as every a * f(u) * b (module
+    docstring):
 
     * with a = x_j * a', a * f(u) * b = x_j * (a' * f(u) * b), and
       a' * f(u) * b is a degree-(n - 1) consequence on the other letters;
@@ -165,14 +180,21 @@ def pn_kernel_dim(n):
 @lru_cache(maxsize=_SPANS)
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
-    every family member was verified to be a weak identity."""
+    every family member is a weak identity.  Only the core members are
+    evaluated; the one-letter multiples that open the family inherit the
+    degree-(n - 1) flag (module docstring)."""
     family = consequence_family(gens, n)
+    multiples, certified = 0, True
+    if n > 1:
+        below, certified = _consequences(gens, n - 1)
+        multiples = 2 * n * below.dim
     if not family:
         # nothing to certify, and no evaluation table to build
-        return Subspace.zero(), True
+        return Subspace.zero(), certified
     index, word_rows = eval_table(multilinear_words(n))
     vectors = [coeff_vector(g, index) for g in family]
-    certified = all(not poly_eval_row(v, word_rows) for v in vectors)
+    certified = certified and all(not poly_eval_row(v, word_rows)
+                                  for v in vectors[multiples:])
     ceiling = pn_kernel_dim(n) if certified else None
     return echelonize(vectors, stop_dim=ceiling), certified
 
@@ -273,11 +295,15 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     """Check, at degree n, that the consequences of the generators fill the
     whole space of weak identities (the main equality, one degree at a time).
 
-    Containment is certified once, by evaluating every member of the
-    consequence family.  That also covers every basis vector of the span and
-    of its proper part: the evaluation is linear, each span vector is an exact
-    rational combination of family members, and the proper part is a subspace
-    of the span.  Equality additionally needs the dimensions to match.
+    Containment is certified once, on the consequence family, by induction
+    on the degree: the one-letter multiples x_j * r and r * x_j of the
+    degree-(n - 1) rows vanish because those rows were certified one degree
+    down and the evaluation is an algebra homomorphism, so only the core
+    members f(u_1, ..., u_k) are evaluated at each degree (module docstring).
+    That also covers every basis vector of the span and of its proper part:
+    the evaluation is linear, each span vector is an exact rational
+    combination of family members, and the proper part is a subspace of the
+    span.  Equality additionally needs the dimensions to match.
     ``proper`` restricts both sides to the proper (commutator-product)
     component.
     """

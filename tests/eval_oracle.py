@@ -10,7 +10,8 @@ x_i -> [[a_i, b_i], [b_i, c_i]], with slots 3*(i-1) + 0/1/2).
 import itertools
 from fractions import Fraction
 
-from weakid.matrep import BASIS_MATRICES, eval_rows, poly_eval_row
+from weakid.matrep import (BASIS_MATRICES, _decode, _width, eval_rows,
+                           poly_eval_row)
 
 
 class Comm:
@@ -103,10 +104,11 @@ def generic_coords(f):
 
 def package_coords(f):
     """The package's generic coordinates of f, read through the public
-    ``eval_rows`` and ``poly_eval_row``."""
+    ``eval_rows`` and ``poly_eval_row``, with the packed keys decoded."""
     words = sorted(f.terms)
-    return poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
-                         eval_rows(words))
+    acc = poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
+                        eval_rows(words))
+    return {_decode(k, _width(words)): v for k, v in acc.items()}
 
 
 def oracle_is_weak_identity(f):

@@ -224,6 +224,22 @@ def test_report_without_degrees_is_a_usage_error(capsys):
         assert "no degree" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from weakid import cli
+
+    cli.build_parser.cache_clear()
+    assert main(["check", "--expr", "[x1,x2]", "--mode", "consequence",
+                 "--json"]) == 1
+    first = json.loads(capsys.readouterr().out)
+    assert (first["mode"], first["result"]) == ("consequence", False)
+    # neither --json nor --mode carries over into the next call
+    assert main(["check", "--expr", "[x1,x2]"]) == 1
+    second = capsys.readouterr().out
+    assert second.startswith("weak identity: False\n")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_bad_degree_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["verify", "--degree", "9"])

@@ -63,15 +63,70 @@ def brute_kernel_dim(family):
 # -- evaluation ----------------------------------------------------------------
 
 
+def _decoded_rows(words):
+    width = matrep._width(words)
+    return [{matrep._decode(k, width): v for k, v in row.items()}
+            for row in eval_rows(words)]
+
+
 def test_eval_single_variable():
-    assert eval_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1, (2, (1,)): 1,
-                                  (3, (2,)): 1}]
+    assert _decoded_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1,
+                                      (2, (1,)): 1, (3, (2,)): 1}]
+    # width 1: key = entry + 4 * 2**slot
+    assert eval_rows([(1,)]) == [{0 + 4 * 1: 1, 1 + 4 * 2: 1, 2 + 4 * 2: 1,
+                                  3 + 4 * 4: 1}]
     assert package_coords(x1) == generic_coords(x1)
 
 
 def test_eval_unit():
-    assert eval_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
+    assert _decoded_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
+    assert eval_rows([()]) == [{0: 1, 3: 1}]
     assert package_coords(NcPoly.one()) == generic_coords(NcPoly.one())
+
+
+def test_packed_key_layout():
+    # the width is the bit length of the most times one letter occurs in a word
+    assert matrep._width([(1, 2, 1), (2,)]) == 2
+    assert matrep._width(multilinear_words(4)) == 1
+    assert matrep._width([()]) == 0
+    # width 2: slot s sits at bit 2 + 2*s
+    assert matrep._decode(1 + 4 * (1 + 2 * 4 ** 3), 2) == (1, (0, 3, 3))
+    assert matrep._decode(3, 5) == (3, ())
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_packed_keys_do_not_carry_at_width_boundaries(length):
+    # x1^L puts exponent L on one slot and (x1 x2)^L exponents up to L on
+    # slots of two letters; L = 2**w - 1 and 2**w fill a field or widen it
+    for f in (x1 ** length, (x1 * x2) ** length):
+        assert package_coords(f) == generic_coords(f)
+        assert matrep._width(list(f.terms)) == length.bit_length()
+
+
+def _oracle_table(words):
+    """(index, rows) built from the oracle's evaluation of each word, columns
+    in deg-lex order of (monomial, entry)."""
+    coords_ = [generic_coords(NcPoly({w: 1})) for w in words]
+    keys = sorted({k for c in coords_ for k in c},
+                  key=lambda k: (len(k[1]), k[1], k[0]))
+    columns = {k: i for i, k in enumerate(keys)}
+    return ({w: i for i, w in enumerate(words)},
+            tuple({columns[k]: v for k, v in c.items()} for c in coords_))
+
+
+def _bidegree_words(dx, dy):
+    return tuple(w for w in itertools.product((1, 2), repeat=dx + dy)
+                 if w.count(1) == dx)
+
+
+@pytest.mark.parametrize("words", [multilinear_words(n) for n in (2, 3, 4, 5)]
+                         + [_bidegree_words(dx, dy)
+                            for dx, dy in ((1, 1), (2, 1), (3, 2), (4, 4))],
+                         ids=[f"multilinear-{n}" for n in (2, 3, 4, 5)]
+                         + ["bidegree-1-1", "bidegree-2-1", "bidegree-3-2",
+                            "bidegree-4-4"])
+def test_eval_table_matches_the_oracle_table(words):
+    assert eval_table.__wrapped__(words) == _oracle_table(words)
 
 
 def _at_point(coords_, point):

@@ -233,6 +233,38 @@ def test_verify_reports_failure_for_non_identity_generators():
     assert report.dim_consequences > report.dim_kernel
 
 
+def test_containment_fails_at_and_above_a_non_identity_generator():
+    """[x1, x2] is not a weak identity: the core fails at its own degree, and
+    the degree above inherits the failure along with its one-letter
+    multiples."""
+    from weakid import tideal
+
+    gens = (comm(NcPoly.variable(1), NcPoly.variable(2)),)
+    assert tideal._consequences(gens, 2)[1] is False
+    assert tideal._consequences(gens, 3)[1] is False
+    assert verify_degree(4, generators=gens).containment is False
+
+
+def test_degree6_certification_evaluates_only_the_core(monkeypatch):
+    """The 660 one-letter multiples are certified by the degree-5 flag; only
+    the 420 core members are evaluated."""
+    from weakid import tideal
+
+    tideal._consequences.cache_clear()
+    consequences_span(None, 5)
+    calls = []
+    real = tideal.poly_eval_row
+
+    def counting(coeffs, word_rows):
+        calls.append(coeffs)
+        return real(coeffs, word_rows)
+
+    monkeypatch.setattr(tideal, "poly_eval_row", counting)
+    span, certified = tideal._consequences(default_generators(), 6)
+    assert certified and span.dim == 516
+    assert len(calls) == 420
+
+
 # -- degree 6 -------------------------------------------------------------------
 
 
