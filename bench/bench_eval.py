@@ -2,11 +2,11 @@
 
 Builds ``matrep.eval_table`` without its cache on the multilinear words of
 each requested degree and on the word universes the Hilbert series reads
-(the two-variable commutator families of every bidegree up to a total
-degree), and prints one JSON object with the best wall time of a few
-repeats per universe.  Run from the repository root:
+to degree 7 (the two-variable commutator families of every bidegree of
+total degree at most 7), and prints one JSON object with the best wall time
+of five builds per universe.  Run from the repository root:
 
-    PYTHONPATH=src python bench/bench_eval.py [--degrees 4,5,6] [--hilbert-max 7]
+    PYTHONPATH=src python bench/bench_eval.py [--degrees 4,5,6]
 """
 
 from __future__ import annotations
@@ -20,21 +20,19 @@ import time
 from weakid.freealg import multilinear_words, two_var_commutator_family
 from weakid.matrep import eval_table
 
+HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
+REPEAT = 5  # timed builds per universe; the best is kept
 
-def _best(words, repeat):
+
+def _record(words):
     build = eval_table.__wrapped__
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         _, rows = build(words)
         best = min(best, time.perf_counter() - t0)
-    return best, rows
-
-
-def _record(words, repeat):
-    seconds, rows = _best(words, repeat)
     return {"words": len(words), "nnz": sum(len(r) for r in rows),
-            "s": round(seconds, 6)}
+            "s": round(best, 6)}
 
 
 def hilbert_universes(n_max):
@@ -53,22 +51,17 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--degrees", default="4,5,6",
                    help="comma-separated multilinear degrees (default 4,5,6)")
-    p.add_argument("--hilbert-max", type=int, default=7, metavar="N",
-                   help="highest total degree of the Hilbert bidegrees (default 7)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timed builds per universe; the best is kept (default 3)")
     args = p.parse_args(argv)
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
 
-    multilinear = {str(n): _record(multilinear_words(n), args.repeat)
-                   for n in degrees}
-    hilbert = {key: _record(words, args.repeat)
-               for key, words in hilbert_universes(args.hilbert_max).items()}
+    multilinear = {str(n): _record(multilinear_words(n)) for n in degrees}
+    hilbert = {key: _record(words)
+               for key, words in hilbert_universes(HILBERT_MAX).items()}
     print(json.dumps({
         "python": platform.python_version(),
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "multilinear": multilinear,
-        "hilbert": {"max": args.hilbert_max,
+        "hilbert": {"max": HILBERT_MAX,
                     "bidegrees": hilbert,
                     "total_s": round(sum(r["s"] for r in hilbert.values()), 6)},
     }, indent=2, sort_keys=True))

@@ -46,7 +46,6 @@ from .freealg import coeff_vector
 from .linalg import Subspace, echelonize, left_kernel, rank
 
 __all__ = [
-    "eval_rows",
     "eval_table",
     "is_weak_identity",
     "weak_identity_witness",
@@ -142,10 +141,10 @@ def _walk(words, width):
         prev = w
 
 
-def eval_rows(words):
+def eval_rows(words, width):
     """Coordinate dicts of the generic evaluation of each word, keyed by the
-    packed ints of one walk of width ``_width(words)``."""
-    table = dict(_walk(words, _width(words)))
+    packed ints of one walk of the given width (at least ``_width``)."""
+    table = dict(_walk(words, width))
     return [table[w] for w in words]
 
 
@@ -161,8 +160,8 @@ def eval_table(words):
     """(index, rows) for a sorted tuple of words: index maps each word to its
     row, and rows are the integer evaluation rows with columns numbered by
     (entry, monomial) in deg-lex order."""
-    rows = eval_rows(words)
     width = _width(words)
+    rows = eval_rows(words, width)
     keys = set()
     for row in rows:
         keys.update(row)

@@ -18,10 +18,10 @@ family members, so a certified family puts the whole span (and every
 subspace of it, such as its proper part) inside the kernel, and the
 elimination may stop once it reaches the kernel dimension.
 
-The pass evaluates only the core members f(u_1, ..., u_k) and takes the rest
-of the family by induction on the degree.  Every other member is x_j * r or
-r * x_j, where r is a row of the degree-(n - 1) span relabelled onto the
-letters other than j.  If the degree-(n - 1) family was certified, r vanishes
+The pass evaluates only the core members f(u_1, ..., u_k) (``_core``) and
+takes the rest of the family (``_multiples``) by induction on the degree.
+Every other member is x_j * r or r * x_j, where r is a row of the
+degree-(n - 1) span relabelled onto the letters other than j.  If the degree-(n - 1) family was certified, r vanishes
 at generic symmetric matrices (a linear combination of certified members),
 so does its relabelling (a weak identity stays one under any renaming of
 its variables), and so do x_j * r and r * x_j, because the evaluation is an
@@ -130,12 +130,10 @@ def _slot_assignments(n, k, needs_block, sym_group):
 
 
 def consequence_family(gens, n):
-    """Spanning family of the degree-n multilinear consequence space: x_j * r
-    and r * x_j for each RREF row r of ``consequences_span(gens, n - 1)``,
-    relabelled onto the letters other than j (these 2n multiples per row
-    come first), then the core f(u_1, ..., u_k) whose slot blocks cover
-    {1..n}.  It spans the same space as every a * f(u) * b (module
-    docstring):
+    """Spanning family of the degree-n multilinear consequence space: the
+    one-letter multiples of the degree-(n - 1) span (``_multiples``), then
+    the core f(u_1, ..., u_k) whose slot blocks cover {1..n} (``_core``).
+    It spans the same space as every a * f(u) * b (module docstring):
 
     * with a = x_j * a', a * f(u) * b = x_j * (a' * f(u) * b), and
       a' * f(u) * b is a degree-(n - 1) consequence on the other letters;
@@ -145,6 +143,12 @@ def consequence_family(gens, n):
       f(1, ..., 1) * x_1 = f(x_1, 1, ..., 1) is a core member, and both
       vanish when the unit kills a slot.
     """
+    return _multiples(gens, n) + list(_core(gens, n))
+
+
+def _multiples(gens, n):
+    """x_j * r and r * x_j for each RREF row r of ``consequences_span(gens,
+    n - 1)``, relabelled onto the letters other than j; none at n = 1."""
     family = []
     if n > 1:
         words = multilinear_words(n - 1)
@@ -154,6 +158,17 @@ def consequence_family(gens, n):
                      for c, v in row.items()}
                 family.append(NcPoly({(j,) + w: v for w, v in r.items()}))
                 family.append(NcPoly({w + (j,): v for w, v in r.items()}))
+    return family
+
+
+# One core is kept: the one ``consequence_family`` has just built, so that
+# ``_consequences`` certifies it without building it a second time.
+@lru_cache(maxsize=1)
+def _core(gens, n):
+    """The nonzero f(u_1, ..., u_k), for each generator f, whose slot blocks
+    cover {1..n}: one distribution per orbit of f's slot symmetries, and
+    every choice of basis elements of the Jordan spans of the blocks."""
+    core = []
     for f in gens:
         k = _arity(f)
         sym_group = _slot_symmetries(f, k)
@@ -164,8 +179,8 @@ def consequence_family(gens, n):
             for us in product(*choices):
                 g = substitute(f, {j + 1: us[j] for j in range(k)})
                 if not g.is_zero():
-                    family.append(g)
-    return family
+                    core.append(g)
+    return tuple(core)
 
 
 # -- the full multilinear component -------------------------------------------
@@ -181,22 +196,20 @@ def pn_kernel_dim(n):
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member is a weak identity.  Only the core members are
-    evaluated; the one-letter multiples that open the family inherit the
-    degree-(n - 1) flag (module docstring)."""
+    evaluated; the one-letter multiples inherit the degree-(n - 1) flag
+    (module docstring)."""
     family = consequence_family(gens, n)
-    multiples, certified = 0, True
-    if n > 1:
-        below, certified = _consequences(gens, n - 1)
-        multiples = 2 * n * below.dim
+    certified = n == 1 or _consequences(gens, n - 1)[1]
     if not family:
         # nothing to certify, and no evaluation table to build
         return Subspace.zero(), certified
     index, word_rows = eval_table(multilinear_words(n))
-    vectors = [coeff_vector(g, index) for g in family]
-    certified = certified and all(not poly_eval_row(v, word_rows)
-                                  for v in vectors[multiples:])
+    certified = certified and all(
+        not poly_eval_row(coeff_vector(g, index), word_rows)
+        for g in _core(gens, n))
     ceiling = pn_kernel_dim(n) if certified else None
-    return echelonize(vectors, stop_dim=ceiling), certified
+    return echelonize([coeff_vector(g, index) for g in family],
+                      stop_dim=ceiling), certified
 
 
 def _norm_gens(gens):

@@ -102,13 +102,21 @@ def generic_coords(f):
     return coords(generic_eval(f))
 
 
+def decoded_rows(words):
+    """The package's evaluation rows of the words, ``eval_rows`` of one
+    walk, with each packed key decoded to (entry, sorted tuple of slots).
+    The one place the tests read packed keys as coordinates."""
+    width = _width(words)
+    return [{_decode(k, width): v for k, v in row.items()}
+            for row in eval_rows(words, width)]
+
+
 def package_coords(f):
-    """The package's generic coordinates of f, read through the public
-    ``eval_rows`` and ``poly_eval_row``, with the packed keys decoded."""
+    """The package's generic coordinates of f, read through ``eval_rows``
+    and ``poly_eval_row``, with the packed keys decoded."""
     words = sorted(f.terms)
-    acc = poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
-                        eval_rows(words))
-    return {_decode(k, _width(words)): v for k, v in acc.items()}
+    return poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
+                         decoded_rows(words))
 
 
 def oracle_is_weak_identity(f):

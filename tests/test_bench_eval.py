@@ -14,10 +14,10 @@ def test_bench_eval_prints_json_at_degree_4():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, str(ROOT / "bench" / "bench_eval.py"),
-                          "--degrees", "4", "--hilbert-max", "4",
-                          "--repeat", "1"],
+                          "--degrees", "4"],
                          env=env, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout)
     assert result["multilinear"]["4"]["words"] == 24
     assert result["multilinear"]["4"]["s"] > 0
-    assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3
+    # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7
+    assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3 + 4 + 5 + 6

@@ -18,8 +18,8 @@ from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
                            weak_identity_kernel, weak_identity_witness)
 from weakid.tideal import metabelian
 
-from tests.eval_oracle import (MAT_ZERO, brute_eval,
-                               coords, first_failing_basis_substitution,
+from tests.eval_oracle import (MAT_ZERO, brute_eval, coords, decoded_rows,
+                               first_failing_basis_substitution,
                                generic_coords, generic_eval, mat_add, mat_mul,
                                mat_scale, mat_transpose, package_coords)
 
@@ -63,24 +63,18 @@ def brute_kernel_dim(family):
 # -- evaluation ----------------------------------------------------------------
 
 
-def _decoded_rows(words):
-    width = matrep._width(words)
-    return [{matrep._decode(k, width): v for k, v in row.items()}
-            for row in eval_rows(words)]
-
-
 def test_eval_single_variable():
-    assert _decoded_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1,
+    assert decoded_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1,
                                       (2, (1,)): 1, (3, (2,)): 1}]
     # width 1: key = entry + 4 * 2**slot
-    assert eval_rows([(1,)]) == [{0 + 4 * 1: 1, 1 + 4 * 2: 1, 2 + 4 * 2: 1,
+    assert eval_rows([(1,)], 1) == [{0 + 4 * 1: 1, 1 + 4 * 2: 1, 2 + 4 * 2: 1,
                                   3 + 4 * 4: 1}]
     assert package_coords(x1) == generic_coords(x1)
 
 
 def test_eval_unit():
-    assert _decoded_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
-    assert eval_rows([()]) == [{0: 1, 3: 1}]
+    assert decoded_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
+    assert eval_rows([()], 0) == [{0: 1, 3: 1}]
     assert package_coords(NcPoly.one()) == generic_coords(NcPoly.one())
 
 
@@ -198,7 +192,7 @@ def test_eval_rows_are_integral():
     bidegree_3_2 = [w for w in itertools.product((1, 2), repeat=5)
                     if w.count(1) == 3]
     for words in (list(multilinear_words(4)), bidegree_3_2):
-        rows = eval_rows(words)
+        rows = decoded_rows(words)
         assert len(rows) == len(words)
         assert all(type(v) is int for row in rows for v in row.values())
 
@@ -210,9 +204,9 @@ def test_proper_verify_evaluates_the_words_once(monkeypatch):
     calls = []
     real = matrep.eval_rows
 
-    def counting(words):
+    def counting(words, width):
         calls.append(sorted(words))
-        return real(words)
+        return real(words, width)
 
     monkeypatch.setattr(matrep, "eval_rows", counting)
     report = tideal.verify_degree(5, proper=True, with_decomposition=True)

@@ -103,6 +103,8 @@ def test_symmetry_reduced_enumeration_matches_full_enumeration(gens, n):
 def test_degree6_family_is_one_letter_multiples_plus_core():
     """x_j * r and r * x_j for the 55 RREF rows r at degree 5 and the 6
     letters j, then the 420 core members f(u_1, ..., u_4)."""
+    from weakid import tideal
+
     family = consequence_family(default_generators(), 6)
     assert consequences_span(None, 5).dim == 55
     assert len(family) == 2 * 6 * 55 + 420 == 1080
@@ -112,6 +114,8 @@ def test_degree6_family_is_one_letter_multiples_plus_core():
                 or len({w[-1] for w in g.terms}) == 1)
 
     assert [one_letter_multiple(g) for g in family] == [True] * 660 + [False] * 420
+    gens = default_generators()
+    assert family == tideal._multiples(gens, 6) + list(tideal._core(gens, 6))
 
 
 def test_verify_degree_4():
@@ -263,6 +267,9 @@ def test_degree6_certification_evaluates_only_the_core(monkeypatch):
     span, certified = tideal._consequences(default_generators(), 6)
     assert certified and span.dim == 516
     assert len(calls) == 420
+    index = word_index(multilinear_words(6))
+    assert calls == [coeff_vector(g, index)
+                     for g in tideal._core(default_generators(), 6)]
 
 
 # -- degree 6 -------------------------------------------------------------------
