@@ -242,15 +242,7 @@ def circ(f, g):
 
 def involution(f):
     """Word-reversing involution: (x_{i1}...x_{in})* = x_{in}...x_{i1}."""
-    t = {}
-    for w, c in f.terms.items():
-        rw = w[::-1]
-        s = t.get(rw, 0) + c
-        if s:
-            t[rw] = s
-        else:
-            del t[rw]
-    return NcPoly._raw(t)
+    return NcPoly._raw({w[::-1]: c for w, c in f.terms.items()})
 
 
 def perm_sign(perm):
@@ -276,23 +268,15 @@ def standard_poly(k):
 
 def substitute(f, subs):
     """Substitution homomorphism: each variable i is replaced by subs[i]."""
-    cache = {}
-
-    def word_value(w):
-        if w in cache:
-            return cache[w]
+    acc = NcPoly.zero()
+    for w, c in f.terms.items():
         out = NcPoly.one()
         for i in w:
             try:
                 out = out * subs[i]
             except KeyError:
                 raise KeyError(f"variable x{i} has no substitution value") from None
-        cache[w] = out
-        return out
-
-    acc = NcPoly.zero()
-    for w, c in f.terms.items():
-        acc = acc + word_value(w).scale(c)
+        acc = acc + out.scale(c)
     return acc
 
 
@@ -324,12 +308,8 @@ def linearize(f):
             for v, perm in zip(sorted(md), assignment):
                 for pos, fresh in zip(positions[v], perm):
                     nw[pos] = fresh
-            nw = tuple(nw)
-            s = t.get(nw, 0) + c
-            if s:
-                t[nw] = s
-            else:
-                del t[nw]
+            # a fresh word determines its source word and its slot choice
+            t[tuple(nw)] = c
     return NcPoly._raw(t)
 
 

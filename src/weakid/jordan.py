@@ -36,8 +36,6 @@ __all__ = [
 class JordanSpan:
     """Echelonized multilinear Jordan component on a fixed variable set."""
 
-    varset: frozenset
-    words: tuple
     space: Subspace
     basis: tuple
 
@@ -69,9 +67,9 @@ def _sj_span(key):
                 for u in _sj_span(s1).basis:
                     for v in _sj_span(s2).basis:
                         family.append(circ(u, v))
-    space = echelonize([coeff_vector(f, index) for f in family], presort=False)
+    space = echelonize([coeff_vector(f, index) for f in family])
     basis = tuple(from_coeffs(row, words) for row in space.rows)
-    return JordanSpan(frozenset(varset), words, space, basis)
+    return JordanSpan(space, basis)
 
 
 def sj_multilinear_span(varset):
@@ -86,8 +84,7 @@ def reversible_span(varset):
     """Span of w + w* over the multilinear words on varset."""
     words = _words_on(varset)
     index = {w: i for i, w in enumerate(words)}
-    return echelonize(
-        [coeff_vector(reversible(w), index) for w in words], presort=False)
+    return echelonize([coeff_vector(reversible(w), index) for w in words])
 
 
 def cohn_check(varset):

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
-Every rank, kernel and subspace comparison in the toolkit runs through this
-module.  There is no floating point anywhere.  A vector is a plain dict
+Every rank, kernel (``left_kernel``), intersection dimension
+(``intersection_dim``) and subspace comparison in the toolkit runs through
+this module.  There is no floating point anywhere.  A vector is a plain dict
 {column: number}; a number is an int, or a ``Fraction`` only where a
 denominator above 1 appears.  The elimination engine works on
 content-normalized integer rows (a scalar multiple of a row spans the same
@@ -10,7 +11,8 @@ input reaches it without building a single ``Fraction``.
 
 Row spaces are presented in reduced row echelon form.  RREF is unique for a
 given row space, so results do not depend on the order in which vectors are
-fed in.
+fed in; ``echelonize`` sorts its rows into a canonical order first, so neither
+does the elimination work.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "echelonize",
     "rank",
     "left_kernel",
-    "subspace_intersect",
+    "intersection_dim",
 ]
 
 _STRIP_EVERY = 8  # axpy steps between content reductions of a work vector
@@ -46,19 +48,14 @@ def _strip(row):
     return row
 
 
-def _int_row_scaled(vec):
-    """(row, den, g): the content-1 integer row den / g * vec, zeros dropped."""
+def _int_row(vec):
+    """Clear denominators: a vector -> a fresh content-1 integer dict."""
     den = lcm(*(v.denominator for v in vec.values()))
     row = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
     g = gcd(*row.values()) or 1
     if g > 1:
         row = {c: v // g for c, v in row.items()}
-    return row, den, g
-
-
-def _int_row(vec):
-    """Clear denominators: a vector -> a fresh content-1 integer dict."""
-    return _int_row_scaled(vec)[0]
+    return row
 
 
 class _Builder:
@@ -202,17 +199,16 @@ class Subspace:
         return f"<Subspace dim={self.dim} pivots={self.pivots[:8]}{'...' if self.dim > 8 else ''}>"
 
 
-def echelonize(vectors, *, stop_dim=None, presort=True):
+def echelonize(vectors, *, stop_dim=None):
     """Reduced row echelon basis of the span of the given vectors.
 
     ``stop_dim`` aborts insertion once that dimension is reached; callers use
     it only when the span is independently known to be capped at stop_dim.
-    ``presort`` feeds short vectors first, which keeps pivot rows sparse; the
-    final RREF does not depend on it.
+    Short vectors are fed first, in a canonical order, which keeps pivot rows
+    sparse and makes the elimination work independent of the input order.
     """
-    rows = [_int_row(v) for v in vectors]
-    if presort:
-        rows.sort(key=lambda r: (len(r), sorted(r.items())))
+    rows = sorted((_int_row(v) for v in vectors),
+                  key=lambda r: (len(r), sorted(r.items())))
     b = _Builder()
     for r in rows:
         if b.add(r) and stop_dim is not None and len(b.rows) >= stop_dim:
@@ -229,48 +225,18 @@ def left_kernel(rows):
 
     Implemented by eliminating rows augmented with an identity block; a row
     whose original part dies leaves its combination recorded in the id block.
-    Input rows are scaled to integers for the elimination, so the recorded
-    combinations refer to the scaled rows and are mapped back at the end.
+    Denominators are cleared from each augmented row as a whole, so the id
+    block records combinations of the rows as given.
     """
-    scaled = [_int_row_scaled(r) for r in rows]
-    offset = 0
-    for r, _, _ in scaled:
-        if r:
-            offset = max(offset, max(r) + 1)
+    offset = 1 + max((c for r in rows for c in r), default=-1)
     b = _Builder()
-    for i, (r, _, _) in enumerate(scaled):
-        aug = dict(r)
-        aug[offset + i] = 1
-        b.add(aug)
-    kvecs = []
-    for p, row in b.rows.items():
-        if p >= offset:
-            # c_i applies to den_i / g_i * rows_i, so c_i * den_i / g_i
-            # applies to rows_i; scaling by the lcm of the g_i keeps it integral
-            m = lcm(*(scaled[c - offset][2] for c in row))
-            vec = {}
-            for c, v in row.items():
-                _, den, g = scaled[c - offset]
-                vec[c - offset] = v * den * (m // g)
-            kvecs.append(vec)
-    return echelonize(kvecs, presort=False)
+    for i, r in enumerate(rows):
+        b.add(_int_row({**r, offset + i: 1}))
+    return echelonize([{c - offset: v for c, v in row.items()}
+                       for p, row in b.rows.items() if p >= offset])
 
 
-def subspace_intersect(a, b):
-    """Zassenhaus: eliminate [u|u] rows for a and [w|0] rows for b; rows whose
-    left block vanishes carry a basis of the intersection in the right block.
-    Any basis of a and b will do, so the stored integer rows are stacked."""
-    offset = 1 + max((c for s in (a, b) for r in s._rows.values() for c in r),
-                     default=-1)
-    builder = _Builder()
-    for r in a._rows.values():
-        d = dict(r)
-        d.update({c + offset: v for c, v in r.items()})
-        builder.add(d)
-    for r in b._rows.values():
-        builder.add(dict(r))
-    vecs = []
-    for p, row in builder.rows.items():
-        if p >= offset:
-            vecs.append({c - offset: v for c, v in row.items()})
-    return echelonize(vecs, presort=False)
+def intersection_dim(a, b):
+    """dim(a ∩ b) = dim a + dim b - dim(a + b), the sum spanned by the stored
+    integer rows of both subspaces."""
+    return a.dim + b.dim - rank([*a._rows.values(), *b._rows.values()])

@@ -327,4 +327,4 @@ def weak_identities_within(space, word_rows):
             for col, v in rows[i].items():
                 acc[col] = acc.get(col, 0) + c * v
         vecs.append(acc)
-    return echelonize(vecs, presort=False)
+    return echelonize(vecs)

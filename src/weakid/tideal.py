@@ -44,7 +44,7 @@ from math import factorial
 from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
                       proper_span, standard_poly, substitute, word_index)
 from .jordan import sj_multilinear_span
-from .linalg import Subspace, echelonize, rank, subspace_intersect
+from .linalg import Subspace, echelonize, intersection_dim, rank
 from .matrep import eval_table, poly_eval_row, weak_identities_within
 
 __all__ = [
@@ -224,17 +224,11 @@ def consequences_span(gens, n):
     return _consequences(_norm_gens(gens), n)[0]
 
 
-def _relabel_multilinear(f):
-    support = sorted(f.support())
-    subs = {v: NcPoly.variable(i) for i, v in enumerate(support, start=1)}
-    return substitute(f, subs), len(support)
-
-
 def is_consequence(f, gens=None):
     """Membership of f in the weak T-ideal spanned by the generators.
 
-    Multilinear polynomials are tested directly; multihomogeneous ones are
-    fully linearized first (an equivalence in characteristic 0).  Total
+    f is fully linearized first (an equivalence in characteristic 0); a
+    multilinear f comes back relabelled onto x1..xn in increasing order.  Total
     degrees above 7 are rejected before linearizing, as in ``verify_degree``.
     A nonzero constant is never a consequence: generators are multilinear of
     positive degree, so every consequence has positive degree.
@@ -250,11 +244,8 @@ def is_consequence(f, gens=None):
     if f.degree() > _MAX_DEGREE:
         raise ValueError(f"total degree {f.degree()} is above "
                          f"the supported maximum {_MAX_DEGREE}")
-    if f.is_multilinear():
-        g, n = _relabel_multilinear(f)
-    else:
-        g = linearize(f)
-        n = len(g.support())
+    g = linearize(f)
+    n = len(g.support())
     span = consequences_span(gens, n)
     return span.contains(coeff_vector(g, word_index(multilinear_words(n))))
 
@@ -318,7 +309,9 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     combination of family members, and the proper part is a subspace of the
     span.  Equality additionally needs the dimensions to match.
     ``proper`` restricts both sides to the proper (commutator-product)
-    component.
+    component.  The proper consequence dimension is dim span + dim Gamma -
+    rank(span rows + Gamma rows): the dimension formula for an intersection,
+    exact because the rank is computed in exact arithmetic on bases of both.
     """
     if not 4 <= n <= _MAX_DEGREE:
         raise ValueError(f"degrees 4..{_MAX_DEGREE} are supported")
@@ -337,7 +330,7 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
         t0 = time.perf_counter()
         gamma = proper_span(n)
         dim_kernel = proper_kernel(n).dim
-        dim_cons = subspace_intersect(span, gamma).dim
+        dim_cons = intersection_dim(span, gamma)
         timings["proper_ms"] = _ms(t0)
         dim_p = gamma.dim
     else:

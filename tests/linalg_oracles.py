@@ -1,9 +1,9 @@
 """Linear-algebra oracles used only by the tests.
 
 None of these is on the verification path: a right-kernel basis built from
-the public RREF, subspace sums, and an independent modular engine (ranks over
-Q recomputed mod large primes; rank mod p can only drop, so agreement
-certifies).
+the public RREF, subspace sums and intersections, and an independent modular
+engine (ranks over Q recomputed mod large primes; rank mod p can only drop,
+so agreement certifies).
 """
 
 import random
@@ -30,12 +30,24 @@ def kernel_basis(rows, ncols):
             if val:
                 v[p] = -val
         vecs.append(v)
-    return echelonize(vecs, presort=False)
+    return echelonize(vecs)
 
 
 def subspace_sum(a, b):
     vecs = list(a.rows) + list(b.rows)
-    return echelonize(vecs, presort=False)
+    return echelonize(vecs)
+
+
+def subspace_intersect(a, b):
+    """Zassenhaus: eliminate [u|u] for the rows u of a and [w|0] for the rows
+    w of b; the RREF rows whose left block vanishes carry a basis of the
+    intersection in the right block."""
+    offset = 1 + max((c for s in (a, b) for r in s.rows for c in r), default=-1)
+    stacked = echelonize([{**u, **{c + offset: v for c, v in u.items()}}
+                          for u in a.rows] + list(b.rows))
+    return echelonize([{c - offset: v for c, v in r.items()}
+                       for p, r in zip(stacked.pivots, stacked.rows)
+                       if p >= offset])
 
 
 # -- modular engine -------------------------------------------------------------

@@ -19,9 +19,11 @@ GOLDEN_CHECKS = Path(__file__).parent / "data" / "check_identity_golden.json"
 # stdout of ``verify`` (degrees 4 and 5, both modes, ``--json --no-timings``),
 # ``decompose --json`` (degrees 4 and 5, all three spaces) and
 # ``hilbert --max 8 --json``, recorded before the layers below ``NcPoly``
-# moved to plain exact-number dicts; and of ``verify --degree 6 --full-p
-# --json --no-timings``, recorded before the consequence family was built by
-# induction on the degree.
+# moved to plain exact-number dicts; of ``verify --degree 6 --full-p --json
+# --no-timings``, recorded before the consequence family was built by
+# induction on the degree; and of ``verify --degree 6 --proper
+# --with-decomposition --json --no-timings``, recorded before the proper
+# consequence dimension was counted by rank instead of a Zassenhaus basis.
 GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden.json"
 
 REPORT_KEYS = {"degree", "dim_P", "dim_kernel", "dim_consequences",
@@ -80,7 +82,7 @@ def test_check_identity_replays_the_golden_file():
 
 def test_cli_replays_the_golden_file():
     cases = json.loads(GOLDEN_CLI.read_text())
-    assert len(cases) == 12
+    assert len(cases) == 13
     for case in cases:
         out = io.StringIO()
         with redirect_stdout(out):

@@ -182,6 +182,12 @@ def test_linearize_square():
     assert back == 2 * f
 
 
+def test_linearize_relabels_multilinear_input_in_increasing_order():
+    x3, x5, x7 = (NcPoly.variable(i) for i in (3, 5, 7))
+    lin = linearize(x3 * x7 * x5 - 2 * x5 * x3 * x7)
+    assert lin.terms == {(1, 3, 2): 1, (2, 1, 3): -2}
+
+
 def test_linearize_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         linearize(x1 + x1 * x2)

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from weakid.freealg import NcPoly, circ, coeff_vector, comm, involution
+from weakid.freealg import (NcPoly, circ, coeff_vector, comm, involution,
+                            multilinear_words, word_index)
 from weakid.jordan import (bracket_span_check, cohn_check, reversible,
                            reversible_span, sj_multilinear_span)
 from weakid.linalg import echelonize
@@ -48,7 +49,7 @@ def test_sj_contained_in_reversible(n):
     varset = frozenset(range(1, n + 1))
     rev = reversible_span(varset)
     sj = sj_multilinear_span(varset)
-    index = {w: i for i, w in enumerate(sj.words)}
+    index = word_index(multilinear_words(n))
     for b in sj.basis:
         assert rev.contains(coeff_vector(b, index))
 
@@ -71,7 +72,7 @@ def test_sj_four_vars_dim_and_tetrad_gap():
     rev = reversible_span(varset)
     assert rev.dim == 12
     assert sj.space.dim == 11
-    index = {w: i for i, w in enumerate(sj.words)}
+    index = word_index(multilinear_words(4))
     sj_vecs = [coeff_vector(b, index) for b in sj.basis]
     for p in itertools.permutations((1, 2, 3, 4)):
         t = coeff_vector(tetrad(p), index)
@@ -101,7 +102,7 @@ def test_circ_of_spans_closure():
     left = sj_multilinear_span({1, 2})
     right = sj_multilinear_span({3})
     union = sj_multilinear_span({1, 2, 3})
-    index = {w: i for i, w in enumerate(union.words)}
+    index = word_index(multilinear_words(3))
     for u in left.basis:
         for v in right.basis:
             assert union.space.contains(coeff_vector(circ(u, v), index))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakid import linalg
-from weakid.linalg import echelonize, left_kernel, rank, subspace_intersect
+from weakid.linalg import echelonize, intersection_dim, left_kernel, rank
 
 from tests.linalg_oracles import (kernel_basis, modular_rank_check, rank_mod,
-                                  rref_mod, subspace_sum)
+                                  rref_mod, subspace_intersect, subspace_sum)
 
 
 def dense_rank(rows, ncols):
@@ -182,6 +182,15 @@ def test_sum_intersect_dimension_formula(d1, d2):
     assert a.dim + b.dim == total.dim + inter.dim
     for r in inter.rows:
         assert a.contains(r) and b.contains(r)
+    assert intersection_dim(a, b) == a.dim + b.dim - total.dim == inter.dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_elimination_work_is_independent_of_input_order(data):
+    rows, _ = data.draw(sparse_matrices())
+    shuffled = data.draw(st.permutations(rows))
+    assert echelonize(rows)._rows == echelonize(shuffled)._rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,7 +234,7 @@ def test_integer_rows_build_no_fraction(monkeypatch):
     rows = [{0: 2, 1: 4}, {0: 3, 2: -6}, {1: 6, 2: 3}, {0: 5, 1: 4, 2: -3}]
     assert rank(rows) == 3
     assert left_kernel(rows).dim == 1
-    assert subspace_intersect(echelonize(rows[:2]), echelonize(rows[2:])).dim == 1
+    assert intersection_dim(echelonize(rows[:2]), echelonize(rows[2:])) == 1
 
 
 def test_rows_are_dicts_in_column_order_with_pivot_one():

@@ -12,7 +12,7 @@ from weakid.freealg import (NcPoly, comm, from_coeffs, involution,
 from weakid import matrep, series, tideal
 from weakid.cli import main
 from weakid.expr import parse_poly
-from weakid.linalg import echelonize, subspace_intersect
+from weakid.linalg import echelonize
 from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
                            is_weak_identity, weak_identities_within,
                            weak_identity_kernel, weak_identity_witness)
@@ -22,6 +22,7 @@ from tests.eval_oracle import (MAT_ZERO, brute_eval, coords, decoded_rows,
                                first_failing_basis_substitution,
                                generic_coords, generic_eval, mat_add, mat_mul,
                                mat_scale, mat_transpose, package_coords)
+from tests.linalg_oracles import subspace_intersect
 
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
 

@@ -9,7 +9,7 @@ from weakid.freealg import (NcPoly, coeff_vector, comm, from_coeffs,
                             multilinear_words, proper_span, standard_poly,
                             substitute, word_index)
 from weakid.jordan import sj_multilinear_span
-from weakid.linalg import echelonize, subspace_intersect
+from weakid.linalg import echelonize
 from weakid.matrep import is_weak_identity
 from weakid.tideal import (consequence_family, consequences_span,
                            default_generators, is_consequence, metabelian,
@@ -17,7 +17,7 @@ from weakid.tideal import (consequence_family, consequences_span,
 
 from tests import identities as ids
 from tests.eval_oracle import oracle_is_weak_identity
-from tests.linalg_oracles import subspace_sum
+from tests.linalg_oracles import subspace_intersect, subspace_sum
 
 
 def test_generators_are_weak_identities():
@@ -149,6 +149,14 @@ def test_verify_degree_4_proper():
     assert report.decomposition == (((3, 1), 1), ((2, 2), 1))
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_proper_consequence_dim_matches_the_intersection_oracle(n):
+    """verify --proper counts span ∩ Gamma by the dimension formula; the
+    Zassenhaus oracle builds a basis of the intersection instead."""
+    oracle = subspace_intersect(consequences_span(None, n), proper_span(n))
+    assert verify_degree(n, proper=True).dim_consequences == oracle.dim
+
+
 def test_consequence_suite_low_degrees():
     for f in (ids.pfaffian_identity(), ids.pfaffian_identity_full(),
               ids.circle_commutator_identity(), ids.two_var_degree5_identity(),
@@ -163,6 +171,14 @@ def test_circle_commutator_follows_from_metabelian_alone():
 
 def test_commutator_is_not_a_consequence():
     assert not is_consequence(comm(NcPoly.variable(1), NcPoly.variable(2)))
+
+
+def test_multilinear_input_on_gapped_labels():
+    x = {i: NcPoly.variable(i) for i in (2, 3, 5, 7, 8, 9)}
+    s4 = substitute(standard_poly(4), {1: x[9], 2: x[2], 3: x[7], 4: x[5]})
+    assert is_consequence(s4)
+    assert is_consequence(s4 * x[8] - 3 * x[8] * s4)
+    assert not is_consequence(comm(x[8], x[3]))
 
 
 def test_is_consequence_rejects_inhomogeneous():
