@@ -1,10 +1,13 @@
-"""Time the generic evaluation table, the first layer of every proof step.
+"""Time the generic evaluation table and its rank, the first layers of every
+proof step.
 
 Builds ``matrep.eval_table`` without its cache on the multilinear words of
 each requested degree and on the word universes the Hilbert series reads
 to degree 7 (the two-variable commutator families of every bidegree of
 total degree at most 7), and prints one JSON object with the best wall time
-of five builds per universe.  Run from the repository root:
+of five builds per universe (``s``).  Each multilinear table also gets the
+best time of five ``linalg.rank`` calls on it (``rank_s``), the kernel rank
+of ``tideal.pn_kernel_dim``.  Run from the repository root:
 
     PYTHONPATH=src python bench/bench_eval.py [--degrees 4,5,6]
 """
@@ -18,21 +21,33 @@ import sys
 import time
 
 from weakid.freealg import multilinear_words, two_var_commutator_family
+from weakid.linalg import rank
 from weakid.matrep import eval_table
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
 REPEAT = 5  # timed builds per universe; the best is kept
 
 
-def _record(words):
-    build = eval_table.__wrapped__
+def _best(fn, arg):
+    """(result, best wall time of REPEAT calls of fn(arg))."""
     best = float("inf")
     for _ in range(REPEAT):
         t0 = time.perf_counter()
-        _, rows = build(words)
+        out = fn(arg)
         best = min(best, time.perf_counter() - t0)
-    return {"words": len(words), "nnz": sum(len(r) for r in rows),
-            "s": round(best, 6)}
+    return out, round(best, 6)
+
+
+def _record(words):
+    (_, rows), s = _best(eval_table.__wrapped__, words)
+    return {"words": len(words), "nnz": sum(len(r) for r in rows), "s": s}
+
+
+def _record_with_rank(words):
+    out = _record(words)
+    rows = eval_table.__wrapped__(words)[1]
+    out["rank"], out["rank_s"] = _best(rank, rows)
+    return out
 
 
 def hilbert_universes(n_max):
@@ -54,7 +69,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
 
-    multilinear = {str(n): _record(multilinear_words(n)) for n in degrees}
+    multilinear = {str(n): _record_with_rank(multilinear_words(n))
+                   for n in degrees}
     hilbert = {key: _record(words)
                for key, words in hilbert_universes(HILBERT_MAX).items()}
     print(json.dumps({

@@ -7,8 +7,9 @@ matrices over any commutative Q-algebra.  Over an exact field this makes the
 generic test a complete weak-identity test, multilinear or not.
 
 Slot 3*(i-1)+0/1/2 is a_i / b_i / c_i, and matrix entries are numbered
-2*row + column.  A matrix over these polynomials is held only as its
-coordinate dict {key: number}, one key per (entry, commutative monomial).
+2*row + column.  A matrix over these polynomials is held only as the
+coordinate dict {key: number} of its first row, one key per (entry,
+commutative monomial).
 Inside one walk over a set of words the key is a packed int,
 
     key = entry + 4 * sum_s e_s * 2**(w*s),
@@ -24,14 +25,28 @@ turns a key back into (entry, sorted tuple of slots), and is applied once
 per distinct column (``eval_table``) or per final coordinate (the weak
 identity test and the witness), never per row entry.
 
+Only the first row is evaluated.  Conjugating by P = [[0, 1], [1, 0]]
+sends X_i = [[a_i, b_i], [b_i, c_i]] to the same matrix with a_i and c_i
+swapped, and (P M P)[r][k] = M[1 - r][1 - k].  Since f(P X P) = P f(X) P for
+every polynomial f, entry 3 - e of f(X) is entry e of f(X) with every a_i
+and c_i swapped: the second row is the first row reflected.  The reflection
+is a bijection of coordinates, so the first row alone has the same zero
+test, the same rank and the same kernel as the whole matrix.  Only the
+witness, which reports all four entries, rebuilds the second row
+(``_reflected``).
+
 A word evaluates to a matrix whose entries have integer coefficients, so its
 evaluation row is an integer dict.  ``eval_table`` builds those rows once
-per word universe (a sorted tuple of words), with columns numbered in
-deg-lex order of (monomial, entry), and the rank, kernel and certification
-passes read them from there.  The weak identity test and the witness search
-read the generic coordinates of the one polynomial they are given, from the
-same prefix-stack walk and the same ``poly_eval_row``.  The independent
-evaluation oracle the tests check all of this against lives in ``tests/``.
+per word universe (a sorted tuple of words), with columns numbered
+sparse-first: by the number of rows that touch the column, then in deg-lex
+order of (monomial, entry).  The rank and the kernels do not depend on the
+column order, but the elimination takes its pivots in it, and pivots on
+sparse columns keep the fill-in down.  The rank, kernel and certification
+passes read the rows from there.  The weak identity test and the witness
+search read the generic coordinates of the one polynomial they are given,
+from the same prefix-stack walk and the same ``poly_eval_row``.  The
+independent evaluation oracle the tests check all of this against lives in
+``tests/``.
 """
 
 from __future__ import annotations
@@ -95,12 +110,12 @@ def _decode(key, width):
 
 
 def _steps(i, width):
-    """Per entry e = 2r + k of a coordinate, the two key increments of a
-    product with [[a_i, b_i], [b_i, c_i]]: entry (r, k) feeds entry (r, j)
+    """Per first-row entry k of a coordinate, the two key increments of a
+    product with [[a_i, b_i], [b_i, c_i]]: entry (0, k) feeds entry (0, j)
     through the slot a_i + k + j, so the entry moves by j - k and that slot's
     exponent by one."""
-    return tuple(tuple(j - e % 2 + (4 << width * (slot_a(i) + e % 2 + j))
-                       for j in (0, 1)) for e in range(4))
+    return tuple(tuple(j - k + (4 << width * (slot_a(i) + k + j))
+                       for j in (0, 1)) for k in (0, 1))
 
 
 def _times_generic(coords, steps):
@@ -122,11 +137,12 @@ def _walk(words, width):
     """Yield (word, generic coordinates) for each distinct word in sorted
     order, keyed by packed ints of the given width (at least ``_width``).
 
-    A prefix stack keeps the coordinates of the current word's prefixes, so a
-    set of words costs one matrix product per distinct prefix.
+    A prefix stack keeps the first-row coordinates of the current word's
+    prefixes, starting from the first row of the identity, so a set of words
+    costs one row-times-matrix product per distinct prefix.
     """
     steps = {}
-    stack = [{0: 1, 3: 1}]
+    stack = [{0: 1}]
     prev = ()
     for w in sorted(set(words)):
         k = 0
@@ -142,8 +158,9 @@ def _walk(words, width):
 
 
 def eval_rows(words, width):
-    """Coordinate dicts of the generic evaluation of each word, keyed by the
-    packed ints of one walk of the given width (at least ``_width``)."""
+    """Coordinate dicts of the first row of the generic evaluation of each
+    word (entries 0 and 1), keyed by the packed ints of one walk of the
+    given width (at least ``_width``)."""
     table = dict(_walk(words, width))
     return [table[w] for w in words]
 
@@ -158,19 +175,21 @@ _TABLES = 8
 @lru_cache(maxsize=_TABLES)
 def eval_table(words):
     """(index, rows) for a sorted tuple of words: index maps each word to its
-    row, and rows are the integer evaluation rows with columns numbered by
-    (entry, monomial) in deg-lex order."""
+    row, and rows are the integer first-row evaluation rows with columns
+    numbered sparse-first: by the number of rows that touch the column, then
+    by (entry, monomial) in deg-lex order."""
     width = _width(words)
     rows = eval_rows(words, width)
-    keys = set()
+    counts = {}
     for row in rows:
-        keys.update(row)
+        for k in row:
+            counts[k] = counts.get(k, 0) + 1
 
-    def deg_lex(key):
+    def sparse_first(key):
         entry, m = _decode(key, width)
-        return len(m), m, entry
+        return counts[key], len(m), m, entry
 
-    columns = {k: i for i, k in enumerate(sorted(keys, key=deg_lex))}
+    columns = {k: i for i, k in enumerate(sorted(counts, key=sparse_first))}
     return ({w: i for i, w in enumerate(words)},
             tuple({columns[k]: v for k, v in row.items()} for row in rows))
 
@@ -198,14 +217,24 @@ def poly_eval_row(coeffs, word_rows):
 
 
 def _generic_coords(f):
-    """Coordinates {(entry, monomial): value} of f at generic symmetric
-    matrices, from a walk over f's own words (no shared table grows); only
-    the final coordinates are decoded."""
+    """First-row coordinates {(entry, monomial): value} of f at generic
+    symmetric matrices, from a walk over f's own words (no shared table
+    grows); only the final coordinates are decoded."""
     width = _width(f.terms)
     walk = list(_walk(f.terms, width))
     acc = poly_eval_row({i: f.terms[w] for i, (w, _) in enumerate(walk)},
                         [coords for _, coords in walk])
     return {_decode(k, width): v for k, v in acc.items()}
+
+
+def _reflected(coords):
+    """The first-row coordinates with the second row added: (e, m) gives
+    (3 - e, m with each a_i and c_i swapped), as the module docstring
+    argues."""
+    out = dict(coords)
+    for (e, m), v in coords.items():
+        out[3 - e, tuple(sorted(s + 2 - 2 * (s % 3) for s in m))] = v
+    return out
 
 
 # -- weak identity testing ----------------------------------------------------
@@ -251,11 +280,13 @@ def weak_identity_witness(f):
     over the nonzero coordinates, and its value is the four entries at that
     monomial.  Other input is substituted into the coordinates at seeded
     small random symmetric matrices (seed 0); a nonvanishing polynomial fails
-    on small integers quickly.
+    on small integers quickly.  Both read all four entries, the second row
+    rebuilt from the first (``_reflected``).
     """
     coords = _generic_coords(f)
     if not coords:
         return None
+    coords = _reflected(coords)
     variables = sorted(f.support())
     if f.is_multilinear():
         choice = min(tuple(s % 3 for s in m) for _, m in coords)

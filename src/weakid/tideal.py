@@ -113,7 +113,10 @@ def _unit_kills_slot(f, k, slot):
 def _slot_assignments(n, k, needs_block, sym_group):
     """Distributions of {1..n} into k slot blocks, with a nonempty block in
     every slot the unit kills, one representative per orbit of the
-    slot-symmetry group."""
+    slot-symmetry group: the least key of its orbit, so a key is dropped as
+    soon as one permuted key is smaller."""
+    perms = [tuple(j - 1 for j in p) for p in sym_group
+             if p != tuple(range(1, k + 1))]
     for labels in product(range(k), repeat=n):
         blocks = [[] for _ in range(k)]
         for e, lab in enumerate(labels, start=1):
@@ -121,11 +124,8 @@ def _slot_assignments(n, k, needs_block, sym_group):
         if any(needs_block[j] and not blocks[j] for j in range(k)):
             continue
         key = tuple(tuple(b) for b in blocks)
-        if len(sym_group) > 1:
-            orbit_min = min(tuple(key[p[j] - 1] for j in range(k))
-                            for p in sym_group)
-            if key != orbit_min:
-                continue
+        if any(tuple(map(key.__getitem__, p)) < key for p in perms):
+            continue
         yield key
 
 

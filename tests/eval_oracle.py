@@ -102,12 +102,28 @@ def generic_coords(f):
     return coords(generic_eval(f))
 
 
+def swap_a_c(m):
+    """A monomial with every a_i and c_i slot swapped."""
+    return tuple(sorted({0: s + 2, 1: s, 2: s - 2}[s % 3] for s in m))
+
+
+def with_second_row(row):
+    """A first-row coordinate dict completed by the second row: entry 3 - e
+    at monomial m is entry e at ``swap_a_c(m)``, the reflection that
+    ``test_second_row_is_the_first_row_reflected`` checks on the oracle."""
+    out = dict(row)
+    for (e, m), v in row.items():
+        out[(3 - e, swap_a_c(m))] = v
+    return out
+
+
 def decoded_rows(words):
     """The package's evaluation rows of the words, ``eval_rows`` of one
-    walk, with each packed key decoded to (entry, sorted tuple of slots).
-    The one place the tests read packed keys as coordinates."""
+    walk, with each packed key decoded to (entry, sorted tuple of slots) and
+    the second row rebuilt from the first (the package evaluates the first
+    row only).  The one place the tests read packed keys as coordinates."""
     width = _width(words)
-    return [{_decode(k, width): v for k, v in row.items()}
+    return [with_second_row({_decode(k, width): v for k, v in row.items()})
             for row in eval_rows(words, width)]
 
 

@@ -19,5 +19,8 @@ def test_bench_eval_prints_json_at_degree_4():
     result = json.loads(out.stdout)
     assert result["multilinear"]["4"]["words"] == 24
     assert result["multilinear"]["4"]["s"] > 0
+    # the kernel rank of the degree-4 table: 4! - 4 weak identities
+    assert result["multilinear"]["4"]["rank"] == 20
+    assert result["multilinear"]["4"]["rank_s"] > 0
     # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7
     assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3 + 4 + 5 + 6

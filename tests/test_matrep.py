@@ -12,7 +12,7 @@ from weakid.freealg import (NcPoly, comm, from_coeffs, involution,
 from weakid import matrep, series, tideal
 from weakid.cli import main
 from weakid.expr import parse_poly
-from weakid.linalg import echelonize
+from weakid.linalg import echelonize, rank
 from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
                            is_weak_identity, weak_identities_within,
                            weak_identity_kernel, weak_identity_witness)
@@ -21,7 +21,8 @@ from weakid.tideal import metabelian
 from tests.eval_oracle import (MAT_ZERO, brute_eval, coords, decoded_rows,
                                first_failing_basis_substitution,
                                generic_coords, generic_eval, mat_add, mat_mul,
-                               mat_scale, mat_transpose, package_coords)
+                               mat_scale, mat_transpose, package_coords,
+                               swap_a_c)
 from tests.linalg_oracles import subspace_intersect
 
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
@@ -67,15 +68,14 @@ def brute_kernel_dim(family):
 def test_eval_single_variable():
     assert decoded_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1,
                                       (2, (1,)): 1, (3, (2,)): 1}]
-    # width 1: key = entry + 4 * 2**slot
-    assert eval_rows([(1,)], 1) == [{0 + 4 * 1: 1, 1 + 4 * 2: 1, 2 + 4 * 2: 1,
-                                  3 + 4 * 4: 1}]
+    # width 1: key = entry + 4 * 2**slot; only the first row is evaluated
+    assert eval_rows([(1,)], 1) == [{0 + 4 * 1: 1, 1 + 4 * 2: 1}]
     assert package_coords(x1) == generic_coords(x1)
 
 
 def test_eval_unit():
     assert decoded_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
-    assert eval_rows([()], 0) == [{0: 1, 3: 1}]
+    assert eval_rows([()], 0) == [{0: 1}]
     assert package_coords(NcPoly.one()) == generic_coords(NcPoly.one())
 
 
@@ -98,12 +98,18 @@ def test_packed_keys_do_not_carry_at_width_boundaries(length):
         assert matrep._width(list(f.terms)) == length.bit_length()
 
 
-def _oracle_table(words):
-    """(index, rows) built from the oracle's evaluation of each word, columns
-    in deg-lex order of (monomial, entry)."""
-    coords_ = [generic_coords(NcPoly({w: 1})) for w in words]
-    keys = sorted({k for c in coords_ for k in c},
-                  key=lambda k: (len(k[1]), k[1], k[0]))
+def _oracle_table(words, entries=(0, 1)):
+    """(index, rows) built from the oracle's evaluation of each word at the
+    given entries (the first row by default, as ``eval_table`` keeps), with
+    columns sorted by (rows touching the column, deg-lex order of
+    (monomial, entry))."""
+    coords_ = [{k: v for k, v in generic_coords(NcPoly({w: 1})).items()
+                if k[0] in entries} for w in words]
+    counts = {}
+    for c in coords_:
+        for k in c:
+            counts[k] = counts.get(k, 0) + 1
+    keys = sorted(counts, key=lambda k: (counts[k], len(k[1]), k[1], k[0]))
     columns = {k: i for i, k in enumerate(keys)}
     return ({w: i for i, w in enumerate(words)},
             tuple({columns[k]: v for k, v in c.items()} for c in coords_))
@@ -114,14 +120,23 @@ def _bidegree_words(dx, dy):
                  if w.count(1) == dx)
 
 
-@pytest.mark.parametrize("words", [multilinear_words(n) for n in (2, 3, 4, 5)]
-                         + [_bidegree_words(dx, dy)
-                            for dx, dy in ((1, 1), (2, 1), (3, 2), (4, 4))],
-                         ids=[f"multilinear-{n}" for n in (2, 3, 4, 5)]
-                         + ["bidegree-1-1", "bidegree-2-1", "bidegree-3-2",
-                            "bidegree-4-4"])
+_TABLE_UNIVERSES = pytest.mark.parametrize(
+    "words", [multilinear_words(n) for n in (2, 3, 4, 5)]
+    + [_bidegree_words(dx, dy) for dx, dy in ((1, 1), (2, 1), (3, 2), (4, 4))],
+    ids=[f"multilinear-{n}" for n in (2, 3, 4, 5)]
+    + ["bidegree-1-1", "bidegree-2-1", "bidegree-3-2", "bidegree-4-4"])
+
+
+@_TABLE_UNIVERSES
 def test_eval_table_matches_the_oracle_table(words):
     assert eval_table.__wrapped__(words) == _oracle_table(words)
+
+
+@_TABLE_UNIVERSES
+def test_first_row_table_has_the_rank_of_the_whole_matrix(words):
+    # the second row is the first reflected, so dropping it loses no rank
+    full = _oracle_table(words, entries=(0, 1, 2, 3))[1]
+    assert rank(eval_table(words)[1]) == rank(full)
 
 
 def _at_point(coords_, point):
@@ -177,6 +192,16 @@ def test_eval_is_homomorphism(f, g):
 @given(nc_polys())
 def test_involution_transpose_intertwining(f):
     assert package_coords(involution(f)) == coords(mat_transpose(generic_eval(f)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nc_polys())
+def test_second_row_is_the_first_row_reflected(f):
+    # oracle only: conjugating by [[0, 1], [1, 0]] swaps every a_i with c_i,
+    # so entry 3 - e is entry e with the a and c slots swapped
+    (p00, p01), (p10, p11) = generic_eval(f)
+    for first, second in ((p00, p11), (p01, p10)):
+        assert second.terms == {swap_a_c(m): c for m, c in first.terms.items()}
 
 
 def test_poly_eval_row_on_fractional_coefficients():
