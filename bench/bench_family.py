@@ -1,0 +1,116 @@
+"""Time the consequence family and its elimination, the layers of
+``tideal._consequences``.
+
+Each degree runs in fresh child processes, so every cache starts cold, as
+in one iteration of a benchmark.  One child builds ``consequences_span`` one
+degree down and the kernel dimension (``prepare_s``), then runs
+``tideal._consequences`` at the degree itself with its parts timed: the
+family build (``family_s``; of it, ``core_s`` for the core and
+``multiples_s`` for the one-letter multiples), the certification pass over
+the core (``certify_s``) and the elimination (``eliminate_s``).  Another
+child times ``verify_degree(n)`` end to end (``verify_s``, with the
+report's own ``timings_ms``).  Prints one JSON object.  Run from the
+repository root:
+
+    PYTHONPATH=src python bench/bench_family.py [--degrees 4,5,6]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+import time
+
+# timed part -> the tideal functions whose calls it sums
+PARTS = {
+    "family_s": ("consequence_family",),
+    "core_s": ("_core",),
+    "multiples_s": ("_left_multiples", "_right_multiples"),
+    "certify_s": ("poly_eval_row",),
+    "eliminate_s": ("echelonize",),
+}
+
+
+def _time_calls(module, name, totals):
+    """Rebind module.name to a wrapper that adds each call's wall time to
+    totals[name]."""
+    fn = getattr(module, name)
+
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[name] = totals.get(name, 0.0) + time.perf_counter() - t0
+
+    setattr(module, name, timed)
+
+
+def layers(n):
+    """The parts of ``_consequences`` at degree n, the degrees below built
+    first and untimed by part."""
+    from weakid import tideal
+
+    gens = tideal.default_generators()
+    t0 = time.perf_counter()
+    if n > 1:
+        tideal.consequences_span(gens, n - 1)
+    tideal.pn_kernel_dim(n)
+    prepare_s = time.perf_counter() - t0
+    totals = {}
+    for names in PARTS.values():
+        for name in names:
+            _time_calls(tideal, name, totals)
+    t0 = time.perf_counter()
+    span, certified = tideal._consequences(gens, n)
+    out = {"prepare_s": prepare_s, "consequences_s": time.perf_counter() - t0}
+    for part, names in PARTS.items():
+        out[part] = sum(totals.get(name, 0.0) for name in names)
+    out = {key: round(v, 6) for key, v in out.items()}
+    out.update(members=len(tideal.consequence_family(gens, n)),
+               core=len(tideal._core(gens, n)),
+               left=len(tideal._left_multiples(gens, n)),
+               dim=span.dim, certified=certified)
+    return out
+
+
+def verify(n):
+    from weakid import tideal
+
+    t0 = time.perf_counter()
+    report = tideal.verify_degree(n)
+    return {"verify_s": round(time.perf_counter() - t0, 6),
+            "timings_ms": report.timings_ms, "equal": report.equal}
+
+
+def _child(kind, n):
+    """Run kind(n) in a fresh interpreter and return its JSON output."""
+    out = subprocess.run([sys.executable, __file__, "--child", kind, str(n)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--degrees", default="4,5,6",
+                   help="comma-separated degrees, 4-7 (default 4,5,6)")
+    p.add_argument("--child", nargs=2, metavar=("KIND", "N"),
+                   help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.child:
+        kind, n = args.child
+        print(json.dumps({"layers": layers, "verify": verify}[kind](int(n))))
+        return 0
+    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
+    result = {str(n): {**_child("layers", n), **_child("verify", n)}
+              for n in degrees}
+    print(json.dumps({"python": platform.python_version(), "degrees": result},
+                     indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

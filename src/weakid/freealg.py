@@ -51,6 +51,20 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else Fraction(c)
 
 
+def _times(a, b):
+    """Product of two term dicts, as a new term dict."""
+    t = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            s = t.get(w, 0) + c1 * c2
+            if s:
+                t[w] = s
+            else:
+                del t[w]
+    return t
+
+
 class NcPoly:
     """Noncommutative polynomial: finite map from words to nonzero rationals."""
 
@@ -153,16 +167,7 @@ class NcPoly:
 
     def __mul__(self, other):
         if isinstance(other, NcPoly):
-            t = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    s = t.get(w, 0) + c1 * c2
-                    if s:
-                        t[w] = s
-                    else:
-                        del t[w]
-            return NcPoly._raw(t)
+            return NcPoly._raw(_times(self.terms, other.terms))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -267,17 +272,26 @@ def standard_poly(k):
 
 
 def substitute(f, subs):
-    """Substitution homomorphism: each variable i is replaced by subs[i]."""
-    acc = NcPoly.zero()
+    """Substitution homomorphism: each variable i is replaced by subs[i].
+
+    Each word's factors are multiplied into one working dict, starting from
+    its coefficient, and the product is added into a single output dict."""
+    out = {}
     for w, c in f.terms.items():
-        out = NcPoly.one()
+        acc = {(): c}
         for i in w:
             try:
-                out = out * subs[i]
+                value = subs[i]
             except KeyError:
                 raise KeyError(f"variable x{i} has no substitution value") from None
-        acc = acc + out.scale(c)
-    return acc
+            acc = _times(acc, value.terms)
+        for u, v in acc.items():
+            s = out.get(u, 0) + v
+            if s:
+                out[u] = s
+            else:
+                del out[u]
+    return NcPoly._raw(out)
 
 
 def linearize(f):

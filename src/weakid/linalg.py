@@ -199,20 +199,36 @@ class Subspace:
         return f"<Subspace dim={self.dim} pivots={self.pivots[:8]}{'...' if self.dim > 8 else ''}>"
 
 
-def echelonize(vectors, *, stop_dim=None):
-    """Reduced row echelon basis of the span of the given vectors.
+def echelonize(vectors, *, echelon=(), stop_dim=None):
+    """Reduced row echelon basis of the span of the given vectors and of the
+    rows in ``echelon``.
 
-    ``stop_dim`` aborts insertion once that dimension is reached; callers use
-    it only when the span is independently known to be capped at stop_dim.
-    Short vectors are fed first, in a canonical order, which keeps pivot rows
-    sparse and makes the elimination work independent of the input order.
+    ``echelon`` holds nonzero rows that are already in echelon form, each
+    with its own leading (least) column; they are stored as pivot rows
+    unreduced, in the given order, and ``ValueError`` is raised if two of
+    them share a leading column.  ``stop_dim`` aborts insertion once that
+    dimension is reached; callers use it only when the span is independently
+    known to be capped at stop_dim.  The other vectors are fed short first,
+    in a canonical order, which keeps pivot rows sparse and makes the
+    elimination work independent of their input order.
     """
+    b = _Builder()
+    for v in echelon:
+        if stop_dim is not None and len(b.rows) >= stop_dim:
+            break
+        r = _strip(_int_row(v))
+        if not r:
+            raise ValueError("echelon rows must be nonzero")
+        lead = min(r)
+        if lead in b.rows:
+            raise ValueError(f"two echelon rows lead at column {lead}")
+        b.rows[lead] = r
     rows = sorted((_int_row(v) for v in vectors),
                   key=lambda r: (len(r), sorted(r.items())))
-    b = _Builder()
     for r in rows:
-        if b.add(r) and stop_dim is not None and len(b.rows) >= stop_dim:
+        if stop_dim is not None and len(b.rows) >= stop_dim:
             break
+        b.add(r)
     return Subspace(b.rows)
 
 

@@ -19,9 +19,10 @@ subspace of it, such as its proper part) inside the kernel, and the
 elimination may stop once it reaches the kernel dimension.
 
 The pass evaluates only the core members f(u_1, ..., u_k) (``_core``) and
-takes the rest of the family (``_multiples``) by induction on the degree.
-Every other member is x_j * r or r * x_j, where r is a row of the
-degree-(n - 1) span relabelled onto the letters other than j.  If the degree-(n - 1) family was certified, r vanishes
+takes the rest of the family (``_left_multiples``, ``_right_multiples``)
+by induction on the degree.  Every other member is x_j * r or r * x_j,
+where r is a row of the degree-(n - 1) span relabelled onto the letters
+other than j.  If the degree-(n - 1) family was certified, r vanishes
 at generic symmetric matrices (a linear combination of certified members),
 so does its relabelling (a weak identity stays one under any renaming of
 its variables), and so do x_j * r and r * x_j, because the evaluation is an
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 # Highest degree the consequence engine accepts: degree 7 already takes about
-# 9 minutes and 620 MB, and degree 8 has 8! = 40320 multilinear words.
+# 3 minutes and 320 MB, and degree 8 has 8! = 40320 multilinear words.
 _MAX_DEGREE = 7
 
 # Consequence spans kept, keyed by (generators, degree).  One per degree
@@ -93,11 +94,13 @@ def _arity(f):
 
 @lru_cache(maxsize=None)
 def _slot_symmetries(f, k):
-    """Slot permutations under which f is invariant up to a nonzero scalar."""
+    """Slot permutations under which f is invariant up to a nonzero scalar.
+    Substituting variables for variables relabels the words of f."""
     target = f.normalized()
     group = []
     for perm in permutations(range(1, k + 1)):
-        g = substitute(f, {i: NcPoly.variable(perm[i - 1]) for i in range(1, k + 1)})
+        g = NcPoly._raw({tuple(perm[i - 1] for i in w): c
+                         for w, c in f.terms.items()})
         if g.normalized() == target:
             group.append(perm)
     return tuple(group)
@@ -110,29 +113,76 @@ def _unit_kills_slot(f, k, slot):
     return substitute(f, subs).is_zero()
 
 
+def _set_partitions(n, k):
+    """Set partitions of {1..n} into at most k blocks, each an increasing
+    tuple, the blocks in increasing order."""
+    blocks = []
+
+    def grow(e):
+        if e > n:
+            yield tuple(map(tuple, blocks))
+            return
+        for b in blocks:
+            b.append(e)
+            yield from grow(e + 1)
+            b.pop()
+        if len(blocks) < k:
+            blocks.append([e])
+            yield from grow(e + 1)
+            blocks.pop()
+
+    return grow(1)
+
+
+@lru_cache(maxsize=None)
+def _slot_cosets(sym_group):
+    """The left cosets s * G of the slot-symmetry group G in Sym(k), as
+    0-based index maps q (a key permuted by q is key[q[0]], key[q[1]], ...)."""
+    group = [tuple(j - 1 for j in p) for p in sym_group]
+    k = len(group[0])
+    seen, cosets = set(), []
+    for s in permutations(range(k)):
+        if s not in seen:
+            coset = tuple(tuple(s[i] for i in p) for p in group)
+            seen.update(coset)
+            cosets.append(coset)
+    return tuple(cosets)
+
+
+def _labels(key):
+    """Slot of each of 1..n under a distribution key."""
+    return [s for _, s in sorted((e, s) for s, b in enumerate(key) for e in b)]
+
+
 def _slot_assignments(n, k, needs_block, sym_group):
     """Distributions of {1..n} into k slot blocks, with a nonempty block in
     every slot the unit kills, one representative per orbit of the
-    slot-symmetry group: the least key of its orbit, so a key is dropped as
-    soon as one permuted key is smaller."""
-    perms = [tuple(j - 1 for j in p) for p in sym_group
-             if p != tuple(range(1, k + 1))]
-    for labels in product(range(k), repeat=n):
-        blocks = [[] for _ in range(k)]
-        for e, lab in enumerate(labels, start=1):
-            blocks[lab].append(e)
-        if any(needs_block[j] and not blocks[j] for j in range(k)):
-            continue
-        key = tuple(tuple(b) for b in blocks)
-        if any(tuple(map(key.__getitem__, p)) < key for p in perms):
-            continue
-        yield key
+    slot-symmetry group G: the least key of its orbit.  They come in the
+    order of their label vectors (slot of 1, ..., slot of n).
+
+    A distribution places the blocks of a set partition of {1..n} into at
+    most k blocks, so it is base permuted by some q in Sym(k), where base
+    lists the blocks and then the empty slots; base permuted by q and by q'
+    lie in one G-orbit exactly when q and q' lie in one left coset of G."""
+    needed = sum(needs_block)
+    cosets = _slot_cosets(sym_group)
+    keys = set()
+    for blocks in _set_partitions(n, k):
+        if len(blocks) < needed:
+            continue  # some slot the unit kills stays empty
+        base = blocks + ((),) * (k - len(blocks))
+        for coset in cosets:
+            key = min(tuple(base[i] for i in q) for q in coset)
+            if all(key[j] or not needs_block[j] for j in range(k)):
+                keys.add(key)
+    return sorted(keys, key=_labels)
 
 
 def consequence_family(gens, n):
     """Spanning family of the degree-n multilinear consequence space: the
-    one-letter multiples of the degree-(n - 1) span (``_multiples``), then
-    the core f(u_1, ..., u_k) whose slot blocks cover {1..n} (``_core``).
+    one-letter multiples of the degree-(n - 1) span, left
+    (``_left_multiples``) then right (``_right_multiples``), then the core
+    f(u_1, ..., u_k) whose slot blocks cover {1..n} (``_core``).
     It spans the same space as every a * f(u) * b (module docstring):
 
     * with a = x_j * a', a * f(u) * b = x_j * (a' * f(u) * b), and
@@ -143,26 +193,48 @@ def consequence_family(gens, n):
       f(1, ..., 1) * x_1 = f(x_1, 1, ..., 1) is a core member, and both
       vanish when the unit kills a slot.
     """
-    return _multiples(gens, n) + list(_core(gens, n))
+    return [*_left_multiples(gens, n), *_right_multiples(gens, n),
+            *_core(gens, n)]
 
 
-def _multiples(gens, n):
-    """x_j * r and r * x_j for each RREF row r of ``consequences_span(gens,
-    n - 1)``, relabelled onto the letters other than j; none at n = 1."""
-    family = []
-    if n > 1:
-        words = multilinear_words(n - 1)
-        for row in consequences_span(gens, n - 1).rows:
-            for j in range(1, n + 1):
-                r = {tuple(l + (l >= j) for l in words[c]): v
-                     for c, v in row.items()}
-                family.append(NcPoly({(j,) + w: v for w, v in r.items()}))
-                family.append(NcPoly({w + (j,): v for w, v in r.items()}))
-    return family
+def _relabelled_rows(gens, n):
+    """(j, r) for each letter j of 1..n and each RREF row r of
+    ``consequences_span(gens, n - 1)``, relabelled onto the letters other
+    than j, as a word dict; none at n = 1."""
+    if n == 1:
+        return
+    words = multilinear_words(n - 1)
+    rows = consequences_span(gens, n - 1).rows
+    for j in range(1, n + 1):
+        relabelled = [tuple(l + (l >= j) for l in w) for w in words]
+        for row in rows:
+            yield j, {relabelled[c]: v for c, v in row.items()}
 
 
-# One core is kept: the one ``consequence_family`` has just built, so that
-# ``_consequences`` certifies it without building it a second time.
+# The multiples and the core kept are the ones ``consequence_family`` has
+# just built, so that ``_consequences`` certifies and eliminates them without
+# building them a second time.  The RREF rows give exact nonzero
+# coefficients, and relabelling is injective on words, so the multiples need
+# no checking constructor.
+@lru_cache(maxsize=1)
+def _left_multiples(gens, n):
+    """x_j * r for the relabelled rows r of ``_relabelled_rows``.
+
+    Together they are in echelon form: relabelling 1..n-1 increasingly onto
+    the letters other than j, and prefixing j, both keep the lexicographic
+    order of words, so each x_j * r keeps the leading column of r, and the
+    blocks of different j have disjoint supports."""
+    return tuple(NcPoly._raw({(j,) + w: v for w, v in r.items()})
+                 for j, r in _relabelled_rows(gens, n))
+
+
+@lru_cache(maxsize=1)
+def _right_multiples(gens, n):
+    """r * x_j for the relabelled rows r of ``_relabelled_rows``."""
+    return tuple(NcPoly._raw({w + (j,): v for w, v in r.items()})
+                 for j, r in _relabelled_rows(gens, n))
+
+
 @lru_cache(maxsize=1)
 def _core(gens, n):
     """The nonzero f(u_1, ..., u_k), for each generator f, whose slot blocks
@@ -197,7 +269,9 @@ def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member is a weak identity.  Only the core members are
     evaluated; the one-letter multiples inherit the degree-(n - 1) flag
-    (module docstring)."""
+    (module docstring).  The left multiples enter the elimination as ready
+    echelon rows (``_left_multiples``), so only the right multiples and the
+    core are sorted and reduced."""
     family = consequence_family(gens, n)
     certified = n == 1 or _consequences(gens, n - 1)[1]
     if not family:
@@ -208,7 +282,10 @@ def _consequences(gens, n):
         not poly_eval_row(coeff_vector(g, index), word_rows)
         for g in _core(gens, n))
     ceiling = pn_kernel_dim(n) if certified else None
-    return echelonize([coeff_vector(g, index) for g in family],
+    rest = (*_right_multiples(gens, n), *_core(gens, n))
+    return echelonize([coeff_vector(g, index) for g in rest],
+                      echelon=[coeff_vector(g, index)
+                               for g in _left_multiples(gens, n)],
                       stop_dim=ceiling), certified
 
 
@@ -220,7 +297,10 @@ def _norm_gens(gens):
 
 def consequences_span(gens, n):
     """Echelonized multilinear consequence space of the generators at degree n,
-    in the coordinates of multilinear_words(n)."""
+    in the coordinates of multilinear_words(n).  Degrees outside
+    1.._MAX_DEGREE are rejected before any span is built."""
+    if not 1 <= n <= _MAX_DEGREE:
+        raise ValueError(f"degrees 1..{_MAX_DEGREE} are supported")
     return _consequences(_norm_gens(gens), n)[0]
 
 

@@ -1,0 +1,50 @@
+"""Consequence-family oracles used only by the tests.
+
+Neither is on the verification path: the slot distributions found by
+filtering every label vector, and substitution by multiplying the
+substituted polynomials factor by factor with a product of its own.
+"""
+
+from itertools import product
+
+from weakid.freealg import NcPoly
+
+
+def slot_assignments_by_filter(n, k, needs_block, sym_group):
+    """Every label vector in {0..k-1}^n, in lexicographic order, read as a
+    distribution of {1..n} into k slot blocks; kept when every slot the
+    unit kills gets a block and no permutation in the slot-symmetry group
+    makes the key smaller."""
+    perms = [tuple(j - 1 for j in p) for p in sym_group
+             if p != tuple(range(1, k + 1))]
+    for labels in product(range(k), repeat=n):
+        blocks = [[] for _ in range(k)]
+        for e, lab in enumerate(labels, start=1):
+            blocks[lab].append(e)
+        if any(needs_block[j] and not blocks[j] for j in range(k)):
+            continue
+        key = tuple(tuple(b) for b in blocks)
+        if any(tuple(map(key.__getitem__, p)) < key for p in perms):
+            continue
+        yield key
+
+
+def _multiply(a, b):
+    """Product of two word -> coefficient dicts; zero sums are dropped at
+    the end, not as they appear."""
+    out = {}
+    for (w1, c1), (w2, c2) in product(a.items(), b.items()):
+        out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def substitute_by_products(f, subs):
+    """sum_w c_w * subs[w_1] * ... * subs[w_m], one factor at a time."""
+    total = {}
+    for w, c in f.terms.items():
+        term = {(): c}
+        for i in w:
+            term = _multiply(term, subs[i].terms)
+        for u, v in term.items():
+            total[u] = total.get(u, 0) + v
+    return NcPoly(total)

@@ -12,6 +12,8 @@ from weakid.freealg import (NcPoly, circ, coeff_vector, comm, involution,
                             standard_poly, substitute, two_var_commutator,
                             two_var_commutator_family, word_index)
 
+from tests.family_oracles import substitute_by_products
+
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
 
 
@@ -207,6 +209,34 @@ def test_render_parse_round_trip(f):
     from weakid.expr import parse_poly
 
     assert parse_poly(render(f)) == f
+
+
+def substitution_values():
+    """Units, scalars, single variables and general polynomials."""
+    return st.one_of(st.just(NcPoly.one()), small_coeff.map(NcPoly.scalar),
+                     st.integers(1, 3).map(NcPoly.variable),
+                     nc_polys(max_len=2, max_terms=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nc_polys(), st.lists(substitution_values(), min_size=3, max_size=3),
+       st.booleans())
+def test_substitute_matches_factor_by_factor_products(f, values, tied):
+    subs = dict(enumerate(values, start=1))
+    if tied:
+        subs[2] = subs[1]  # x1*x2 - x2*x1 and the like then cancel
+    assert substitute(f, subs) == substitute_by_products(f, subs)
+
+
+def test_substitute_examples():
+    one, half = NcPoly.one(), Fraction(1, 2)
+    assert substitute(comm(x1, x2), {1: x3 + x1, 2: x3 + x1}).is_zero()
+    assert substitute(x1 * x2 * x1, {1: one, 2: x2}) == x2
+    assert substitute(half * x1 * x1, {1: x2 - x3}) == substitute_by_products(
+        half * x1 * x1, {1: x2 - x3})
+    assert substitute(half * x1 * x1, {1: 2 * one}).terms == {(): 2}
+    with pytest.raises(KeyError, match="x2 has no substitution value"):
+        substitute(x1 * x2, {1: x1})
 
 
 def _all_int(f):

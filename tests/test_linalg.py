@@ -251,3 +251,27 @@ def test_rows_are_dicts_in_column_order_with_pivot_one():
 def test_stop_dim_caps_insertion():
     vecs = [{0: 1}, {1: 1}, {2: 1}]
     assert echelonize(vecs, stop_dim=2).dim == 2
+
+
+def test_echelon_rows_are_stored_as_given():
+    echelon = [{0: 2, 3: 4}, {1: -1, 2: 1}]
+    s = echelonize([{0: 1, 1: 1}, {2: 1, 3: 1}], echelon=echelon)
+    assert s == echelonize(echelon + [{0: 1, 1: 1}, {2: 1, 3: 1}])
+    # stored unreduced: content 1, positive leading entry
+    assert echelonize([], echelon=echelon)._rows == {0: {0: 1, 3: 2},
+                                                       1: {1: 1, 2: -1}}
+
+
+def test_echelon_rows_sharing_a_leading_column_are_refused():
+    with pytest.raises(ValueError, match="lead at column 1"):
+        echelonize([], echelon=[{1: 1, 2: 1}, {0: 0, 1: 2}])
+    with pytest.raises(ValueError, match="nonzero"):
+        echelonize([], echelon=[{0: 1}, {}])
+
+
+def test_stop_dim_caps_echelon_rows_and_the_rest():
+    echelon = [{0: 1, 5: 1}, {2: 1}]
+    rest = [{1: 1}, {3: 1}, {4: 1}]
+    assert echelonize(rest, echelon=echelon, stop_dim=4).dim == 4
+    assert echelonize(rest, echelon=echelon, stop_dim=1).pivots == (0,)
+    assert echelonize(rest, echelon=echelon).dim == 5

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from weakid.tideal import (consequence_family, consequences_span,
 
 from tests import identities as ids
 from tests.eval_oracle import oracle_is_weak_identity
+from tests.family_oracles import slot_assignments_by_filter
 from tests.linalg_oracles import subspace_intersect, subspace_sum
 
 
@@ -115,7 +117,73 @@ def test_degree6_family_is_one_letter_multiples_plus_core():
 
     assert [one_letter_multiple(g) for g in family] == [True] * 660 + [False] * 420
     gens = default_generators()
-    assert family == tideal._multiples(gens, 6) + list(tideal._core(gens, 6))
+    assert family == [*tideal._left_multiples(gens, 6),
+                      *tideal._right_multiples(gens, 6), *tideal._core(gens, 6)]
+
+
+def _relabelled(f, perm):
+    return substitute(f, {i: NcPoly.variable(p) for i, p in enumerate(perm, 1)})
+
+
+SLOT_CASES = {
+    "s4": standard_poly(4),
+    "metabelian": metabelian(),
+    "s3": standard_poly(3),
+    # the default pair as a relabelled presentation passes it
+    "s4-relabelled": _relabelled(standard_poly(4), (3, 1, 4, 2)),
+    "metabelian-relabelled": _relabelled(metabelian(), (3, 1, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_CASES))
+def test_slot_assignments_match_the_label_filter(name):
+    """The orbit representatives, built from set partitions and the cosets
+    of the slot-symmetry group, are the keys the k^n label filter keeps, in
+    the same order, with the real unit-kills flags and with none."""
+    from weakid import tideal
+
+    f = SLOT_CASES[name]
+    k = tideal._arity(f)
+    group = tideal._slot_symmetries(f, k)
+    needs = [tideal._unit_kills_slot(f, k, j) for j in range(1, k + 1)]
+    for n in range(1, 8):
+        for needs_block in (needs, [False] * k):
+            assert (list(tideal._slot_assignments(n, k, needs_block, group))
+                    == list(slot_assignments_by_filter(n, k, needs_block, group)))
+
+
+def test_slot_symmetry_groups():
+    from weakid import tideal
+
+    assert len(tideal._slot_symmetries(standard_poly(4), 4)) == 24
+    # [[x1, x2], [x3, x4]] up to sign: swap inside either commutator, or
+    # swap the two commutators
+    assert set(tideal._slot_symmetries(metabelian(), 4)) == {
+        (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3),
+        (3, 4, 1, 2), (4, 3, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1)}
+
+
+@pytest.mark.parametrize("gens", [default_generators(), (metabelian(),)],
+                         ids=["default", "metabelian"])
+def test_seeded_elimination_matches_plain_elimination(gens):
+    """The left multiples enter the elimination as ready echelon rows; the
+    span is the one of the whole family eliminated from scratch."""
+    from weakid import tideal
+
+    for n in (4, 5, 6):
+        index = word_index(multilinear_words(n))
+        left = [coeff_vector(g, index) for g in tideal._left_multiples(gens, n)]
+        rest = [coeff_vector(g, index) for g in
+                (*tideal._right_multiples(gens, n), *tideal._core(gens, n))]
+        assert echelonize(rest, echelon=left) == echelonize(left + rest)
+
+
+def test_consequences_span_rejects_degrees_outside_the_supported_range():
+    t0 = time.perf_counter()
+    for n in (-1, 0, 8, 9):
+        with pytest.raises(ValueError):
+            consequences_span(None, n)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_verify_degree_4():
