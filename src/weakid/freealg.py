@@ -381,19 +381,25 @@ def _set_partitions_min2(elems):
 
 @lru_cache(maxsize=None)
 def _block_commutators(block):
-    """Left-normed commutators over all orderings of a block, deduplicated
-    up to scalar."""
-    seen = {}
-    for perm in itertools.permutations(block):
-        p = left_normed(*(NcPoly.variable(i) for i in perm))
-        seen.setdefault(p.normalized(), p)
-    return tuple(seen.values())
+    """The (k - 1)! left-normed commutators [x_m, x_s(2), ..., x_s(k)] over a
+    block of k letters whose least letter x_m comes first: the classical
+    basis of its multilinear Lie elements (Reutenauer, *Free Lie Algebras*,
+    1993).  Each has x_m x_s(2) ... x_s(k) as its one term starting with x_m,
+    so they are independent; there are (k - 1)! = dim Lie(k) of them."""
+    first = NcPoly.variable(block[0])
+    return tuple(left_normed(first, *(NcPoly.variable(i) for i in perm))
+                 for perm in itertools.permutations(block[1:]))
 
 
 def proper_family(n):
-    """Spanning family of the multilinear proper polynomials of degree n:
-    all products of left-normed commutators over set partitions of {1..n}
-    into blocks of size >= 2, factors in block order."""
+    """Basis of the multilinear proper polynomials of degree n: the products
+    of block commutators (``_block_commutators``) over the set partitions of
+    {1..n} into blocks of size >= 2, factors in block order.  Every
+    left-normed commutator on a block is a combination of that block's
+    basis, so these products span what the products over all orderings
+    span; there are sum prod (|B| - 1)! of them, the number of derangements
+    of n (a cycle on each block), which is that span's dimension.  An RREF
+    is unique, so ``proper_span`` does not depend on the family chosen."""
     if n < 2:
         return []
     out = []

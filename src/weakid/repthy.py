@@ -144,34 +144,33 @@ def class_representative(rho):
     return tuple(perm)
 
 
-def _apply_perm_word(w, perm):
-    return tuple(perm[l - 1] for l in w)
+def _relabelled(cols, perm, words, index):
+    """For each column c in cols, the column of words[c] with every letter l
+    replaced by perm[l - 1]."""
+    return [index[tuple(perm[l - 1] for l in words[c])] for c in cols]
 
 
-def _check_stable(space, n, index):
-    rev = {i: w for w, i in index.items()}
+def _check_stable(space, n, words, index):
+    """Raise unless every adjacent transposition maps the row space into
+    itself; each transposition's column map is built once."""
     for t in range(1, n):
         perm = list(range(1, n + 1))
         perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        to = _relabelled(range(len(words)), perm, words, index)
         for row in space.rows:
-            moved = {index[_apply_perm_word(rev[c], perm)]: v for c, v in row.items()}
-            if not space.contains(moved):
+            if not space.contains({to[c]: v for c, v in row.items()}):
                 raise DecompositionError(
                     f"subspace is not stable under the transposition ({t} {t + 1})")
 
 
-def _trace(space, perm, index, rev):
+def _trace(space, perm, words, index):
     """Trace of the relabeling action on the subspace, via the RREF pivots."""
     inv = [0] * len(perm)
     for i, img in enumerate(perm):
         inv[img - 1] = i + 1
-    total = 0
-    pivots = space.pivots
-    for piv, row in zip(pivots, space.rows):
-        # (s.v)[pivot] = v[s^{-1}.pivot word]
-        pre = index[_apply_perm_word(rev[piv], inv)]
-        total += row.get(pre, 0)
-    return total
+    # (s.v)[pivot] = v[s^{-1}.pivot word]
+    pre = _relabelled(space.pivots, inv, words, index)
+    return sum(row.get(c, 0) for c, row in zip(pre, space.rows))
 
 
 def _multiplicities(traces, n, dim):
@@ -202,16 +201,16 @@ def decompose(space, n):
 
 def decompose_quotient(ambient, sub, n):
     """Decompose the quotient ambient/sub of Sym(n)-stable subspaces."""
-    index = word_index(multilinear_words(n))
-    rev = {i: w for w, i in index.items()}
-    _check_stable(sub, n, index)
-    _check_stable(ambient, n, index)
+    words = multilinear_words(n)
+    index = word_index(words)
+    _check_stable(sub, n, words, index)
+    _check_stable(ambient, n, words, index)
     for row in sub.rows:
         if not ambient.contains(row):
             raise DecompositionError("sub is not contained in ambient")
     traces = {}
     for rho in cycle_types(n):
         perm = class_representative(rho)
-        traces[rho] = (_trace(ambient, perm, index, rev)
-                       - _trace(sub, perm, index, rev))
+        traces[rho] = (_trace(ambient, perm, words, index)
+                       - _trace(sub, perm, words, index))
     return _multiplicities(traces, n, ambient.dim - sub.dim)

@@ -1,13 +1,15 @@
-"""Consequence-family oracles used only by the tests.
+"""Family oracles used only by the tests.
 
-Neither is on the verification path: the slot distributions found by
-filtering every label vector, and substitution by multiplying the
-substituted polynomials factor by factor with a product of its own.
+None is on the verification path: the slot distributions found by
+filtering every label vector, substitution by multiplying the substituted
+polynomials factor by factor with a product of its own, and the proper
+family over all orderings of each block.
 """
 
-from itertools import product
+from functools import reduce
+from itertools import permutations, product
 
-from weakid.freealg import NcPoly
+from weakid.freealg import NcPoly, _set_partitions_min2, left_normed
 
 
 def slot_assignments_by_filter(n, k, needs_block, sym_group):
@@ -48,3 +50,24 @@ def substitute_by_products(f, subs):
         for u, v in term.items():
             total[u] = total.get(u, 0) + v
     return NcPoly(total)
+
+
+def block_commutators_all_orderings(block):
+    """Left-normed commutators over all k! orderings of a block, kept once
+    up to scalar (k!/2 of them for k >= 2)."""
+    seen = {}
+    for perm in permutations(block):
+        p = left_normed(*(NcPoly.variable(i) for i in perm))
+        seen.setdefault(p.normalized(), p)
+    return tuple(seen.values())
+
+
+def proper_family_all_orderings(n):
+    """Products of all-orderings block commutators over the set partitions
+    of {1..n} into blocks of size >= 2, factors in block order: a spanning
+    family of the proper component, not a basis."""
+    out = []
+    for blocks in _set_partitions_min2(range(1, n + 1)):
+        choices = [block_commutators_all_orderings(b) for b in blocks]
+        out.extend(reduce(lambda a, b: a * b, combo) for combo in product(*choices))
+    return out

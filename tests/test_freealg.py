@@ -1,18 +1,23 @@
 """Free algebra arithmetic, spanning families, and canonical rendering."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakid.freealg import (NcPoly, circ, coeff_vector, comm, involution,
-                            left_normed, linearize, multilinear_words,
-                            perm_sign, proper_family, proper_span, render,
-                            standard_poly, substitute, two_var_commutator,
-                            two_var_commutator_family, word_index)
+from weakid.freealg import (NcPoly, _block_commutators, circ, coeff_vector,
+                            comm, involution, left_normed, linearize,
+                            multilinear_words, perm_sign, proper_family,
+                            proper_span, render, standard_poly, substitute,
+                            two_var_commutator, two_var_commutator_family,
+                            word_index)
+from weakid.linalg import echelonize
 
-from tests.family_oracles import substitute_by_products
+from tests.family_oracles import (block_commutators_all_orderings,
+                                  proper_family_all_orderings,
+                                  substitute_by_products)
 
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
 
@@ -142,10 +147,16 @@ def test_multilinear_words():
     assert list(words) == sorted(words)
 
 
-@pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 9), (5, 44)])
+@pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 9), (5, 44),
+                                        (6, 265)])
 def test_proper_dims_are_derangement_numbers(n, expected):
     assert count_derangements(n) == expected
-    assert proper_span(n).dim == expected
+    assert len(proper_family(n)) == proper_span(n).dim == expected
+    # a basis of what the products over all orderings of each block span
+    index = word_index(multilinear_words(n))
+    oracle = echelonize([coeff_vector(f, index)
+                         for f in proper_family_all_orderings(n)])
+    assert proper_span(n).rows == oracle.rows
 
 
 def test_proper_family_lies_in_span():
@@ -153,6 +164,24 @@ def test_proper_family_lies_in_span():
     span = proper_span(4)
     for f in proper_family(4):
         assert span.contains(coeff_vector(f, index))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_block_commutators_start_with_the_least_letter(k):
+    block = tuple(range(3, 3 + k))
+    basis = _block_commutators(block)
+    assert len(basis) == math.factorial(k - 1)
+    # each has exactly one word starting with x3, with coefficient 1
+    leading = [[(w, c) for w, c in f.terms.items() if w[0] == 3] for f in basis]
+    assert all(len(lead) == 1 and lead[0][1] == 1 for lead in leading)
+    assert len({lead[0][0] for lead in leading}) == len(basis)
+    # and they span what every ordering spans
+    words = tuple(itertools.permutations(block))
+    index = word_index(words)
+    span = echelonize([coeff_vector(f, index) for f in basis])
+    assert span.dim == len(basis)
+    assert all(span.contains(coeff_vector(f, index))
+               for f in block_commutators_all_orderings(block))
 
 
 def test_two_var_commutator():

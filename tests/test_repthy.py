@@ -1,14 +1,17 @@
 """Characters, hook lengths, and decompositions of stable subspaces."""
 
+import itertools
+import re
 from math import factorial
 
 import pytest
 
-from weakid.freealg import proper_span
+from weakid.freealg import multilinear_words, proper_span, word_index
 from weakid.linalg import Subspace, echelonize
-from weakid.repthy import (DecompositionError, character, class_representative,
-                           class_size, conjugate, cycle_types, decompose,
-                           decompose_quotient, gl2_dim, partitions, sym_dim)
+from weakid.repthy import (DecompositionError, _relabelled, character,
+                           class_representative, class_size, conjugate,
+                           cycle_types, decompose, decompose_quotient, gl2_dim,
+                           partitions, sym_dim)
 from weakid.tideal import proper_kernel
 
 
@@ -193,3 +196,59 @@ def test_quotient_requires_containment():
     b = echelonize([{0: 1, 1: -1}])  # the sign line
     with pytest.raises(DecompositionError):
         decompose_quotient(a, b, 2)
+
+
+# -- stability checks and column relabelling ------------------------------------
+
+
+def _swap(w, t):
+    """Oracle: the word w with the letters t and t + 1 exchanged."""
+    return tuple(t + 1 if l == t else t if l == t + 1 else l for l in w)
+
+
+def _young_words(n, t):
+    """The words 1..n relabelled by Sym({1..t}) x Sym({t+1..n}): a set the
+    adjacent transpositions other than (t t+1) permute, and (t t+1) leaves."""
+    return {a + b for a in itertools.permutations(range(1, t + 1))
+            for b in itertools.permutations(range(t + 1, n + 1))}
+
+
+@pytest.mark.parametrize("n,t", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+def test_stability_check_names_the_one_breaking_transposition(n, t):
+    words = _young_words(n, t)
+    for s in range(1, n):
+        assert ({_swap(w, s) for w in words} == words) == (s != t)
+    index = word_index(multilinear_words(n))
+    space = echelonize([{index[w]: 1} for w in words])
+    with pytest.raises(DecompositionError,
+                       match=re.escape(f"transposition ({t} {t + 1})")):
+        decompose(space, n)
+    with pytest.raises(DecompositionError,
+                       match=re.escape(f"transposition ({t} {t + 1})")):
+        decompose_quotient(proper_span(n), space, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_column_maps_relabel_each_word(n):
+    words = multilinear_words(n)
+    index = word_index(words)
+    cols = range(len(words))
+    for t in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        assert [words[c] for c in _relabelled(cols, perm, words, index)] == \
+            [_swap(w, t) for w in words]
+    for rho in cycle_types(n):
+        image = dict(zip(range(1, n + 1), class_representative(rho)))
+        assert [words[c] for c in _relabelled(cols, class_representative(rho),
+                                              words, index)] == \
+            [tuple(map(image.get, w)) for w in words]
+
+
+def test_column_map_of_a_three_cycle():
+    words = multilinear_words(3)
+    index = word_index(words)
+    # (1 2 3) sends x1 x2 x3 to x2 x3 x1 and x1 x3 x2 to x2 x1 x3
+    assert [words[c] for c in _relabelled([index[(1, 2, 3)], index[(1, 3, 2)]],
+                                          (2, 3, 1), words, index)] == \
+        [(2, 3, 1), (2, 1, 3)]
