@@ -6,8 +6,10 @@ each requested degree and on the word universes the Hilbert series reads
 to degree 7 (the two-variable commutator families of every bidegree of
 total degree at most 7), and prints one JSON object with the best wall time
 of five builds per universe (``s``).  Each multilinear table also gets the
-best time of five ``linalg.rank`` calls on it (``rank_s``), the kernel rank
-of ``tideal.pn_kernel_dim``.  Run from the repository root:
+best time of five ``linalg.rank`` calls on it (``rank_s``), the exact rank
+of ``tideal.pn_kernel_dim``, and of five ``linalg.rank_mod2`` calls
+(``rank_mod2_s``), the lower bound ``tideal._kernel_bound`` reads.  Run from
+the repository root:
 
     PYTHONPATH=src python bench/bench_eval.py [--degrees 4,5,6]
 """
@@ -21,7 +23,7 @@ import sys
 import time
 
 from weakid.freealg import multilinear_words, two_var_commutator_family
-from weakid.linalg import rank
+from weakid.linalg import rank, rank_mod2
 from weakid.matrep import eval_table
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
@@ -47,6 +49,7 @@ def _record_with_rank(words):
     out = _record(words)
     rows = eval_table.__wrapped__(words)[1]
     out["rank"], out["rank_s"] = _best(rank, rows)
+    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, rows)
     return out
 
 

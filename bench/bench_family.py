@@ -3,7 +3,7 @@
 
 Each degree runs in fresh child processes, so every cache starts cold, as
 in one iteration of a benchmark.  One child builds ``consequences_span`` one
-degree down and the kernel dimension (``prepare_s``), then runs
+degree down and the kernel bound (``prepare_s``), then runs
 ``tideal._consequences`` at the degree itself with its parts timed: the
 family build (``family_s``; of it, ``core_s`` for the core and
 ``multiples_s`` for the one-letter multiples), the certification pass over
@@ -58,7 +58,7 @@ def layers(n):
     t0 = time.perf_counter()
     if n > 1:
         tideal.consequences_span(gens, n - 1)
-    tideal.pn_kernel_dim(n)
+    tideal._kernel_bound(n)
     prepare_s = time.perf_counter() - t0
     totals = {}
     for names in PARTS.values():

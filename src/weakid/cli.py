@@ -23,6 +23,10 @@ from .tideal import is_consequence, proper_kernel, verify_degree
 # Highest degree ``hilbert --max`` accepts.
 _HILBERT_CAP = 10
 
+# Highest linearized degree ``check --mode consequence`` accepts: the degree-7
+# span takes minutes, and ``verify --degree 7`` is the way to build it.
+_CONSEQUENCE_CAP = 6
+
 
 def _emit(payload, args):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -71,16 +75,16 @@ def cmd_check(args):
     if args.mode == "identity":
         witness = weak_identity_witness(f)
         ok = witness is None
-        payload = {"expr": args.expr, "canonical": render(f),
-                   "mode": "identity", "result": ok,
-                   "toolkit_version": __version__}
-        if not ok:
-            payload["witness"] = {
-                "assignment": {f"x{i}": [[str(v) for v in row] for row in m]
-                               for i, m in sorted(witness.assignment.items())},
-                "value": [[str(v) for v in row] for row in witness.value],
-            }
         if _want_json(args):
+            payload = {"expr": args.expr, "canonical": render(f),
+                       "mode": "identity", "result": ok,
+                       "toolkit_version": __version__}
+            if not ok:
+                payload["witness"] = {
+                    "assignment": {f"x{i}": [[str(v) for v in row] for row in m]
+                                   for i, m in sorted(witness.assignment.items())},
+                    "value": [[str(v) for v in row] for row in witness.value],
+                }
             _emit(payload, args)
         else:
             print(f"weak identity: {ok}")
@@ -89,6 +93,12 @@ def cmd_check(args):
                 for line in witness.lines():
                     print(f"  {line}")
         return 0 if ok else 1
+    degree = f.degree()
+    if degree is not None and degree > _CONSEQUENCE_CAP:
+        print(f"error: degree {degree} above cap {_CONSEQUENCE_CAP}; "
+              f"degree 7 is proved by 'weakid verify --degree 7'",
+              file=sys.stderr)
+        return 2
     try:
         ok = is_consequence(f)
     except ValueError as e:

@@ -2,9 +2,10 @@
 
 Every rank, kernel (``left_kernel``), intersection dimension
 (``intersection_dim``) and subspace comparison in the toolkit runs through
-this module.  There is no floating point anywhere.  A vector is a plain dict
-{column: number}; a number is an int, or a ``Fraction`` only where a
-denominator above 1 appears.  The elimination engine works on
+this module, and through its one elimination engine; ``rank_mod2`` is only a
+lower bound on a rank.  There is no floating point anywhere.  A vector is a
+plain dict {column: number}; a number is an int, or a ``Fraction`` only where
+a denominator above 1 appears.  The elimination engine works on
 content-normalized integer rows (a scalar multiple of a row spans the same
 space, so scale-free integer arithmetic is both exact and fast), and integer
 input reaches it without building a single ``Fraction``.
@@ -24,6 +25,7 @@ __all__ = [
     "Subspace",
     "echelonize",
     "rank",
+    "rank_mod2",
     "left_kernel",
     "intersection_dim",
 ]
@@ -234,6 +236,27 @@ def echelonize(vectors, *, echelon=(), stop_dim=None):
 
 def rank(vectors):
     return echelonize(vectors).dim
+
+
+def rank_mod2(rows):
+    """Rank over GF(2) of integer rows, a lower bound on their rank over Q.
+
+    Rows independent mod 2 have a maximal minor that is odd, hence nonzero,
+    so they are independent over Q: rank_mod2(rows) <= rank(rows).  Each row
+    is a bitset of its odd entries, reduced by XOR against the pivot rows
+    keyed by their lowest set bit.
+    """
+    pivots = {}
+    for row in rows:
+        v = sum(1 << c for c, x in row.items() if x & 1)
+        while v:
+            low = v & -v
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = v
+                break
+            v ^= p
+    return len(pivots)
 
 
 def left_kernel(rows):

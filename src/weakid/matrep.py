@@ -219,10 +219,14 @@ def poly_eval_row(coeffs, word_rows):
 def _generic_coords(f):
     """First-row coordinates {(entry, monomial): value} of f at generic
     symmetric matrices, from a walk over f's own words (no shared table
-    grows); only the final coordinates are decoded."""
-    width = _width(f.terms)
-    walk = list(_walk(f.terms, width))
-    acc = poly_eval_row({i: f.terms[w] for i, (w, _) in enumerate(walk)},
+    grows); only the final coordinates are decoded.  f's variables are
+    relabelled onto 1..k in increasing order first, since a packed key has
+    a field for every slot up to that of the largest label."""
+    label = {v: i for i, v in enumerate(sorted(f.support()), 1)}
+    terms = {tuple(label[l] for l in w): c for w, c in f.terms.items()}
+    width = _width(terms)
+    walk = list(_walk(terms, width))
+    acc = poly_eval_row({i: terms[w] for i, (w, _) in enumerate(walk)},
                         [coords for _, coords in walk])
     return {_decode(k, width): v for k, v in acc.items()}
 
@@ -272,16 +276,18 @@ def _fmt_mat(rows):
 def weak_identity_witness(f):
     """A symmetric substitution where f does not vanish, or None.
 
-    Multilinear input is answered over the basis {E11, E12+E21, E22} per
-    variable (a complete test set for multilinear polynomials): the
-    substitution x_v = basis[k_v] sends the monomial with slot 3*(v-1)+k_v
-    for every v to 1 and every other monomial to 0, so the lexicographically
-    first failing basis substitution is the least (slot mod 3 per variable)
-    over the nonzero coordinates, and its value is the four entries at that
-    monomial.  Other input is substituted into the coordinates at seeded
-    small random symmetric matrices (seed 0); a nonvanishing polynomial fails
-    on small integers quickly.  Both read all four entries, the second row
-    rebuilt from the first (``_reflected``).
+    The coordinates number f's variables 1..k in increasing order
+    (``_generic_coords``), so the i-th least variable owns the slots
+    3*(i-1)+0/1/2.  Multilinear input is answered over the basis
+    {E11, E12+E21, E22} per variable (a complete test set for multilinear
+    polynomials): the substitution x_v = basis[k_v] sends the monomial with
+    the slot 3*(i-1)+k_v of every variable v to 1 and every other monomial
+    to 0, so the lexicographically first failing basis substitution is the
+    least (slot mod 3 per variable) over the nonzero coordinates, and its
+    value is the four entries at that monomial.  Other input is substituted
+    into the coordinates at seeded small random symmetric matrices (seed 0);
+    a nonvanishing polynomial fails on small integers quickly.  Both read
+    all four entries, the second row rebuilt from the first (``_reflected``).
     """
     coords = _generic_coords(f)
     if not coords:
@@ -290,17 +296,17 @@ def weak_identity_witness(f):
     variables = sorted(f.support())
     if f.is_multilinear():
         choice = min(tuple(s % 3 for s in m) for _, m in coords)
-        m = tuple(slot_a(v) + k for v, k in zip(variables, choice))
+        m = tuple(slot_a(i) + k for i, k in enumerate(choice, 1))
         e = [coords.get((i, m), 0) for i in range(4)]
         return Witness({v: BASIS_MATRICES[k] for v, k in zip(variables, choice)},
                        ((e[0], e[1]), (e[2], e[3])))
     rng = random.Random(0)
     while True:
         mats, point = {}, {}
-        for v in variables:
+        for i, v in enumerate(variables, 1):
             a, b, c = (rng.randint(-3, 3) for _ in range(3))
             mats[v] = ((a, b), (b, c))
-            point[slot_a(v)], point[slot_b(v)], point[slot_c(v)] = a, b, c
+            point[slot_a(i)], point[slot_b(i)], point[slot_c(i)] = a, b, c
         e = [0] * 4
         for (i, m), c in coords.items():
             for s in m:

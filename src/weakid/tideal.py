@@ -16,7 +16,11 @@ agree.  The first check is the only containment pass: the evaluation is
 linear and every vector of the span is an exact rational combination of
 family members, so a certified family puts the whole span (and every
 subspace of it, such as its proper part) inside the kernel, and the
-elimination may stop once it reaches the kernel dimension.
+elimination may stop once it reaches the kernel dimension.  The second check
+needs only dim kernel <= dim span, so the kernel dimension is bounded from
+above by n! minus the evaluation table's rank mod 2 (``_kernel_bound``); a
+certified span of that dimension is the whole kernel.  Where the bound is not
+reached, the exact rank over Q decides (``verify_degree``).
 
 The pass evaluates only the core members f(u_1, ..., u_k) (``_core``) and
 takes the rest of the family (``_left_multiples``, ``_right_multiples``)
@@ -45,7 +49,7 @@ from math import factorial
 from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
                       proper_span, standard_poly, substitute, word_index)
 from .jordan import sj_multilinear_span
-from .linalg import Subspace, echelonize, intersection_dim, rank
+from .linalg import Subspace, echelonize, intersection_dim, rank, rank_mod2
 from .matrep import eval_table, poly_eval_row, weak_identities_within
 
 __all__ = [
@@ -264,6 +268,13 @@ def pn_kernel_dim(n):
     return factorial(n) - rank(eval_table(multilinear_words(n))[1])
 
 
+@lru_cache(maxsize=None)
+def _kernel_bound(n):
+    """An upper bound on ``pn_kernel_dim(n)``: the evaluation table's rank
+    mod 2 is at most its rank over Q (``rank_mod2``)."""
+    return factorial(n) - rank_mod2(eval_table(multilinear_words(n))[1])
+
+
 @lru_cache(maxsize=_SPANS)
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
@@ -271,7 +282,9 @@ def _consequences(gens, n):
     evaluated; the one-letter multiples inherit the degree-(n - 1) flag
     (module docstring).  The left multiples enter the elimination as ready
     echelon rows (``_left_multiples``), so only the right multiples and the
-    core are sorted and reduced."""
+    core are sorted and reduced.  A certified span lies in the kernel, so
+    its dimension is at most ``_kernel_bound(n)``, where the elimination
+    stops."""
     family = consequence_family(gens, n)
     certified = n == 1 or _consequences(gens, n - 1)[1]
     if not family:
@@ -281,7 +294,7 @@ def _consequences(gens, n):
     certified = certified and all(
         not poly_eval_row(coeff_vector(g, index), word_rows)
         for g in _core(gens, n))
-    ceiling = pn_kernel_dim(n) if certified else None
+    ceiling = _kernel_bound(n) if certified else None
     rest = (*_right_multiples(gens, n), *_core(gens, n))
     return echelonize([coeff_vector(g, index) for g in rest],
                       echelon=[coeff_vector(g, index)
@@ -387,7 +400,11 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     That also covers every basis vector of the span and of its proper part:
     the evaluation is linear, each span vector is an exact rational
     combination of family members, and the proper part is a subspace of the
-    span.  Equality additionally needs the dimensions to match.
+    span.  Equality additionally needs the dimensions to match.  In the
+    full component dim span <= dim kernel <= ``_kernel_bound(n)`` once the
+    family is certified, so a span of the bound's dimension closes the
+    sandwich and the bound is the kernel dimension; otherwise the kernel
+    dimension is the exact rank (``pn_kernel_dim``).
     ``proper`` restricts both sides to the proper (commutator-product)
     component.  The proper consequence dimension is dim span + dim Gamma -
     rank(span rows + Gamma rows): the dimension formula for an intersection,
@@ -399,7 +416,7 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     timings = {}
 
     t0 = time.perf_counter()
-    kdim = pn_kernel_dim(n)
+    bound = _kernel_bound(n)
     timings["kernel_ms"] = _ms(t0)
 
     t0 = time.perf_counter()
@@ -414,8 +431,13 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
         timings["proper_ms"] = _ms(t0)
         dim_p = gamma.dim
     else:
-        dim_kernel = kdim
         dim_cons = span.dim
+        if containment and dim_cons == bound:
+            dim_kernel = bound
+        else:
+            t0 = time.perf_counter()
+            dim_kernel = pn_kernel_dim(n)
+            timings["kernel_ms"] = round(timings["kernel_ms"] + _ms(t0), 3)
         dim_p = factorial(n)
 
     decomposition = None

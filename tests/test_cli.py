@@ -130,12 +130,64 @@ def test_check_consequence_rejects_inhomogeneous(capsys):
 
 
 def test_check_consequence_rejects_high_degree_fast(capsys):
-    # degree 9: linearized (x1^5*x2^4) and already multilinear
-    for expr in ("x1^5*x2^4", "[[x1,x2],[x3,x4]]*x5*x6*x7*x8*x9"):
+    # degree 9: linearized (x1^5*x2^4) and already multilinear; degree 7,
+    # whose span only ``verify --degree 7`` builds
+    for expr, degree in (("x1^5*x2^4", 9),
+                         ("[[x1,x2],[x3,x4]]*x5*x6*x7*x8*x9", 9),
+                         ("[[x1,x2],[x3,x4]]*[x5,x6]*x7", 7),
+                         ("S4(x1,x2,x3,x4)*x5^3", 7)):
         t0 = time.perf_counter()
         assert main(["check", "--expr", expr, "--mode", "consequence"]) == 2
         assert time.perf_counter() - t0 < 1.0
-        assert "degree 9" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"degree {degree}" in err
+        assert "verify --degree 7" in err
+
+
+@pytest.mark.parametrize("expr, small", [
+    ("x100000", "x1"),
+    ("x10000000", "x1"),
+    ("x9999999999999999999", "x1"),
+    ("[x10000000,x3]*x9999999999999999999^2", "[x2,x1]*x3^2"),
+    ("S3(x100000,x7,x9999999999999999999)", "S3(x2,x1,x3)"),
+])
+def test_check_large_variable_index_is_fast_and_relabels(expr, small):
+    """A large index costs no more than a small one: the witness is the one
+    of the expression with its variables renumbered in increasing order."""
+    def run(text):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["check", "--mode", "identity", "--json",
+                         f"--expr={text}"])
+        return code, json.loads(out.getvalue())
+
+    t0 = time.perf_counter()
+    code, got = run(expr)
+    assert time.perf_counter() - t0 < 1.0
+    small_code, want = run(small)
+    assert code == small_code == 1
+    names = dict(zip(sorted(want["witness"]["assignment"],
+                            key=lambda v: int(v[1:])),
+                     sorted(got["witness"]["assignment"],
+                            key=lambda v: int(v[1:]))))
+    assert got["witness"] == {
+        "assignment": {names[v]: m
+                       for v, m in want["witness"]["assignment"].items()},
+        "value": want["witness"]["value"]}
+
+
+def test_check_identity_renders_only_for_json(monkeypatch, capsys):
+    from weakid import cli
+
+    rendered = []
+    real = cli.render
+    monkeypatch.setattr(cli, "render", lambda f: rendered.append(f) or real(f))
+    assert main(["check", "--expr", "[x1,x2]", "--mode", "identity"]) == 1
+    assert "witness substitution" in capsys.readouterr().out
+    assert rendered == []
+    assert main(["check", "--expr", "[x1,x2]", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["canonical"] == real(rendered[0])
+    assert len(rendered) == 1
 
 
 def test_check_rejects_oversized_expressions_fast(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakid import linalg
-from weakid.linalg import echelonize, intersection_dim, left_kernel, rank
+from weakid.linalg import (echelonize, intersection_dim, left_kernel, rank,
+                           rank_mod2)
 
 from tests.linalg_oracles import (kernel_basis, modular_rank_check, rank_mod,
                                   rref_mod, subspace_intersect, subspace_sum)
@@ -217,6 +218,26 @@ def test_rref_mod_matches_exact_rref(data):
 def test_rank_mod_simple():
     rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
     assert rank_mod(rows, 101) == 1
+
+
+int_rows = st.lists(st.dictionaries(st.integers(0, 7), st.integers(-6, 6),
+                                    max_size=8), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows)
+def test_rank_mod2_is_the_rank_over_gf2_and_bounds_the_rank(rows):
+    """Integer rows with negative, even and zero entries: rank_mod2 agrees
+    with the modular oracle at p = 2 and never exceeds the rank over Q."""
+    assert rank_mod2(rows) == rank_mod(rows, 2) <= rank(rows)
+
+
+def test_rank_mod2_undercounts_even_and_cancelling_rows():
+    for rows, ranks in (([{0: 2}], (0, 1)),
+                        ([{0: 1, 1: 1}, {0: 1, 1: -1}], (1, 2)),
+                        ([{0: -3, 5: 4}, {5: 1}, {0: 1, 5: 1}], (2, 2))):
+        assert (rank_mod2(rows), rank(rows)) == ranks
+    assert rank_mod2([]) == rank_mod2([{}]) == 0
 
 
 def test_echelonize_drops_zero_entries():

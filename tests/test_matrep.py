@@ -225,7 +225,8 @@ def test_eval_rows_are_integral():
 
 def test_proper_verify_evaluates_the_words_once(monkeypatch):
     for cached in (matrep.eval_table, tideal.pn_kernel_dim,
-                   tideal._consequences, tideal.proper_kernel):
+                   tideal._kernel_bound, tideal._consequences,
+                   tideal.proper_kernel):
         cached.cache_clear()
     calls = []
     real = matrep.eval_rows

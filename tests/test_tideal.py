@@ -281,6 +281,80 @@ def test_kernel_dims_low_degrees():
     assert pn_kernel_dim(5) == 55
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernel_bound_is_tight_on_the_tables(n):
+    """The rank mod 2 of each multilinear evaluation table equals its rank
+    over Q, so the bound is the kernel dimension itself."""
+    from weakid import tideal
+    from weakid.linalg import rank, rank_mod2
+    from weakid.matrep import eval_table
+
+    rows = eval_table(multilinear_words(n))[1]
+    assert rank_mod2(rows) == rank(rows)
+    assert tideal._kernel_bound(n) == pn_kernel_dim(n)
+
+
+@pytest.fixture
+def cold_kernel_caches():
+    """Clear the caches the kernel bound feeds, before and after the test,
+    so that a bound patched in the test stays in it."""
+    from weakid import tideal
+
+    caches = (tideal._kernel_bound, tideal.pn_kernel_dim, tideal._consequences)
+    for cached in caches:
+        cached.cache_clear()
+    yield tideal
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sandwich_closes_without_the_exact_rank(n, cold_kernel_caches,
+                                                monkeypatch):
+    """For the default generators the certified span reaches the bound, so
+    verify_degree never computes the rank over Q."""
+    tideal = cold_kernel_caches
+
+    def refuse(_):
+        raise AssertionError("the exact kernel rank was computed")
+
+    monkeypatch.setattr(tideal, "pn_kernel_dim", refuse)
+    report = verify_degree(n)
+    assert (report.dim_kernel, report.equal) == ({4: 4, 5: 55}[n], True)
+
+
+def test_undercounted_bound_falls_back_to_the_exact_rank(cold_kernel_caches,
+                                                         monkeypatch):
+    """A bound one above the kernel dimension stays sound: the elimination
+    runs to the full span, the sandwich does not close, and the exact rank
+    gives the reported kernel dimension."""
+    tideal = cold_kernel_caches
+    real_rank_mod2, real_kernel_dim = tideal.rank_mod2, tideal.pn_kernel_dim
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real_kernel_dim(n)
+
+    monkeypatch.setattr(tideal, "rank_mod2", lambda rows: real_rank_mod2(rows) - 1)
+    monkeypatch.setattr(tideal, "pn_kernel_dim", counting)
+    report = verify_degree(5)
+    assert tideal._kernel_bound(5) == 56
+    assert (report.dim_kernel, report.dim_consequences) == (55, 55)
+    assert report.containment and report.equal
+    assert calls == [5]
+    assert list(report.timings_ms) == ["kernel_ms", "consequences_ms"]
+
+
+def test_incomplete_generators_report_the_exact_kernel():
+    """The metabelian generator alone is certified but spans less than the
+    kernel at degree 4, so the exact rank decides and equality fails."""
+    report = verify_degree(4, generators=(metabelian(),))
+    assert report.containment
+    assert (report.dim_kernel, report.dim_consequences) == (4, 3)
+    assert not report.equal
+
+
 def test_family_members_are_weak_identities():
     """verify_degree certifies containment on the family alone; every RREF
     row of the span and of its proper part must then be a weak identity too,
@@ -318,7 +392,7 @@ def test_verify_reports_failure_for_non_identity_generators():
     assert report.containment is False
     assert report.equal is False
     # S3 consequences fill more than the weak-identity kernel at degree 4
-    assert report.dim_consequences > report.dim_kernel
+    assert report.dim_consequences > report.dim_kernel == 4
 
 
 def test_containment_fails_at_and_above_a_non_identity_generator():
@@ -330,7 +404,9 @@ def test_containment_fails_at_and_above_a_non_identity_generator():
     gens = (comm(NcPoly.variable(1), NcPoly.variable(2)),)
     assert tideal._consequences(gens, 2)[1] is False
     assert tideal._consequences(gens, 3)[1] is False
-    assert verify_degree(4, generators=gens).containment is False
+    report = verify_degree(4, generators=gens)
+    assert report.containment is False
+    assert report.dim_kernel == 4
 
 
 def test_degree6_certification_evaluates_only_the_core(monkeypatch):
