@@ -26,13 +26,11 @@ the repository root:
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import json
-import platform
-import subprocess
 import sys
 import time
+
+import harness
 
 # timed part -> the module and function whose calls it sums
 PARTS = {
@@ -45,21 +43,6 @@ PARTS = {
     "stable_s": ("repthy", "_check_stable"),
     "trace_s": ("repthy", "_trace"),
 }
-
-
-def _time_calls(module, name, totals):
-    """Rebind module.name to a wrapper that adds each call's wall time to
-    totals[name]."""
-    fn = getattr(module, name)
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            totals[name] = totals.get(name, 0.0) + time.perf_counter() - t0
-
-    setattr(module, name, timed)
 
 
 def _timed(fn, *args):
@@ -75,7 +58,8 @@ def layers(n):
 
     totals = {}
     for module, name in PARTS.values():
-        _time_calls(importlib.import_module(f"weakid.{module}"), name, totals)
+        harness.time_calls(importlib.import_module(f"weakid.{module}"), name,
+                           totals)
     gamma, span_s = _timed(freealg.proper_span, n)
     kernel, kernel_s = _timed(tideal.proper_kernel, n)
     dec, decompose_s = _timed(repthy.decompose_quotient, gamma, kernel, n)
@@ -103,31 +87,6 @@ def verify(n):
             "equal": report.equal}
 
 
-def _child(kind, n):
-    """Run kind(n) in a fresh interpreter and return its JSON output."""
-    out = subprocess.run([sys.executable, __file__, "--child", kind, str(n)],
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--degrees", default="4,5,6",
-                   help="comma-separated degrees, 4-7 (default 4,5,6)")
-    p.add_argument("--child", nargs=2, metavar=("KIND", "N"),
-                   help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child:
-        kind, n = args.child
-        print(json.dumps({"layers": layers, "verify": verify}[kind](int(n))))
-        return 0
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
-    result = {str(n): {**_child("layers", n), **_child("verify", n)}
-              for n in degrees}
-    print(json.dumps({"python": platform.python_version(), "degrees": result},
-                     indent=2, sort_keys=True))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__file__, __doc__,
+                          {"layers": layers, "verify": verify}))

@@ -17,12 +17,10 @@ repository root:
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import subprocess
 import sys
 import time
+
+import harness
 
 # timed part -> the tideal functions whose calls it sums
 PARTS = {
@@ -32,21 +30,6 @@ PARTS = {
     "certify_s": ("poly_eval_row",),
     "eliminate_s": ("echelonize",),
 }
-
-
-def _time_calls(module, name, totals):
-    """Rebind module.name to a wrapper that adds each call's wall time to
-    totals[name]."""
-    fn = getattr(module, name)
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            totals[name] = totals.get(name, 0.0) + time.perf_counter() - t0
-
-    setattr(module, name, timed)
 
 
 def layers(n):
@@ -63,7 +46,7 @@ def layers(n):
     totals = {}
     for names in PARTS.values():
         for name in names:
-            _time_calls(tideal, name, totals)
+            harness.time_calls(tideal, name, totals)
     t0 = time.perf_counter()
     span, certified = tideal._consequences(gens, n)
     out = {"prepare_s": prepare_s, "consequences_s": time.perf_counter() - t0}
@@ -86,31 +69,6 @@ def verify(n):
             "timings_ms": report.timings_ms, "equal": report.equal}
 
 
-def _child(kind, n):
-    """Run kind(n) in a fresh interpreter and return its JSON output."""
-    out = subprocess.run([sys.executable, __file__, "--child", kind, str(n)],
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--degrees", default="4,5,6",
-                   help="comma-separated degrees, 4-7 (default 4,5,6)")
-    p.add_argument("--child", nargs=2, metavar=("KIND", "N"),
-                   help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.child:
-        kind, n = args.child
-        print(json.dumps({"layers": layers, "verify": verify}[kind](int(n))))
-        return 0
-    degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
-    result = {str(n): {**_child("layers", n), **_child("verify", n)}
-              for n in degrees}
-    print(json.dumps({"python": platform.python_version(), "degrees": result},
-                     indent=2, sort_keys=True))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__file__, __doc__,
+                          {"layers": layers, "verify": verify}))

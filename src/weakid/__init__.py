@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .expr import ParseError, parse_poly
 from .freealg import (NcPoly, circ, comm, involution, left_normed, render,
                       standard_poly, substitute)
-from .matrep import is_weak_identity, weak_identity_kernel, weak_identity_witness
+from .matrep import is_weak_identity, weak_identity_witness
 from .tideal import (consequences_span, default_generators, is_consequence,
                      metabelian, verify_degree)
 
@@ -29,7 +29,6 @@ __all__ = [
     "standard_poly",
     "substitute",
     "is_weak_identity",
-    "weak_identity_kernel",
     "weak_identity_witness",
     "consequences_span",
     "default_generators",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import suppress
 from functools import cache
 
 from . import __version__
@@ -19,6 +21,9 @@ from .matrep import weak_identity_witness
 from .repthy import decompose, decompose_quotient
 from .series import closed_form_series, image_dims
 from .tideal import is_consequence, proper_kernel, verify_degree
+
+# Degrees ``verify`` and ``report`` accept.
+_VERIFY_DEGREES = range(4, 8)
 
 # Highest degree ``hilbert --max`` accepts.
 _HILBERT_CAP = 10
@@ -31,10 +36,24 @@ _CONSEQUENCE_CAP = 6
 def _emit(payload, args):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
     elif getattr(args, "json", False):
         sys.stdout.write(text)
+
+
+def _write(path, text):
+    """Write text to path, or raise ValueError (a usage error) and leave no
+    partial file behind."""
+    fh = None
+    try:
+        fh = open(path, "w")
+        with fh:
+            fh.write(text)
+    except OSError as e:
+        if fh is not None:
+            with suppress(OSError):
+                os.remove(path)
+        raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _want_json(args):
@@ -161,6 +180,11 @@ def cmd_report(args):
     if not degrees:
         print(f"error: no degree in {args.degrees!r}", file=sys.stderr)
         return 2
+    bad = [n for n in degrees if n not in _VERIFY_DEGREES]
+    if bad:
+        print(f"error: degrees {bad} outside {_VERIFY_DEGREES.start}.."
+              f"{_VERIFY_DEGREES.stop - 1}", file=sys.stderr)
+        return 2
     lines = not _want_json(args) or args.out
     reports = []
     all_equal = True
@@ -198,7 +222,7 @@ def build_parser():
                         help="omit timings from JSON output (byte-stable reruns)")
 
     sp = sub.add_parser("verify", help="compare consequences with weak identities")
-    sp.add_argument("--degree", type=int, required=True, choices=range(4, 8),
+    sp.add_argument("--degree", type=int, required=True, choices=_VERIFY_DEGREES,
                     metavar="N", help="degree to verify (4..7)")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--full-p", dest="proper", action="store_false",

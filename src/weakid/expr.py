@@ -13,13 +13,16 @@ Grammar (whitespace between tokens is ignored):
     var      := "x" nat | "x" | "y"                 x = x1, y = x2
     rational := int ("/" posint)?
 
-Errors carry 1-based line and column positions.  Expressions whose total
-degree or number of terms may exceed the caps below are rejected with
-``ValueError`` before they are elaborated.
+Digits and letters are ASCII only.  Errors carry 1-based line and column
+positions; brackets nested deeper than ``_MAX_NESTING`` are a parse error at
+the first bracket past the cap.  Expressions whose total degree or number of
+terms may exceed the caps below are rejected with ``ValueError`` before they
+are elaborated.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,47 +47,37 @@ class Token:
     col: int
 
 
-_SYMBOLS = set("+-*/^()[],")
+# One token per match: a number, a name, a symbol, a newline or a run of
+# other whitespace.  Digits and letters are ASCII only: str.isdigit and
+# str.isalpha accept other scripts' digits and letters, which int() then
+# misreads or rejects.  Where nothing matches, the character is unexpected.
+# Compiled on first use (``re`` caches it), not when the package is imported.
+_TOKEN = (r"(?P<NUM>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
+          r"|(?P<SYM>[-+*/^()\[\],])|(?P<NL>\n)|[^\S\n]+")
+
+# Deepest nesting of brackets the parser accepts: the parser, the size
+# bounds and the elaboration all recurse once or twice per level.
+_MAX_NESTING = 100
 
 
 def _tokenize(src):
+    match = re.compile(_TOKEN).match
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(Token("NUM", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, start = 1, 0  # start: offset of the current line's first character
+    pos = 0
+    while pos < len(src):
+        m = match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}",
+                             line, pos - start + 1)
+        kind, text = m.lastgroup, m.group()
+        if kind == "NL":
+            line, start = line + 1, m.end()
+        elif kind:
+            tokens.append(Token(text if kind == "SYM" else kind, text,
+                                line, pos - start + 1))
+        pos = m.end()
+    tokens.append(Token("EOF", "", line, pos - start + 1))
     return tokens
 
 
@@ -98,6 +91,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -117,6 +111,28 @@ class _Parser:
     def fail(self, message):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
+
+    def enter(self, kind):
+        """Consume an opening bracket one nesting level deeper, rejecting
+        it past ``_MAX_NESTING``; ``leave`` closes the level."""
+        tok = self.expect(kind)
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"brackets nested deeper than {_MAX_NESTING}",
+                             tok.line, tok.col)
+        self.depth += 1
+
+    def leave(self, kind):
+        self.expect(kind)
+        self.depth -= 1
+
+    def parse_args(self, close):
+        """expr ("," expr)* and the closing bracket, as a list."""
+        args = [self.parse_expr()]
+        while self.peek().kind == ",":
+            self.next()
+            args.append(self.parse_expr())
+        self.leave(close)
+        return args
 
     def parse_expr(self):
         signs = []
@@ -141,8 +157,7 @@ class _Parser:
         atom = self.parse_atom()
         if self.peek().kind == "^":
             self.next()
-            tok = self.expect("NUM")
-            return ("pow", atom, int(tok.text))
+            return ("pow", atom, self.parse_nat())
         return atom
 
     def parse_nat(self):
@@ -163,17 +178,13 @@ class _Parser:
                 return ("num", Fraction(num, den))
             return ("num", Fraction(num))
         if tok.kind == "(":
-            self.next()
+            self.enter("(")
             e = self.parse_expr()
-            self.expect(")")
+            self.leave(")")
             return e
         if tok.kind == "[":
-            self.next()
-            args = [self.parse_expr()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_expr())
-            self.expect("]")
+            self.enter("[")
+            args = self.parse_args("]")
             if len(args) < 2:
                 raise ParseError("commutator brackets need at least 2 arguments",
                                  tok.line, tok.col)
@@ -195,31 +206,27 @@ class _Parser:
                 raise ParseError("variable indices start at 1", tok.line, tok.col)
             return ("var", idx)
         if name == "o":
-            self.expect("(")
+            self.enter("(")
             e1 = self.parse_expr()
             self.expect(",")
             e2 = self.parse_expr()
-            self.expect(")")
+            self.leave(")")
             return ("circ", e1, e2)
         if name == "ad":
-            self.expect("(")
+            self.enter("(")
             f = self.parse_expr()
             self.expect(",")
             g = self.parse_expr()
             self.expect(",")
             m = self.parse_nat()
-            self.expect(")")
+            self.leave(")")
             return ("ad", f, g, m)
         if name.startswith("S") and name[1:].isdigit():
             k = int(name[1:])
             if k < 1:
                 raise ParseError("standard polynomials need k >= 1", tok.line, tok.col)
-            self.expect("(")
-            args = [self.parse_expr()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_expr())
-            self.expect(")")
+            self.enter("(")
+            args = self.parse_args(")")
             if len(args) != k:
                 raise ParseError(
                     f"S{k} takes {k} arguments, found {len(args)}", tok.line, tok.col)

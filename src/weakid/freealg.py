@@ -30,6 +30,7 @@ __all__ = [
     "perm_sign",
     "multilinear_words",
     "word_index",
+    "set_partitions",
     "coeff_vector",
     "from_coeffs",
     "proper_family",
@@ -129,14 +130,7 @@ class NcPoly:
     def __sub__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, 0) - c
-            if s:
-                t[w] = s
-            else:
-                del t[w]
-        return NcPoly._raw(t)
+        return self + (-other)
 
     def __neg__(self):
         return NcPoly._raw({w: -c for w, c in self.terms.items()})
@@ -340,6 +334,8 @@ def multilinear_words(n):
 
 @lru_cache(maxsize=None)
 def word_index(words):
+    """Column index {word: position} of a tuple of words, built once per
+    word universe."""
     return {w: i for i, w in enumerate(words)}
 
 
@@ -362,21 +358,28 @@ def from_coeffs(vec, words):
 # -- proper (commutator-product) spanning families ---------------------------
 
 
-def _set_partitions_min2(elems):
-    """Set partitions of elems into blocks of size >= 2, blocks sorted by min."""
+def set_partitions(elems, k):
+    """Set partitions of a collection of distinct comparable elements into
+    at most k blocks, each an increasing tuple, the blocks in increasing
+    order of their least elements."""
     elems = sorted(elems)
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for r in range(1, len(rest) + 1):
-        for mates in itertools.combinations(rest, r):
-            block = (first,) + mates
-            remaining = [e for e in rest if e not in mates]
-            if len(remaining) == 1:
-                continue
-            for tail in _set_partitions_min2(remaining):
-                yield (block,) + tail
+    blocks = []
+
+    def grow(i):
+        if i == len(elems):
+            yield tuple(map(tuple, blocks))
+            return
+        e = elems[i]
+        for b in blocks:
+            b.append(e)
+            yield from grow(i + 1)
+            b.pop()
+        if len(blocks) < k:
+            blocks.append([e])
+            yield from grow(i + 1)
+            blocks.pop()
+
+    return grow(0)
 
 
 @lru_cache(maxsize=None)
@@ -394,16 +397,18 @@ def _block_commutators(block):
 def proper_family(n):
     """Basis of the multilinear proper polynomials of degree n: the products
     of block commutators (``_block_commutators``) over the set partitions of
-    {1..n} into blocks of size >= 2, factors in block order.  Every
-    left-normed commutator on a block is a combination of that block's
-    basis, so these products span what the products over all orderings
-    span; there are sum prod (|B| - 1)! of them, the number of derangements
+    {1..n} into blocks of size >= 2 (so at most n // 2 blocks), factors in
+    block order.  Every left-normed commutator on a block is a combination
+    of that block's basis, so these products span what the products over
+    all orderings span; there are sum prod (|B| - 1)! of them, the number of derangements
     of n (a cycle on each block), which is that span's dimension.  An RREF
     is unique, so ``proper_span`` does not depend on the family chosen."""
     if n < 2:
         return []
     out = []
-    for blocks in _set_partitions_min2(range(1, n + 1)):
+    for blocks in set_partitions(range(1, n + 1), n // 2):
+        if any(len(b) < 2 for b in blocks):
+            continue
         factor_choices = [_block_commutators(b) for b in blocks]
         for combo in itertools.product(*factor_choices):
             out.append(reduce(lambda a, b: a * b, combo))

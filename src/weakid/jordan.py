@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .freealg import NcPoly, circ, coeff_vector, comm, from_coeffs
+from .freealg import (NcPoly, circ, coeff_vector, comm, from_coeffs,
+                      multilinear_words, set_partitions, word_index)
 from .linalg import Subspace, echelonize
 
 __all__ = [
@@ -52,21 +53,13 @@ def _words_on(varset):
 
 @lru_cache(maxsize=None)
 def _sj_span(key):
-    varset = tuple(sorted(key))
-    words = _words_on(varset)
-    index = {w: i for i, w in enumerate(words)}
-    if len(varset) == 1:
-        family = [NcPoly.variable(varset[0])]
+    words = _words_on(key)
+    index = word_index(words)
+    if len(key) == 1:
+        family = [NcPoly.variable(min(key))]
     else:
-        family = []
-        first, rest = varset[0], varset[1:]
-        for r in range(0, len(rest)):
-            for mates in itertools.combinations(rest, r):
-                s1 = frozenset((first,) + mates)
-                s2 = frozenset(varset) - s1
-                for u in _sj_span(s1).basis:
-                    for v in _sj_span(s2).basis:
-                        family.append(circ(u, v))
+        family = [circ(u, v) for s1, s2 in _bipartitions(key)
+                  for u in _sj_span(s1).basis for v in _sj_span(s2).basis]
     space = echelonize([coeff_vector(f, index) for f in family])
     basis = tuple(from_coeffs(row, words) for row in space.rows)
     return JordanSpan(space, basis)
@@ -83,7 +76,7 @@ def sj_multilinear_span(varset):
 def reversible_span(varset):
     """Span of w + w* over the multilinear words on varset."""
     words = _words_on(varset)
-    index = {w: i for i, w in enumerate(words)}
+    index = word_index(words)
     return echelonize([coeff_vector(reversible(w), index) for w in words])
 
 
@@ -105,8 +98,6 @@ def bracket_span_check(n):
     variable subsets (u possibly the unit)."""
     if n < 1 or n > 5:
         raise ValueError("supported for degrees 1..5")
-    from .freealg import multilinear_words, word_index
-
     index = word_index(multilinear_words(n))
     everything = frozenset(range(1, n + 1))
     family = list(sj_multilinear_span(everything).basis)
@@ -131,11 +122,6 @@ def _subsets(s):
 
 def _bipartitions(s):
     """Unordered splits of s into two nonempty parts, min element in the left."""
-    items = sorted(s)
-    if len(items) < 2:
-        return
-    first, rest = items[0], items[1:]
-    for r in range(0, len(rest)):
-        for mates in itertools.combinations(rest, r):
-            left = frozenset((first,) + mates)
-            yield left, frozenset(s) - left
+    for blocks in set_partitions(s, 2):
+        if len(blocks) == 2:
+            yield tuple(map(frozenset, blocks))

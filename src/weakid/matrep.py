@@ -57,15 +57,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .freealg import coeff_vector
-from .linalg import Subspace, echelonize, left_kernel, rank
+from .freealg import coeff_vector, word_index
+from .linalg import echelonize, left_kernel, rank
 
 __all__ = [
     "eval_table",
     "is_weak_identity",
     "weak_identity_witness",
     "Witness",
-    "weak_identity_kernel",
     "image_rank",
     "weak_identities_within",
     "BASIS_MATRICES",
@@ -174,10 +173,11 @@ _TABLES = 8
 
 @lru_cache(maxsize=_TABLES)
 def eval_table(words):
-    """(index, rows) for a sorted tuple of words: index maps each word to its
-    row, and rows are the integer first-row evaluation rows with columns
-    numbered sparse-first: by the number of rows that touch the column, then
-    by (entry, monomial) in deg-lex order."""
+    """(index, rows) for a sorted tuple of words: index is the cached
+    ``word_index`` of the words, which maps each word to its row, and rows
+    are the integer first-row evaluation rows with columns numbered
+    sparse-first: by the number of rows that touch the column, then by
+    (entry, monomial) in deg-lex order."""
     width = _width(words)
     rows = eval_rows(words, width)
     counts = {}
@@ -190,7 +190,7 @@ def eval_table(words):
         return counts[key], len(m), m, entry
 
     columns = {k: i for i, k in enumerate(sorted(counts, key=sparse_first))}
-    return ({w: i for i, w in enumerate(words)},
+    return (word_index(words),
             tuple({columns[k]: v for k, v in row.items()} for row in rows))
 
 
@@ -319,33 +319,18 @@ def weak_identity_witness(f):
 # -- kernels of the evaluation map --------------------------------------------
 
 
-def _family_rows(family):
-    degs = {len(w) for f in family for w in f.terms}
-    if len(degs) > 1:
-        raise ValueError(f"family mixes total degrees {sorted(degs)}")
-    words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = eval_table(words)
-    return [poly_eval_row(coeff_vector(f, index), word_rows) for f in family]
-
-
-def weak_identity_kernel(family):
-    """Kernel of (coefficients over the family) -> (generic evaluation).
-
-    The result is an RREF subspace in the coordinates of the family list: its
-    vectors are exactly the weak identities lying in the span of the family.
-    """
-    family = list(family)
-    if not family:
-        return Subspace.zero()
-    return left_kernel(_family_rows(family))
-
-
 def image_rank(family):
     """Rank of the generic evaluation restricted to the span of the family."""
     family = list(family)
     if not family:
         return 0
-    return rank(_family_rows(family))
+    degs = {len(w) for f in family for w in f.terms}
+    if len(degs) > 1:
+        raise ValueError(f"family mixes total degrees {sorted(degs)}")
+    words = tuple(sorted({w for f in family for w in f.terms}))
+    index, word_rows = eval_table(words)
+    return rank([poly_eval_row(coeff_vector(f, index), word_rows)
+                 for f in family])
 
 
 def weak_identities_within(space, word_rows):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .freealg import (coeff_vector, comm, two_var_commutator,
-                      two_var_commutator_family)
+                      two_var_commutator_family, word_index)
 from .linalg import echelonize
 from .matrep import image_rank
 
@@ -61,8 +61,7 @@ def family_dim(dx, dy):
     family = _family(dx, dy)
     if not family:
         return 0
-    words = sorted({w for f in family for w in f.terms})
-    index = {w: i for i, w in enumerate(words)}
+    index = word_index(tuple(sorted({w for f in family for w in f.terms})))
     return echelonize([coeff_vector(f, index) for f in family]).dim
 
 

@@ -47,7 +47,8 @@ from itertools import permutations, product
 from math import factorial
 
 from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
-                      proper_span, standard_poly, substitute, word_index)
+                      proper_span, set_partitions, standard_poly, substitute,
+                      word_index)
 from .jordan import sj_multilinear_span
 from .linalg import Subspace, echelonize, intersection_dim, rank, rank_mod2
 from .matrep import eval_table, poly_eval_row, weak_identities_within
@@ -117,27 +118,6 @@ def _unit_kills_slot(f, k, slot):
     return substitute(f, subs).is_zero()
 
 
-def _set_partitions(n, k):
-    """Set partitions of {1..n} into at most k blocks, each an increasing
-    tuple, the blocks in increasing order."""
-    blocks = []
-
-    def grow(e):
-        if e > n:
-            yield tuple(map(tuple, blocks))
-            return
-        for b in blocks:
-            b.append(e)
-            yield from grow(e + 1)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([e])
-            yield from grow(e + 1)
-            blocks.pop()
-
-    return grow(1)
-
-
 @lru_cache(maxsize=None)
 def _slot_cosets(sym_group):
     """The left cosets s * G of the slot-symmetry group G in Sym(k), as
@@ -171,7 +151,7 @@ def _slot_assignments(n, k, needs_block, sym_group):
     needed = sum(needs_block)
     cosets = _slot_cosets(sym_group)
     keys = set()
-    for blocks in _set_partitions(n, k):
+    for blocks in set_partitions(range(1, n + 1), k):
         if len(blocks) < needed:
             continue  # some slot the unit kills stays empty
         base = blocks + ((),) * (k - len(blocks))

@@ -7,9 +7,9 @@ family over all orderings of each block.
 """
 
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from weakid.freealg import NcPoly, _set_partitions_min2, left_normed
+from weakid.freealg import NcPoly, left_normed
 
 
 def slot_assignments_by_filter(n, k, needs_block, sym_group):
@@ -62,12 +62,28 @@ def block_commutators_all_orderings(block):
     return tuple(seen.values())
 
 
+def set_partitions_min2(elems):
+    """Set partitions of elems into blocks of size >= 2, blocks sorted by
+    min: the block of the least element, then a partition of the rest."""
+    elems = sorted(elems)
+    if not elems:
+        yield ()
+        return
+    first, rest = elems[0], elems[1:]
+    for r in range(1, len(rest) + 1):
+        for mates in combinations(rest, r):
+            remaining = [e for e in rest if e not in mates]
+            if len(remaining) != 1:
+                for tail in set_partitions_min2(remaining):
+                    yield ((first,) + mates,) + tail
+
+
 def proper_family_all_orderings(n):
     """Products of all-orderings block commutators over the set partitions
     of {1..n} into blocks of size >= 2, factors in block order: a spanning
     family of the proper component, not a basis."""
     out = []
-    for blocks in _set_partitions_min2(range(1, n + 1)):
+    for blocks in set_partitions_min2(range(1, n + 1)):
         choices = [block_commutators_all_orderings(b) for b in blocks]
         out.extend(reduce(lambda a, b: a * b, combo) for combo in product(*choices))
     return out

@@ -10,6 +10,7 @@ import pytest
 
 from weakid import __version__
 from weakid.cli import main
+from weakid.expr import _MAX_NESTING, parse_poly
 
 # ``check --mode identity --json`` output of one expression per benchmark
 # check-mix template (seed 1) and a few hand-picked ones, recorded before the
@@ -111,6 +112,10 @@ def test_check_two_variable_relations_via_surface_syntax(capsys):
 def test_check_parse_error_exit_two(capsys):
     assert main(["check", "--expr", "[x1", "--mode", "identity"]) == 2
     assert "error" in capsys.readouterr().err
+    # Arabic-Indic three and a superscript two: not ASCII digits
+    for expr in ("\u0663", "x\u00b2"):
+        assert main(["check", "--expr", expr]) == 2
+        assert "unexpected character" in capsys.readouterr().err
 
 
 def test_check_consequence_of_a_nonzero_constant_is_false(capsys):
@@ -199,6 +204,67 @@ def test_check_rejects_oversized_expressions_fast(capsys):
         assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["identity", "consequence"])
+@pytest.mark.parametrize("opener, inner", [("(", "(x)"), ("[", "[x,y]"),
+                                           ("o(", "o(x,y)"),
+                                           ("S2(", "S2(x,y)"),
+                                           ("ad(", "ad(x,y,1)")])
+def test_check_nesting_cap(opener, inner, mode, capsys):
+    """Brackets nested to the cap are read; one level deeper is a parse
+    error at the opening bracket past the cap, not a RecursionError."""
+    def at_depth(depth):
+        return "(" * (depth - 1) + inner + ")" * (depth - 1)
+
+    assert parse_poly(at_depth(_MAX_NESTING)) == parse_poly(inner)
+    assert main(["check", "--expr", at_depth(_MAX_NESTING), "--mode", mode]) == 1
+    assert capsys.readouterr().err == ""
+    t0 = time.perf_counter()
+    assert main(["check", "--expr", at_depth(_MAX_NESTING + 1),
+                 "--mode", mode]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: 1:{_MAX_NESTING + len(opener)}: ")
+    assert "nested deeper" in err
+
+
+@pytest.mark.parametrize("mode", ["identity", "consequence"])
+def test_check_deeply_nested_input_exits_two_fast(mode, capsys):
+    for expr in ("(" * 2000, "[" * 600):
+        t0 = time.perf_counter()
+        assert main(["check", "--expr", expr, "--mode", mode]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "nested deeper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--degree", "4"],
+                                  ["check", "--expr", "[x1,x2]"]])
+def test_out_to_an_unwritable_path_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "f.json"
+    assert main([*argv, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: cannot write")
+    assert captured.out == ""
+    assert not path.parent.exists()
+
+
+def test_out_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
+    from weakid import cli
+
+    class Full(io.StringIO):
+        def write(self, text):
+            super().write(text)
+            with open(path, "w") as fh:  # a partial report on disk
+                fh.write(text[:10])
+            raise OSError(28, "No space left on device")
+
+    path = tmp_path / "f.json"
+    monkeypatch.setattr(cli, "open", lambda *_: Full(), raising=False)
+    assert main(["check", "--expr", "[x1,x2]", "--out", str(path)]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_verify_proper_mode(capsys):
     assert main(["verify", "--degree", "4", "--proper", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -278,6 +344,19 @@ def test_report_without_degrees_is_a_usage_error(capsys):
     for degrees in (",,", "", " , "):
         assert main(["report", "--degrees", degrees]) == 2
         assert "no degree" in capsys.readouterr().err
+
+
+def test_report_checks_every_degree_before_verifying(monkeypatch, capsys):
+    from weakid import cli
+
+    calls = []
+    real = cli.verify_degree
+    monkeypatch.setattr(cli, "verify_degree",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    for degrees in ("4,8", "7,8", "3,4", "5,4,9"):
+        assert main(["report", "--degrees", degrees]) == 2
+        assert "outside 4..7" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weakid.expr import ParseError, parse, parse_poly
+from weakid.expr import _MAX_NESTING, ParseError, parse, parse_poly
 from weakid.freealg import (NcPoly, circ, comm, left_normed, render,
                             standard_poly, substitute)
 
@@ -62,6 +62,13 @@ def test_errors_carry_positions():
         parse("x1 +\n z1q")
     assert e.value.line == 2
 
+    # Arabic-Indic three and one and a superscript two are digits to
+    # str.isdigit, not to the grammar
+    for src, col in (("\u0663", 1), ("x\u00b2", 2), ("x1 + \u0661", 6)):
+        with pytest.raises(ParseError, match="unexpected character") as e:
+            parse(src)
+        assert (e.value.line, e.value.col) == (1, col)
+
     with pytest.raises(ParseError) as e:
         parse("[x1]")
     assert "at least 2" in str(e.value)
@@ -78,6 +85,17 @@ def test_errors_carry_positions():
         parse("ad(x1, x2, x3)")
     with pytest.raises(ParseError):
         parse("1/0")
+
+
+@pytest.mark.parametrize("src, col", [("(" * 2000, _MAX_NESTING + 1),
+                                      ("[" * 600, _MAX_NESTING + 1),
+                                      ("o(" * 600, 2 * _MAX_NESTING + 2),
+                                      ("[x," * 600, 3 * _MAX_NESTING + 1)],
+                         ids=["paren", "bracket", "circle", "bracket-arg"])
+def test_deep_nesting_is_a_parse_error(src, col):
+    with pytest.raises(ParseError, match="nested deeper") as e:
+        parse(src)
+    assert e.value.col == col
 
 
 def test_no_implicit_multiplication():

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from weakid.freealg import (NcPoly, _block_commutators, circ, coeff_vector,
                             comm, involution, left_normed, linearize,
                             multilinear_words, perm_sign, proper_family,
-                            proper_span, render, standard_poly, substitute,
-                            two_var_commutator, two_var_commutator_family,
-                            word_index)
+                            proper_span, render, set_partitions,
+                            standard_poly, substitute, two_var_commutator,
+                            two_var_commutator_family, word_index)
 from weakid.linalg import echelonize
 
 from tests.family_oracles import (block_commutators_all_orderings,
@@ -145,6 +145,29 @@ def test_multilinear_words():
     assert multilinear_words(2) == ((1, 2), (2, 1))
     words = multilinear_words(4)
     assert list(words) == sorted(words)
+
+
+def stirling2(n, j):
+    """Oracle: set partitions of n elements into exactly j blocks."""
+    if n == 0:
+        return int(j == 0)
+    if j == 0:
+        return 0
+    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+
+
+@pytest.mark.parametrize("elems", [(), (5,), frozenset({9, 2, 7}),
+                                   [4, 1, 6, 3, 5], range(1, 7)])
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_set_partitions(elems, k):
+    parts = list(set_partitions(elems, k))
+    assert len(parts) == len(set(parts)) == sum(
+        stirling2(len(elems), j) for j in range(k + 1))
+    for blocks in parts:
+        assert len(blocks) <= k
+        assert sorted(e for b in blocks for e in b) == sorted(elems)
+        assert all(list(b) == sorted(b) for b in blocks)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 9), (5, 44),
