@@ -26,7 +26,7 @@ import harness
 PARTS = {
     "family_s": ("consequence_family",),
     "core_s": ("_core",),
-    "multiples_s": ("_left_multiples", "_right_multiples"),
+    "multiples_s": ("_multiples",),
     "certify_s": ("poly_eval_row",),
     "eliminate_s": ("echelonize",),
 }
@@ -53,9 +53,9 @@ def layers(n):
     for part, names in PARTS.items():
         out[part] = sum(totals.get(name, 0.0) for name in names)
     out = {key: round(v, 6) for key, v in out.items()}
+    left = n * tideal.consequences_span(gens, n - 1).dim if n > 1 else 0
     out.update(members=len(tideal.consequence_family(gens, n)),
-               core=len(tideal._core(gens, n)),
-               left=len(tideal._left_multiples(gens, n)),
+               core=len(tideal._core(gens, n)), left=left,
                dim=span.dim, certified=certified)
     return out
 

@@ -8,6 +8,7 @@ or as JSON with ``--json`` / ``--out FILE``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -35,9 +36,9 @@ _CONSEQUENCE_CAP = 6
 
 def _emit(payload, args):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, text)
-    elif getattr(args, "json", False):
+    elif args.json:
         sys.stdout.write(text)
 
 
@@ -56,13 +57,28 @@ def _write(path, text):
         raise ValueError(f"cannot write {path}: {e.strerror or e}") from None
 
 
+def _check_out(path):
+    """Raise the ValueError ``_write`` would for a path whose directory is
+    missing or not writable, or that is a directory, before any work is
+    done; creates or truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _want_json(args):
-    return getattr(args, "json", False) or getattr(args, "out", None)
+    return args.json or args.out
 
 
 def _report_dict(report, args):
-    return report.to_json_dict(__version__,
-                               with_timings=not getattr(args, "no_timings", False))
+    return report.to_json_dict(__version__, with_timings=not args.no_timings)
 
 
 def cmd_verify(args):
@@ -266,6 +282,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -60,54 +60,6 @@ def _int_row(vec):
     return row
 
 
-class _Builder:
-    """Forward Gaussian elimination on integer rows, one pivot per column."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = {}  # pivot column -> integer row dict
-
-    def reduce(self, v):
-        """Destructively reduce v against the stored rows; returns v."""
-        rows = self.rows
-        steps = 0
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                break
-            a = row[lead]
-            b = v.pop(lead)
-            # v := a*v - b*row ; the lead entries cancel exactly
-            if a != 1:
-                for c in v:
-                    v[c] *= a
-            for c, x in row.items():
-                if c == lead:
-                    continue
-                y = v.get(c, 0) - b * x
-                if y:
-                    v[c] = y
-                else:
-                    v.pop(c, None)
-            steps += 1
-            if steps % _STRIP_EVERY == 0 and v:
-                _strip(v)
-        return _strip(v) if v else v
-
-    def add(self, v):
-        """Insert a (destructible) integer row; True if the dimension grew."""
-        v = self.reduce(v)
-        if not v:
-            return False
-        self.rows[min(v)] = v
-        return True
-
-    def contains(self, v):
-        return not self.reduce(v)
-
-
 def _back_substitute(rows):
     """Turn forward-echelon rows (pivot -> row) into RREF, in place."""
     pivots = sorted(rows)
@@ -134,10 +86,11 @@ def _back_substitute(rows):
 class Subspace:
     """A vector subspace of Q^N held as a reduced row echelon basis.
 
-    Internally rows are content-1 integer vectors; the ``rows`` property
-    materializes the usual pivot-is-1 RREF as dicts.  Instances are
-    conceptually immutable: RREF finalization is a cached, deterministic
-    normalization and every query is read-only.
+    Internally rows are content-1 integer vectors, one per pivot, built by
+    ``_add``; the ``rows`` property materializes the usual pivot-is-1 RREF
+    as dicts.  Once built, instances are conceptually immutable: RREF
+    finalization is a cached, deterministic normalization and every query
+    is read-only.
     """
 
     __slots__ = ("_rows", "_finalized", "_rref")
@@ -180,10 +133,43 @@ class Subspace:
             self._rref = tuple(out)
         return self._rref
 
+    def _reduce(self, v):
+        """Destructively reduce an integer row v against the stored rows;
+        returns v.  Forward Gaussian elimination, one pivot per column."""
+        rows = self._rows
+        steps = 0
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                break
+            a = row[lead]
+            b = v.pop(lead)
+            # v := a*v - b*row ; the lead entries cancel exactly
+            if a != 1:
+                for c in v:
+                    v[c] *= a
+            for c, x in row.items():
+                if c == lead:
+                    continue
+                y = v.get(c, 0) - b * x
+                if y:
+                    v[c] = y
+                else:
+                    v.pop(c, None)
+            steps += 1
+            if steps % _STRIP_EVERY == 0 and v:
+                _strip(v)
+        return _strip(v) if v else v
+
+    def _add(self, v):
+        """Insert a (destructible) integer row while the space is built."""
+        v = self._reduce(v)
+        if v:
+            self._rows[min(v)] = v
+
     def contains(self, vec):
-        b = _Builder()
-        b.rows = self._rows
-        return b.contains(_int_row(vec))
+        return not self._reduce(_int_row(vec))
 
     def _canonical(self):
         self._finalize()
@@ -214,24 +200,25 @@ def echelonize(vectors, *, echelon=(), stop_dim=None):
     in a canonical order, which keeps pivot rows sparse and makes the
     elimination work independent of their input order.
     """
-    b = _Builder()
+    space = Subspace({})
+    pivots = space._rows
     for v in echelon:
-        if stop_dim is not None and len(b.rows) >= stop_dim:
+        if stop_dim is not None and len(pivots) >= stop_dim:
             break
         r = _strip(_int_row(v))
         if not r:
             raise ValueError("echelon rows must be nonzero")
         lead = min(r)
-        if lead in b.rows:
+        if lead in pivots:
             raise ValueError(f"two echelon rows lead at column {lead}")
-        b.rows[lead] = r
+        pivots[lead] = r
     rows = sorted((_int_row(v) for v in vectors),
                   key=lambda r: (len(r), sorted(r.items())))
     for r in rows:
-        if stop_dim is not None and len(b.rows) >= stop_dim:
+        if stop_dim is not None and len(pivots) >= stop_dim:
             break
-        b.add(r)
-    return Subspace(b.rows)
+        space._add(r)
+    return space
 
 
 def rank(vectors):
@@ -268,11 +255,11 @@ def left_kernel(rows):
     block records combinations of the rows as given.
     """
     offset = 1 + max((c for r in rows for c in r), default=-1)
-    b = _Builder()
+    space = Subspace({})
     for i, r in enumerate(rows):
-        b.add(_int_row({**r, offset + i: 1}))
+        space._add(_int_row({**r, offset + i: 1}))
     return echelonize([{c - offset: v for c, v in row.items()}
-                       for p, row in b.rows.items() if p >= offset])
+                       for p, row in space._rows.items() if p >= offset])
 
 
 def intersection_dim(a, b):

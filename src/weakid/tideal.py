@@ -23,8 +23,8 @@ certified span of that dimension is the whole kernel.  Where the bound is not
 reached, the exact rank over Q decides (``verify_degree``).
 
 The pass evaluates only the core members f(u_1, ..., u_k) (``_core``) and
-takes the rest of the family (``_left_multiples``, ``_right_multiples``)
-by induction on the degree.  Every other member is x_j * r or r * x_j,
+takes the rest of the family (``_multiples``) by induction on the
+degree.  Every other member is x_j * r or r * x_j,
 where r is a row of the degree-(n - 1) span relabelled onto the letters
 other than j.  If the degree-(n - 1) family was certified, r vanishes
 at generic symmetric matrices (a linear combination of certified members),
@@ -163,10 +163,11 @@ def _slot_assignments(n, k, needs_block, sym_group):
 
 
 def consequence_family(gens, n):
-    """Spanning family of the degree-n multilinear consequence space: the
-    one-letter multiples of the degree-(n - 1) span, left
-    (``_left_multiples``) then right (``_right_multiples``), then the core
-    f(u_1, ..., u_k) whose slot blocks cover {1..n} (``_core``).
+    """Spanning family of the degree-n multilinear consequence space, as
+    rows over the columns of ``multilinear_words(n)``: the n * d left
+    one-letter multiples of the d RREF rows of the degree-(n - 1) span, then
+    the n * d right ones (``_multiples``), then the core f(u_1, ..., u_k)
+    whose slot blocks cover {1..n} (``_core``).
     It spans the same space as every a * f(u) * b (module docstring):
 
     * with a = x_j * a', a * f(u) * b = x_j * (a' * f(u) * b), and
@@ -177,49 +178,37 @@ def consequence_family(gens, n):
       f(1, ..., 1) * x_1 = f(x_1, 1, ..., 1) is a core member, and both
       vanish when the unit kills a slot.
     """
-    return [*_left_multiples(gens, n), *_right_multiples(gens, n),
-            *_core(gens, n)]
+    index = word_index(multilinear_words(n))
+    left, right = _multiples(gens, n, index)
+    return [*left, *right, *(coeff_vector(g, index) for g in _core(gens, n))]
 
 
-def _relabelled_rows(gens, n):
-    """(j, r) for each letter j of 1..n and each RREF row r of
-    ``consequences_span(gens, n - 1)``, relabelled onto the letters other
-    than j, as a word dict; none at n = 1."""
+def _multiples(gens, n, index):
+    """(left, right): x_j * r and r * x_j, for each letter j of 1..n and each
+    RREF row r of ``consequences_span(gens, n - 1)`` relabelled onto the
+    letters other than j, as rows over ``index``; none at n = 1.  Each row
+    moves through one column map per letter and side, from a degree-(n - 1)
+    word w to the column of x_j * w' or w' * x_j, w' the relabelled w; the
+    maps are injective, so no two entries of a row meet in one column.
+
+    The left multiples are in echelon form: relabelling 1..n-1 increasingly
+    onto the letters other than j, and prefixing j, both keep the
+    lexicographic order of words, so each x_j * r keeps the leading column
+    of r, and the blocks of different j have disjoint supports."""
     if n == 1:
-        return
+        return [], []
     words = multilinear_words(n - 1)
     rows = consequences_span(gens, n - 1).rows
+    left, right = [], []
     for j in range(1, n + 1):
         relabelled = [tuple(l + (l >= j) for l in w) for w in words]
-        for row in rows:
-            yield j, {relabelled[c]: v for c, v in row.items()}
+        to_left = [index[(j,) + w] for w in relabelled]
+        to_right = [index[w + (j,)] for w in relabelled]
+        left += [{to_left[c]: v for c, v in r.items()} for r in rows]
+        right += [{to_right[c]: v for c, v in r.items()} for r in rows]
+    return left, right
 
 
-# The multiples and the core kept are the ones ``consequence_family`` has
-# just built, so that ``_consequences`` certifies and eliminates them without
-# building them a second time.  The RREF rows give exact nonzero
-# coefficients, and relabelling is injective on words, so the multiples need
-# no checking constructor.
-@lru_cache(maxsize=1)
-def _left_multiples(gens, n):
-    """x_j * r for the relabelled rows r of ``_relabelled_rows``.
-
-    Together they are in echelon form: relabelling 1..n-1 increasingly onto
-    the letters other than j, and prefixing j, both keep the lexicographic
-    order of words, so each x_j * r keeps the leading column of r, and the
-    blocks of different j have disjoint supports."""
-    return tuple(NcPoly._raw({(j,) + w: v for w, v in r.items()})
-                 for j, r in _relabelled_rows(gens, n))
-
-
-@lru_cache(maxsize=1)
-def _right_multiples(gens, n):
-    """r * x_j for the relabelled rows r of ``_relabelled_rows``."""
-    return tuple(NcPoly._raw({w + (j,): v for w, v in r.items()})
-                 for j, r in _relabelled_rows(gens, n))
-
-
-@lru_cache(maxsize=1)
 def _core(gens, n):
     """The nonzero f(u_1, ..., u_k), for each generator f, whose slot blocks
     cover {1..n}: one distribution per orbit of f's slot symmetries, and
@@ -260,25 +249,23 @@ def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member is a weak identity.  Only the core members are
     evaluated; the one-letter multiples inherit the degree-(n - 1) flag
-    (module docstring).  The left multiples enter the elimination as ready
-    echelon rows (``_left_multiples``), so only the right multiples and the
-    core are sorted and reduced.  A certified span lies in the kernel, so
-    its dimension is at most ``_kernel_bound(n)``, where the elimination
-    stops."""
+    (module docstring).  The k left multiples that open the family enter the
+    elimination as ready echelon rows (``_multiples``), so only the right
+    multiples and the core are sorted and reduced.  A certified span lies in
+    the kernel, so its dimension is at most ``_kernel_bound(n)``, where the
+    elimination stops."""
     family = consequence_family(gens, n)
-    certified = n == 1 or _consequences(gens, n - 1)[1]
+    below, certified = (_consequences(gens, n - 1) if n > 1
+                        else (Subspace.zero(), True))
     if not family:
         # nothing to certify, and no evaluation table to build
         return Subspace.zero(), certified
-    index, word_rows = eval_table(multilinear_words(n))
-    certified = certified and all(
-        not poly_eval_row(coeff_vector(g, index), word_rows)
-        for g in _core(gens, n))
+    k = n * below.dim
+    word_rows = eval_table(multilinear_words(n))[1]
+    certified = certified and all(not poly_eval_row(r, word_rows)
+                                  for r in family[2 * k:])
     ceiling = _kernel_bound(n) if certified else None
-    rest = (*_right_multiples(gens, n), *_core(gens, n))
-    return echelonize([coeff_vector(g, index) for g in rest],
-                      echelon=[coeff_vector(g, index)
-                               for g in _left_multiples(gens, n)],
+    return echelonize(family[k:], echelon=family[:k],
                       stop_dim=ceiling), certified
 
 

@@ -2,14 +2,17 @@
 
 None is on the verification path: the slot distributions found by
 filtering every label vector, substitution by multiplying the substituted
-polynomials factor by factor with a product of its own, and the proper
-family over all orderings of each block.
+polynomials factor by factor with a product of its own, the proper family
+over all orderings of each block, and the one-letter multiples built as
+polynomials.
 """
 
 from functools import reduce
 from itertools import combinations, permutations, product
 
-from weakid.freealg import NcPoly, left_normed
+from weakid.freealg import (NcPoly, coeff_vector, from_coeffs, left_normed,
+                            multilinear_words, substitute, word_index)
+from weakid.tideal import consequences_span
 
 
 def slot_assignments_by_filter(n, k, needs_block, sym_group):
@@ -29,6 +32,28 @@ def slot_assignments_by_filter(n, k, needs_block, sym_group):
         if any(tuple(map(key.__getitem__, p)) < key for p in perms):
             continue
         yield key
+
+
+def multiples_by_words(gens, n):
+    """(left, right): x_j * r and r * x_j for each letter j of 1..n and each
+    RREF row r of ``consequences_span(gens, n - 1)``, through word form:
+    the row read as a polynomial (``from_coeffs``), relabelled onto the
+    letters other than j (``substitute``), multiplied by x_j, and read back
+    over the columns of ``multilinear_words(n)`` (``coeff_vector``)."""
+    if n == 1:
+        return [], []
+    index = word_index(multilinear_words(n))
+    words = multilinear_words(n - 1)
+    rows = consequences_span(gens, n - 1).rows
+    left, right = [], []
+    for j in range(1, n + 1):
+        x = NcPoly.variable(j)
+        subs = {i: NcPoly.variable(i + (i >= j)) for i in range(1, n)}
+        for row in rows:
+            r = substitute(from_coeffs(row, words), subs)
+            left.append(coeff_vector(x * r, index))
+            right.append(coeff_vector(r * x, index))
+    return left, right
 
 
 def _multiply(a, b):

@@ -248,6 +248,31 @@ def test_out_to_an_unwritable_path_is_a_usage_error(argv, tmp_path, capsys):
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify", "--degree", "4"],
+                                  ["report", "--degrees", "4"]])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_rejected_before_any_work(argv, where, tmp_path,
+                                                    monkeypatch, capsys):
+    """An --out path whose directory is missing, or that is a directory, is
+    a usage error before verification starts, and leaves nothing behind."""
+    from weakid import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("verify_degree ran before --out was checked")
+
+    monkeypatch.setattr(cli, "verify_degree", never)
+    if where == "missing-directory":
+        path, reason = tmp_path / "missing" / "x.json", "No such file or directory"
+    else:
+        path, reason = tmp_path, "Is a directory"
+    assert main([*argv, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line == f"error: cannot write {path}: {reason}"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_leaves_no_partial_file(tmp_path, monkeypatch, capsys):
     from weakid import cli
 

@@ -18,7 +18,7 @@ from weakid.tideal import (consequence_family, consequences_span,
 
 from tests import identities as ids
 from tests.eval_oracle import oracle_is_weak_identity
-from tests.family_oracles import slot_assignments_by_filter
+from tests.family_oracles import multiples_by_words, slot_assignments_by_filter
 from tests.linalg_oracles import subspace_intersect, subspace_sum
 
 
@@ -110,15 +110,25 @@ def test_degree6_family_is_one_letter_multiples_plus_core():
     family = consequence_family(default_generators(), 6)
     assert consequences_span(None, 5).dim == 55
     assert len(family) == 2 * 6 * 55 + 420 == 1080
+    words = multilinear_words(6)
 
-    def one_letter_multiple(g):
-        return (len({w[0] for w in g.terms}) == 1
-                or len({w[-1] for w in g.terms}) == 1)
+    def firsts(row):
+        return {words[c][0] for c in row}
 
-    assert [one_letter_multiple(g) for g in family] == [True] * 660 + [False] * 420
-    gens = default_generators()
-    assert family == [*tideal._left_multiples(gens, 6),
-                      *tideal._right_multiples(gens, 6), *tideal._core(gens, 6)]
+    def lasts(row):
+        return {words[c][-1] for c in row}
+
+    def one_letter_multiple(row):
+        return len(firsts(row)) == 1 or len(lasts(row)) == 1
+
+    assert [one_letter_multiple(r) for r in family] == [True] * 660 + [False] * 420
+    # x_j * r for j = 1..6, 55 rows each, then r * x_j likewise, then the core
+    blocks = [{j} for j in range(1, 7) for _ in range(55)]
+    assert [firsts(r) for r in family[:330]] == blocks
+    assert [lasts(r) for r in family[330:660]] == blocks
+    index = word_index(words)
+    core = tideal._core(default_generators(), 6)
+    assert family[660:] == [coeff_vector(g, index) for g in core]
 
 
 def _relabelled(f, perm):
@@ -133,6 +143,33 @@ SLOT_CASES = {
     "s4-relabelled": _relabelled(standard_poly(4), (3, 1, 4, 2)),
     "metabelian-relabelled": _relabelled(metabelian(), (3, 1, 4, 2)),
 }
+
+
+FAMILY_CASES = {
+    "default": default_generators(),
+    "metabelian": (metabelian(),),
+    "default-relabelled": (SLOT_CASES["s4-relabelled"],
+                           SLOT_CASES["metabelian-relabelled"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CASES))
+def test_family_rows_match_the_word_route(name):
+    """The multiples moved through column maps are, row for row, the ones
+    built through word form, and the n * d left multiples that open the
+    family lead at distinct columns, as ``echelon=`` rows must."""
+    from weakid import tideal
+
+    gens = FAMILY_CASES[name]
+    for n in range(1, 7):
+        index = word_index(multilinear_words(n))
+        left, right = multiples_by_words(gens, n)
+        core = [coeff_vector(g, index) for g in tideal._core(gens, n)]
+        family = consequence_family(gens, n)
+        assert family == [*left, *right, *core]
+        k = n * consequences_span(gens, n - 1).dim if n > 1 else 0
+        assert len(left) == len(right) == k
+        assert len({min(r) for r in family[:k]}) == k
 
 
 @pytest.mark.parametrize("name", sorted(SLOT_CASES))
@@ -168,13 +205,10 @@ def test_slot_symmetry_groups():
 def test_seeded_elimination_matches_plain_elimination(gens):
     """The left multiples enter the elimination as ready echelon rows; the
     span is the one of the whole family eliminated from scratch."""
-    from weakid import tideal
-
     for n in (4, 5, 6):
-        index = word_index(multilinear_words(n))
-        left = [coeff_vector(g, index) for g in tideal._left_multiples(gens, n)]
-        rest = [coeff_vector(g, index) for g in
-                (*tideal._right_multiples(gens, n), *tideal._core(gens, n))]
+        family = consequence_family(gens, n)
+        k = n * consequences_span(gens, n - 1).dim
+        left, rest = family[:k], family[k:]
         assert echelonize(rest, echelon=left) == echelonize(left + rest)
 
 
@@ -360,9 +394,9 @@ def test_family_members_are_weak_identities():
     row of the span and of its proper part must then be a weak identity too,
     checked here on the tests' own evaluation oracle, which shares no code
     with the certification's ``poly_eval_row``."""
-    for g in consequence_family(default_generators(), 5):
-        assert oracle_is_weak_identity(g)
     words = multilinear_words(5)
+    for row in consequence_family(default_generators(), 5):
+        assert oracle_is_weak_identity(from_coeffs(row, words))
     span = consequences_span(None, 5)
     for space in (span, subspace_intersect(span, proper_span(5))):
         assert space.dim > 0
@@ -374,8 +408,7 @@ def test_family_at_degree_4():
     fam = consequence_family(default_generators(), 4)
     # S4 itself plus the three commutator pairings
     assert len(fam) == 4
-    index = word_index(multilinear_words(4))
-    assert echelonize([coeff_vector(g, index) for g in fam]).dim == 4
+    assert echelonize(fam).dim == 4
 
 
 def test_low_degree_spans_are_zero():
