@@ -41,13 +41,13 @@ def _best(fn, arg):
 
 
 def _record(words):
-    (_, rows), s = _best(eval_table.__wrapped__, words)
+    rows, s = _best(eval_table.__wrapped__, words)
     return {"words": len(words), "nnz": sum(len(r) for r in rows), "s": s}
 
 
 def _record_with_rank(words):
     out = _record(words)
-    rows = eval_table.__wrapped__(words)[1]
+    rows = eval_table.__wrapped__(words)
     out["rank"], out["rank_s"] = _best(rank, rows)
     out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, rows)
     return out

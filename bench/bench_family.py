@@ -5,12 +5,14 @@ Each degree runs in fresh child processes, so every cache starts cold, as
 in one iteration of a benchmark.  One child builds ``consequences_span`` one
 degree down and the kernel bound (``prepare_s``), then runs
 ``tideal._consequences`` at the degree itself with its parts timed: the
-family build (``family_s``; of it, ``core_s`` for the core and
-``multiples_s`` for the one-letter multiples), the certification pass over
-the core (``certify_s``) and the elimination (``eliminate_s``).  Another
-child times ``verify_degree(n)`` end to end (``verify_s``, with the
-report's own ``timings_ms``).  Prints one JSON object.  Run from the
-repository root:
+family build (``family_s``; of it, ``moves_s`` for the one-letter moves,
+the multiples and circle expansions, and ``base_s`` for the relabelled unit
+specializations), the certification of the unit specializations by
+``is_weak_identity`` (``certify_s``) and the elimination (``eliminate_s``).
+It also counts the members, the base, the left multiples and the circle
+expansions.  Another child times ``verify_degree(n)`` end to end
+(``verify_s``, with the report's own ``timings_ms``).  Prints one JSON
+object.  Run from the repository root:
 
     PYTHONPATH=src python bench/bench_family.py [--degrees 4,5,6]
 """
@@ -25,9 +27,9 @@ import harness
 # timed part -> the tideal functions whose calls it sums
 PARTS = {
     "family_s": ("consequence_family",),
-    "core_s": ("_core",),
-    "multiples_s": ("_multiples",),
-    "certify_s": ("poly_eval_row",),
+    "moves_s": ("_moves",),
+    "base_s": ("_base",),
+    "certify_s": ("is_weak_identity",),
     "eliminate_s": ("echelonize",),
 }
 
@@ -53,9 +55,10 @@ def layers(n):
     for part, names in PARTS.items():
         out[part] = sum(totals.get(name, 0.0) for name in names)
     out = {key: round(v, 6) for key, v in out.items()}
-    left = n * tideal.consequences_span(gens, n - 1).dim if n > 1 else 0
+    below = tideal.consequences_span(gens, n - 1).dim if n > 1 else 0
     out.update(members=len(tideal.consequence_family(gens, n)),
-               core=len(tideal._core(gens, n)), left=left,
+               base=len(tideal._base(gens, n)), left=n * below,
+               expanded=n * (n - 1) // 2 * below,
                dim=span.dim, certified=certified)
     return out
 

@@ -3,8 +3,9 @@
 The free special Jordan algebra is the circle-closure of the generators
 inside the free associative algebra.  Its multilinear component on a variable
 set S is spanned by products u o v over proper bipartitions S = S1 | S2, so
-it is built by recursion on the set and echelonized; the basis elements are
-the substitution alphabet for weak T-ideal consequences.
+it is built by recursion on the set and echelonized.  The consequence
+engine does not read these bases: it substitutes Jordan elements one circle
+at a time, x_i -> x_i o x_j (``tideal``).
 
 Classical facts made executable here: every circle-closed element is fixed by
 the word-reversing involution, reversible elements w + w* coincide with the

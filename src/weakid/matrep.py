@@ -41,9 +41,10 @@ per word universe (a sorted tuple of words), with columns numbered
 sparse-first: by the number of rows that touch the column, then in deg-lex
 order of (monomial, entry).  The rank and the kernels do not depend on the
 column order, but the elimination takes its pivots in it, and pivots on
-sparse columns keep the fill-in down.  The rank, kernel and certification
-passes read the rows from there.  The weak identity test and the witness
-search read the generic coordinates of the one polynomial they are given,
+sparse columns keep the fill-in down.  The rank and kernel passes read the
+rows from there.  The weak identity test (which also certifies the
+consequence family) and the witness search read the generic coordinates of
+the one polynomial they are given,
 from the same prefix-stack walk and the same ``poly_eval_row``.  The
 independent evaluation oracle the tests check all of this against lives in
 ``tests/``.
@@ -173,11 +174,10 @@ _TABLES = 8
 
 @lru_cache(maxsize=_TABLES)
 def eval_table(words):
-    """(index, rows) for a sorted tuple of words: index is the cached
-    ``word_index`` of the words, which maps each word to its row, and rows
-    are the integer first-row evaluation rows with columns numbered
-    sparse-first: by the number of rows that touch the column, then by
-    (entry, monomial) in deg-lex order."""
+    """The integer first-row evaluation rows of a sorted tuple of words, one
+    per word in order, with columns numbered sparse-first: by the number of
+    rows that touch the column, then by (entry, monomial) in deg-lex
+    order."""
     width = _width(words)
     rows = eval_rows(words, width)
     counts = {}
@@ -190,8 +190,7 @@ def eval_table(words):
         return counts[key], len(m), m, entry
 
     columns = {k: i for i, k in enumerate(sorted(counts, key=sparse_first))}
-    return (word_index(words),
-            tuple({columns[k]: v for k, v in row.items()} for row in rows))
+    return tuple({columns[k]: v for k, v in row.items()} for row in rows)
 
 
 def poly_eval_row(coeffs, word_rows):
@@ -328,7 +327,7 @@ def image_rank(family):
     if len(degs) > 1:
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
     words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = eval_table(words)
+    index, word_rows = word_index(words), eval_table(words)
     return rank([poly_eval_row(coeff_vector(f, index), word_rows)
                  for f in family])
 

@@ -6,8 +6,33 @@ the u_j are multilinear Jordan elements on disjoint variable blocks (or the
 unit), and a, b are words over the remaining variables.  Restricting the u_j
 to multilinear blocks is lossless in characteristic 0: expanding a general
 Jordan substitution multihomogeneously, only the per-block multilinear parts
-can contribute to the multilinear component.  ``consequence_family`` builds
-the outer words one letter at a time, by induction on the degree.
+can contribute to the multilinear component.  A multilinear Jordan element
+is a combination of circle trees: a block's letters, each once, joined by
+u o v = uv + vu.
+
+``consequence_family`` builds that space from the degree-(n - 1) one by
+three one-letter moves, each applied to every RREF row r of the
+degree-(n - 1) span relabelled onto the letters other than j, plus a base:
+
+* left and right multiples x_j * r and r * x_j;
+* circle expansions r[x_i -> x_i o x_j] for i < j;
+* the base: each generator's nonzero unit specializations of degree n (some
+  slots set to 1, one letter in each other slot) in every relabelling.
+
+Every member is a consequence: the space is closed under multiplication by
+letters, under relabelling, and under x_i -> x_i o x_j, which substitutes a
+Jordan element.  Conversely, take a * f(T_1, ..., T_k) * b with each T_s a
+circle tree or the unit.  If it has an outer letter, say a = x_j * a', it
+is x_j times the degree-(n - 1) consequence a' * f(T_1, ..., T_k) * b on
+the other letters: a one-letter multiple (likewise on the right).
+Otherwise, if some tree has two leaves, it has two sibling leaves
+x_i o x_j, i < j (o is commutative).  Contracting them to the leaf x_i
+gives a degree-(n - 1) consequence on the letters other than j, a
+combination of relabelled rows r, and the expansion x_i -> x_i o x_j,
+which is linear, takes it back to the element; so unordered pairs suffice.
+With no outer letter and only single-leaf or unit slots, the element is a
+relabelled unit specialization.  At n = 1 an outer letter leaves a scalar,
+f(1, ..., 1) * x_1 = f(x_1, 1, ..., 1), again a unit specialization.
 
 ``verify_degree`` compares that span with the kernel of the generic
 symmetric-matrix evaluation.  Equality is certified by two one-sided checks:
@@ -22,20 +47,20 @@ above by n! minus the evaluation table's rank mod 2 (``_kernel_bound``); a
 certified span of that dimension is the whole kernel.  Where the bound is not
 reached, the exact rank over Q decides (``verify_degree``).
 
-The pass evaluates only the core members f(u_1, ..., u_k) (``_core``) and
-takes the rest of the family (``_multiples``) by induction on the
-degree.  Every other member is x_j * r or r * x_j,
-where r is a row of the degree-(n - 1) span relabelled onto the letters
-other than j.  If the degree-(n - 1) family was certified, r vanishes
-at generic symmetric matrices (a linear combination of certified members),
-so does its relabelling (a weak identity stays one under any renaming of
-its variables), and so do x_j * r and r * x_j, because the evaluation is an
-algebra homomorphism: X_j * 0 = 0 * X_j = 0.  So the degree-n family is
-certified iff the degree-(n - 1) one was and every core member evaluates to
-zero.  The converse half makes the flag exact, not only sound: if some
-degree-(n - 1) member does not vanish, neither does some row r, and then
-x_n * r does not vanish either, since the generic matrix X_n is invertible
-over the field of fractions of the slots.
+The pass evaluates only the unit specializations (``_specializations``), by
+``is_weak_identity``, and takes the rest of the family by induction on the
+degree.  If the degree-(n - 1) family was certified, every row r vanishes at
+generic symmetric matrices (a linear combination of certified members), so
+does its relabelling and every relabelled base member (a weak identity stays
+one under any renaming of its variables), so do x_j * r and r * x_j, because
+the evaluation is an algebra homomorphism (X_j * 0 = 0 * X_j = 0), and so
+does r[x_i -> x_i o x_j], because X_i X_j + X_j X_i is again symmetric.  So
+the degree-n family is certified iff the degree-(n - 1) one was and every
+unit specialization of degree n evaluates to zero.  The converse half makes
+the flag exact, not only sound: if some degree-(n - 1) member does not
+vanish, neither does some row r, and then x_n * r does not vanish either,
+since the generic matrix X_n is invertible over the field of fractions of
+the slots.
 """
 
 from __future__ import annotations
@@ -43,15 +68,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
-                      proper_span, set_partitions, standard_poly, substitute,
-                      word_index)
-from .jordan import sj_multilinear_span
+                      proper_span, standard_poly, substitute, word_index)
 from .linalg import Subspace, echelonize, intersection_dim, rank, rank_mod2
-from .matrep import eval_table, poly_eval_row, weak_identities_within
+from .matrep import eval_table, is_weak_identity, weak_identities_within
 
 __all__ = [
     "metabelian",
@@ -66,7 +89,8 @@ __all__ = [
 ]
 
 # Highest degree the consequence engine accepts: degree 7 already takes about
-# 3 minutes and 320 MB, and degree 8 has 8! = 40320 multilinear words.
+# 160 s and 410 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear
+# words.
 _MAX_DEGREE = 7
 
 # Consequence spans kept, keyed by (generators, degree).  One per degree
@@ -91,141 +115,88 @@ def default_generators():
 
 def _arity(f):
     support = f.support()
-    k = max(support)
-    if support != set(range(1, k + 1)) or not f.is_multilinear():
+    k = max(support, default=0)
+    if not k or support != set(range(1, k + 1)) or not f.is_multilinear():
         raise ValueError("generators must be multilinear in x1..xk")
     return k
 
 
-@lru_cache(maxsize=None)
-def _slot_symmetries(f, k):
-    """Slot permutations under which f is invariant up to a nonzero scalar.
-    Substituting variables for variables relabels the words of f."""
-    target = f.normalized()
-    group = []
-    for perm in permutations(range(1, k + 1)):
-        g = NcPoly._raw({tuple(perm[i - 1] for i in w): c
-                         for w, c in f.terms.items()})
-        if g.normalized() == target:
-            group.append(perm)
-    return tuple(group)
-
-
-@lru_cache(maxsize=None)
-def _unit_kills_slot(f, k, slot):
-    subs = {i: NcPoly.variable(i) for i in range(1, k + 1)}
-    subs[slot] = NcPoly.one()
-    return substitute(f, subs).is_zero()
-
-
-@lru_cache(maxsize=None)
-def _slot_cosets(sym_group):
-    """The left cosets s * G of the slot-symmetry group G in Sym(k), as
-    0-based index maps q (a key permuted by q is key[q[0]], key[q[1]], ...)."""
-    group = [tuple(j - 1 for j in p) for p in sym_group]
-    k = len(group[0])
-    seen, cosets = set(), []
-    for s in permutations(range(k)):
-        if s not in seen:
-            coset = tuple(tuple(s[i] for i in p) for p in group)
-            seen.update(coset)
-            cosets.append(coset)
-    return tuple(cosets)
-
-
-def _labels(key):
-    """Slot of each of 1..n under a distribution key."""
-    return [s for _, s in sorted((e, s) for s, b in enumerate(key) for e in b)]
-
-
-def _slot_assignments(n, k, needs_block, sym_group):
-    """Distributions of {1..n} into k slot blocks, with a nonempty block in
-    every slot the unit kills, one representative per orbit of the
-    slot-symmetry group G: the least key of its orbit.  They come in the
-    order of their label vectors (slot of 1, ..., slot of n).
-
-    A distribution places the blocks of a set partition of {1..n} into at
-    most k blocks, so it is base permuted by some q in Sym(k), where base
-    lists the blocks and then the empty slots; base permuted by q and by q'
-    lie in one G-orbit exactly when q and q' lie in one left coset of G."""
-    needed = sum(needs_block)
-    cosets = _slot_cosets(sym_group)
-    keys = set()
-    for blocks in set_partitions(range(1, n + 1), k):
-        if len(blocks) < needed:
-            continue  # some slot the unit kills stays empty
-        base = blocks + ((),) * (k - len(blocks))
-        for coset in cosets:
-            key = min(tuple(base[i] for i in q) for q in coset)
-            if all(key[j] or not needs_block[j] for j in range(k)):
-                keys.add(key)
-    return sorted(keys, key=_labels)
-
-
 def consequence_family(gens, n):
     """Spanning family of the degree-n multilinear consequence space, as
-    rows over the columns of ``multilinear_words(n)``: the n * d left
-    one-letter multiples of the d RREF rows of the degree-(n - 1) span, then
-    the n * d right ones (``_multiples``), then the core f(u_1, ..., u_k)
-    whose slot blocks cover {1..n} (``_core``).
-    It spans the same space as every a * f(u) * b (module docstring):
-
-    * with a = x_j * a', a * f(u) * b = x_j * (a' * f(u) * b), and
-      a' * f(u) * b is a degree-(n - 1) consequence on the other letters;
-      the same holds on the right;
-    * conversely x_j * c and c * x_j are consequences for every consequence c;
-    * at n = 1 no outer part is needed: f is multilinear, so
-      f(1, ..., 1) * x_1 = f(x_1, 1, ..., 1) is a core member, and both
-      vanish when the unit kills a slot.
-    """
+    rows over the columns of ``multilinear_words(n)``: with d the dimension
+    of the degree-(n - 1) span, the n * d left one-letter multiples, the
+    n * d right ones, the n(n - 1)/2 * d circle expansions (``_moves``), then
+    the base (``_base``).  The module docstring shows that it spans every
+    a * f(u_1, ..., u_k) * b."""
     index = word_index(multilinear_words(n))
-    left, right = _multiples(gens, n, index)
-    return [*left, *right, *(coeff_vector(g, index) for g in _core(gens, n))]
+    left, right, expanded = _moves(gens, n, index)
+    return [*left, *right, *expanded,
+            *(coeff_vector(g, index) for g in _base(gens, n))]
 
 
-def _multiples(gens, n, index):
-    """(left, right): x_j * r and r * x_j, for each letter j of 1..n and each
-    RREF row r of ``consequences_span(gens, n - 1)`` relabelled onto the
-    letters other than j, as rows over ``index``; none at n = 1.  Each row
-    moves through one column map per letter and side, from a degree-(n - 1)
-    word w to the column of x_j * w' or w' * x_j, w' the relabelled w; the
-    maps are injective, so no two entries of a row meet in one column.
+def _moves(gens, n, index):
+    """(left, right, expanded): x_j * r, r * x_j, and r[x_i -> x_i o x_j] for
+    i < j, for each letter j of 1..n and each RREF row r of
+    ``consequences_span(gens, n - 1)`` relabelled onto the letters other than
+    j, as rows over ``index``; none at n = 1.  Each row moves through column
+    maps from a degree-(n - 1) word w to columns of degree-n words, w' the
+    relabelled w: x_j * w' or w' * x_j, and for an expansion both w' with
+    x_j inserted just after x_i and w' with x_j inserted just before.  The
+    maps are injective, and the two of an expansion have disjoint images
+    (x_j follows x_i in one and precedes it in the other), so no two entries
+    of a row meet in one column.
 
     The left multiples are in echelon form: relabelling 1..n-1 increasingly
     onto the letters other than j, and prefixing j, both keep the
     lexicographic order of words, so each x_j * r keeps the leading column
     of r, and the blocks of different j have disjoint supports."""
     if n == 1:
-        return [], []
+        return [], [], []
     words = multilinear_words(n - 1)
     rows = consequences_span(gens, n - 1).rows
-    left, right = [], []
+
+    def moved(*maps):
+        return [{m[c]: v for m in maps for c, v in r.items()} for r in rows]
+
+    left, right, expanded = [], [], []
     for j in range(1, n + 1):
         relabelled = [tuple(l + (l >= j) for l in w) for w in words]
-        to_left = [index[(j,) + w] for w in relabelled]
-        to_right = [index[w + (j,)] for w in relabelled]
-        left += [{to_left[c]: v for c, v in r.items()} for r in rows]
-        right += [{to_right[c]: v for c, v in r.items()} for r in rows]
-    return left, right
+        left += moved([index[(j,) + w] for w in relabelled])
+        right += moved([index[w + (j,)] for w in relabelled])
+        for i in range(1, j):
+            at = [(w, w.index(i)) for w in relabelled]
+            after = [index[w[:p + 1] + (j,) + w[p + 1:]] for w, p in at]
+            before = [index[w[:p] + (j,) + w[p:]] for w, p in at]
+            expanded += moved(after, before)
+    return left, right, expanded
 
 
-def _core(gens, n):
-    """The nonzero f(u_1, ..., u_k), for each generator f, whose slot blocks
-    cover {1..n}: one distribution per orbit of f's slot symmetries, and
-    every choice of basis elements of the Jordan spans of the blocks."""
-    core = []
+def _specializations(gens, n):
+    """The nonzero unit specializations of degree n: each generator with all
+    but n of its slots set to 1 and x_1, ..., x_n in the others, in order."""
+    out = []
     for f in gens:
         k = _arity(f)
-        sym_group = _slot_symmetries(f, k)
-        needs_block = [_unit_kills_slot(f, k, j) for j in range(1, k + 1)]
-        for blocks in _slot_assignments(n, k, needs_block, sym_group):
-            choices = [sj_multilinear_span(frozenset(b)).basis if b
-                       else (NcPoly.one(),) for b in blocks]
-            for us in product(*choices):
-                g = substitute(f, {j + 1: us[j] for j in range(k)})
-                if not g.is_zero():
-                    core.append(g)
-    return tuple(core)
+        for kept in combinations(range(1, k + 1), n):
+            subs = {s: NcPoly.one() for s in range(1, k + 1)}
+            subs.update((s, NcPoly.variable(i)) for i, s in enumerate(kept, 1))
+            g = substitute(f, subs)
+            if not g.is_zero():
+                out.append(g)
+    return out
+
+
+def _base(gens, n):
+    """Each unit specialization in every relabelling of x_1, ..., x_n, once
+    per ``normalized()`` class: for the default generators, S4 and the three
+    pairings of [[x1, x2], [x3, x4]] at degree 4, and nothing elsewhere."""
+    classes = {}
+    for g in _specializations(gens, n):
+        for perm in permutations(range(1, n + 1)):
+            h = NcPoly._raw({tuple(perm[l - 1] for l in w): c
+                             for w, c in g.terms.items()})
+            classes.setdefault(h.normalized(), h)
+    return list(classes.values())
 
 
 # -- the full multilinear component -------------------------------------------
@@ -234,36 +205,34 @@ def _core(gens, n):
 @lru_cache(maxsize=None)
 def pn_kernel_dim(n):
     """Dimension of the weak identities inside the multilinear component."""
-    return factorial(n) - rank(eval_table(multilinear_words(n))[1])
+    return factorial(n) - rank(eval_table(multilinear_words(n)))
 
 
 @lru_cache(maxsize=None)
 def _kernel_bound(n):
     """An upper bound on ``pn_kernel_dim(n)``: the evaluation table's rank
     mod 2 is at most its rank over Q (``rank_mod2``)."""
-    return factorial(n) - rank_mod2(eval_table(multilinear_words(n))[1])
+    return factorial(n) - rank_mod2(eval_table(multilinear_words(n)))
 
 
 @lru_cache(maxsize=_SPANS)
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
-    every family member is a weak identity.  Only the core members are
-    evaluated; the one-letter multiples inherit the degree-(n - 1) flag
+    every family member is a weak identity.  Only the unit specializations
+    are evaluated; the moves and the relabelled base inherit the flag
     (module docstring).  The k left multiples that open the family enter the
-    elimination as ready echelon rows (``_multiples``), so only the right
-    multiples and the core are sorted and reduced.  A certified span lies in
-    the kernel, so its dimension is at most ``_kernel_bound(n)``, where the
-    elimination stops."""
-    family = consequence_family(gens, n)
+    elimination as ready echelon rows (``_moves``), so only the rest is
+    sorted and reduced.  A certified span lies in the kernel, so its
+    dimension is at most ``_kernel_bound(n)``, where the elimination stops."""
     below, certified = (_consequences(gens, n - 1) if n > 1
                         else (Subspace.zero(), True))
+    certified = certified and all(is_weak_identity(g)
+                                  for g in _specializations(gens, n))
+    family = consequence_family(gens, n)
     if not family:
-        # nothing to certify, and no evaluation table to build
+        # nothing to eliminate, and no evaluation table to build
         return Subspace.zero(), certified
     k = n * below.dim
-    word_rows = eval_table(multilinear_words(n))[1]
-    certified = certified and all(not poly_eval_row(r, word_rows)
-                                  for r in family[2 * k:])
     ceiling = _kernel_bound(n) if certified else None
     return echelonize(family[k:], echelon=family[:k],
                       stop_dim=ceiling), certified
@@ -317,7 +286,7 @@ def is_consequence(f, gens=None):
 def proper_kernel(n):
     """Word-coordinate subspace of the proper multilinear weak identities."""
     return weak_identities_within(proper_span(n),
-                                  eval_table(multilinear_words(n))[1])
+                                  eval_table(multilinear_words(n)))
 
 
 # -- degree-by-degree verification ---------------------------------------------
@@ -362,8 +331,9 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     Containment is certified once, on the consequence family, by induction
     on the degree: the one-letter multiples x_j * r and r * x_j of the
     degree-(n - 1) rows vanish because those rows were certified one degree
-    down and the evaluation is an algebra homomorphism, so only the core
-    members f(u_1, ..., u_k) are evaluated at each degree (module docstring).
+    down and the evaluation is an algebra homomorphism, and so do the circle
+    expansions, so only the unit specializations of the generators are
+    evaluated at each degree (module docstring).
     That also covers every basis vector of the span and of its proper part:
     the evaluation is linear, each span vector is an exact rational
     combination of family members, and the proper part is a subspace of the

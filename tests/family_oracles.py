@@ -1,59 +1,46 @@
 """Family oracles used only by the tests.
 
-None is on the verification path: the slot distributions found by
-filtering every label vector, substitution by multiplying the substituted
-polynomials factor by factor with a product of its own, the proper family
-over all orderings of each block, and the one-letter multiples built as
-polynomials.
+None is on the verification path: substitution by multiplying the
+substituted polynomials factor by factor with a product of its own, the
+proper family over all orderings of each block, and the one-letter moves
+built as polynomials.
 """
 
 from functools import reduce
 from itertools import combinations, permutations, product
 
-from weakid.freealg import (NcPoly, coeff_vector, from_coeffs, left_normed,
-                            multilinear_words, substitute, word_index)
+from weakid.freealg import (NcPoly, circ, coeff_vector, from_coeffs,
+                            left_normed, multilinear_words, substitute,
+                            word_index)
 from weakid.tideal import consequences_span
 
 
-def slot_assignments_by_filter(n, k, needs_block, sym_group):
-    """Every label vector in {0..k-1}^n, in lexicographic order, read as a
-    distribution of {1..n} into k slot blocks; kept when every slot the
-    unit kills gets a block and no permutation in the slot-symmetry group
-    makes the key smaller."""
-    perms = [tuple(j - 1 for j in p) for p in sym_group
-             if p != tuple(range(1, k + 1))]
-    for labels in product(range(k), repeat=n):
-        blocks = [[] for _ in range(k)]
-        for e, lab in enumerate(labels, start=1):
-            blocks[lab].append(e)
-        if any(needs_block[j] and not blocks[j] for j in range(k)):
-            continue
-        key = tuple(tuple(b) for b in blocks)
-        if any(tuple(map(key.__getitem__, p)) < key for p in perms):
-            continue
-        yield key
-
-
-def multiples_by_words(gens, n):
-    """(left, right): x_j * r and r * x_j for each letter j of 1..n and each
-    RREF row r of ``consequences_span(gens, n - 1)``, through word form:
-    the row read as a polynomial (``from_coeffs``), relabelled onto the
-    letters other than j (``substitute``), multiplied by x_j, and read back
-    over the columns of ``multilinear_words(n)`` (``coeff_vector``)."""
+def moves_by_words(gens, n):
+    """(left, right, expanded): x_j * r, r * x_j and r[x_i -> x_i o x_j] for
+    i < j, for each letter j of 1..n and each RREF row r of
+    ``consequences_span(gens, n - 1)``, through word form: the row read as a
+    polynomial (``from_coeffs``), relabelled onto the letters other than j
+    (``substitute``), multiplied by x_j or with x_i replaced by
+    ``circ(x_i, x_j)`` (``substitute``), and read back over the columns of
+    ``multilinear_words(n)`` (``coeff_vector``)."""
     if n == 1:
-        return [], []
+        return [], [], []
     index = word_index(multilinear_words(n))
     words = multilinear_words(n - 1)
     rows = consequences_span(gens, n - 1).rows
-    left, right = [], []
+    x = NcPoly.variable
+    left, right, expanded = [], [], []
     for j in range(1, n + 1):
-        x = NcPoly.variable(j)
-        subs = {i: NcPoly.variable(i + (i >= j)) for i in range(1, n)}
-        for row in rows:
-            r = substitute(from_coeffs(row, words), subs)
-            left.append(coeff_vector(x * r, index))
-            right.append(coeff_vector(r * x, index))
-    return left, right
+        relabel = {i: x(i + (i >= j)) for i in range(1, n)}
+        moved = [substitute(from_coeffs(row, words), relabel) for row in rows]
+        left += [coeff_vector(x(j) * r, index) for r in moved]
+        right += [coeff_vector(r * x(j), index) for r in moved]
+        for i in range(1, j):
+            expand = {l: x(l) for l in range(1, n + 1)}
+            expand[i] = circ(x(i), x(j))
+            expanded += [coeff_vector(substitute(r, expand), index)
+                         for r in moved]
+    return left, right, expanded
 
 
 def _multiply(a, b):

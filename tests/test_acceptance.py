@@ -74,7 +74,7 @@ def test_criterion_2_main_theorem_degrees_5_and_6():
                     reason="degree 7 is an optional stretch target")
 def test_criterion_2_stretch_degree_7():
     # Optional and hardware-dependent; the equality itself is what matters.
-    # Measured once on a 2-vCPU VM: 95 s wall, 315 MB max RSS
+    # Measured once on a 2-vCPU VM: 157 s wall, 408 MB max RSS
     # (dim_P 5040, kernel = consequences = 4417).
     t0 = time.perf_counter()
     report7 = verify_degree(7)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weakid.freealg import (NcPoly, coeff_vector, comm, from_coeffs,
                             involution, left_normed, multilinear_words,
-                            proper_span, standard_poly)
+                            proper_span, standard_poly, word_index)
 from weakid import matrep, series, tideal
 from weakid.cli import main
 from weakid.expr import parse_poly
@@ -99,7 +99,7 @@ def test_packed_keys_do_not_carry_at_width_boundaries(length):
 
 
 def _oracle_table(words, entries=(0, 1)):
-    """(index, rows) built from the oracle's evaluation of each word at the
+    """Rows built from the oracle's evaluation of each word at the
     given entries (the first row by default, as ``eval_table`` keeps), with
     columns sorted by (rows touching the column, deg-lex order of
     (monomial, entry))."""
@@ -111,8 +111,7 @@ def _oracle_table(words, entries=(0, 1)):
             counts[k] = counts.get(k, 0) + 1
     keys = sorted(counts, key=lambda k: (counts[k], len(k[1]), k[1], k[0]))
     columns = {k: i for i, k in enumerate(keys)}
-    return ({w: i for i, w in enumerate(words)},
-            tuple({columns[k]: v for k, v in c.items()} for c in coords_))
+    return tuple({columns[k]: v for k, v in c.items()} for c in coords_)
 
 
 def _bidegree_words(dx, dy):
@@ -135,8 +134,8 @@ def test_eval_table_matches_the_oracle_table(words):
 @_TABLE_UNIVERSES
 def test_first_row_table_has_the_rank_of_the_whole_matrix(words):
     # the second row is the first reflected, so dropping it loses no rank
-    full = _oracle_table(words, entries=(0, 1, 2, 3))[1]
-    assert rank(eval_table(words)[1]) == rank(full)
+    full = _oracle_table(words, entries=(0, 1, 2, 3))
+    assert rank(eval_table(words)) == rank(full)
 
 
 def _at_point(coords_, point):
@@ -361,7 +360,7 @@ def family_kernel(family):
     """Kernel of (coefficients over the family) -> (generic evaluation), in
     the coordinates of the family list: the weak identities in its span."""
     words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = eval_table(words)
+    index, word_rows = word_index(words), eval_table(words)
     return left_kernel([poly_eval_row(coeff_vector(f, index), word_rows)
                         for f in family])
 
@@ -405,7 +404,7 @@ def test_image_rank_complements_kernel():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_proper_kernel_is_full_kernel_intersected(n):
-    word_rows = eval_table(multilinear_words(n))[1]
+    word_rows = eval_table(multilinear_words(n))
     everything = echelonize([{i: 1} for i in range(len(word_rows))])
     gamma_side = weak_identities_within(proper_span(n), word_rows)
     full_side = weak_identities_within(everything, word_rows)

@@ -18,7 +18,7 @@ from weakid.tideal import (consequence_family, consequences_span,
 
 from tests import identities as ids
 from tests.eval_oracle import oracle_is_weak_identity
-from tests.family_oracles import multiples_by_words, slot_assignments_by_filter
+from tests.family_oracles import moves_by_words
 from tests.linalg_oracles import subspace_intersect, subspace_sum
 
 
@@ -83,6 +83,7 @@ def _unreduced_family(gens, n):
 
 @pytest.mark.parametrize("gens, n", [
     (default_generators(), 4),
+    (default_generators(), 5),
     ((metabelian(),), 4),
     ((metabelian(),), 5),
     # S3 does not vanish at a unit slot, so it reaches below its arity
@@ -90,12 +91,13 @@ def _unreduced_family(gens, n):
     ((standard_poly(3),), 3),
     ((standard_poly(3),), 4),
     ((standard_poly(3),), 5),
-], ids=["default-4", "metabelian-4", "metabelian-5",
+], ids=["default-4", "default-5", "metabelian-4", "metabelian-5",
         "s3-2", "s3-3", "s3-4", "s3-5"])
 def test_symmetry_reduced_enumeration_matches_full_enumeration(gens, n):
-    """The family keeps one ordered-block tuple per slot-symmetry orbit and
-    builds outer words one letter at a time from the degree below; its span
-    must equal the one from the unreduced enumeration."""
+    """The family builds each degree from the one below by one-letter moves
+    (outer letters and circle expansions) on top of the unit
+    specializations; its span must equal the one from the unreduced
+    enumeration of every a * f(u_1, ..., u_k) * b."""
     index = word_index(multilinear_words(n))
     full_span = echelonize([coeff_vector(g, index)
                             for g in _unreduced_family(gens, n)])
@@ -104,12 +106,14 @@ def test_symmetry_reduced_enumeration_matches_full_enumeration(gens, n):
 
 def test_degree6_family_is_one_letter_multiples_plus_core():
     """x_j * r and r * x_j for the 55 RREF rows r at degree 5 and the 6
-    letters j, then the 420 core members f(u_1, ..., u_4)."""
+    letters j, then r[x_i -> x_i o x_j] for the 15 pairs i < j, and no base:
+    330 / 330 / 825 / 0 rows."""
     from weakid import tideal
 
     family = consequence_family(default_generators(), 6)
     assert consequences_span(None, 5).dim == 55
-    assert len(family) == 2 * 6 * 55 + 420 == 1080
+    assert len(family) == 330 + 330 + 825 == 1485
+    assert tideal._base(default_generators(), 6) == []
     words = multilinear_words(6)
 
     def firsts(row):
@@ -118,86 +122,52 @@ def test_degree6_family_is_one_letter_multiples_plus_core():
     def lasts(row):
         return {words[c][-1] for c in row}
 
-    def one_letter_multiple(row):
-        return len(firsts(row)) == 1 or len(lasts(row)) == 1
-
-    assert [one_letter_multiple(r) for r in family] == [True] * 660 + [False] * 420
-    # x_j * r for j = 1..6, 55 rows each, then r * x_j likewise, then the core
+    # x_j * r for j = 1..6, 55 rows each, then r * x_j likewise
     blocks = [{j} for j in range(1, 7) for _ in range(55)]
     assert [firsts(r) for r in family[:330]] == blocks
     assert [lasts(r) for r in family[330:660]] == blocks
-    index = word_index(words)
-    core = tideal._core(default_generators(), 6)
-    assert family[660:] == [coeff_vector(g, index) for g in core]
+    # r[x_i -> x_i o x_j] for the pairs i < j, 55 rows each: x_j sits just
+    # after x_i in half of the words and just before it in the other half
+    pairs = [(i, j) for j in range(1, 7) for i in range(1, j)
+             for _ in range(55)]
+    assert len(pairs) == len(family[660:])
+    for (i, j), row in zip(pairs, family[660:]):
+        gaps = [words[c].index(j) - words[c].index(i) for c in row]
+        assert gaps.count(1) == gaps.count(-1) == len(gaps) // 2
 
 
 def _relabelled(f, perm):
     return substitute(f, {i: NcPoly.variable(p) for i, p in enumerate(perm, 1)})
 
 
-SLOT_CASES = {
-    "s4": standard_poly(4),
-    "metabelian": metabelian(),
-    "s3": standard_poly(3),
-    # the default pair as a relabelled presentation passes it
-    "s4-relabelled": _relabelled(standard_poly(4), (3, 1, 4, 2)),
-    "metabelian-relabelled": _relabelled(metabelian(), (3, 1, 4, 2)),
-}
-
-
 FAMILY_CASES = {
     "default": default_generators(),
     "metabelian": (metabelian(),),
-    "default-relabelled": (SLOT_CASES["s4-relabelled"],
-                           SLOT_CASES["metabelian-relabelled"]),
+    # the default pair as a relabelled presentation passes it
+    "default-relabelled": tuple(_relabelled(f, (3, 1, 4, 2))
+                                for f in default_generators()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
 def test_family_rows_match_the_word_route(name):
-    """The multiples moved through column maps are, row for row, the ones
-    built through word form, and the n * d left multiples that open the
-    family lead at distinct columns, as ``echelon=`` rows must."""
+    """The moves made through column maps are, row for row, the ones built
+    through word form, followed by the base, and the n * d left multiples
+    that open the family lead at distinct columns, as ``echelon=`` rows
+    must."""
     from weakid import tideal
 
     gens = FAMILY_CASES[name]
     for n in range(1, 7):
         index = word_index(multilinear_words(n))
-        left, right = multiples_by_words(gens, n)
-        core = [coeff_vector(g, index) for g in tideal._core(gens, n)]
+        left, right, expanded = moves_by_words(gens, n)
+        base = [coeff_vector(g, index) for g in tideal._base(gens, n)]
         family = consequence_family(gens, n)
-        assert family == [*left, *right, *core]
-        k = n * consequences_span(gens, n - 1).dim if n > 1 else 0
-        assert len(left) == len(right) == k
-        assert len({min(r) for r in family[:k]}) == k
-
-
-@pytest.mark.parametrize("name", sorted(SLOT_CASES))
-def test_slot_assignments_match_the_label_filter(name):
-    """The orbit representatives, built from set partitions and the cosets
-    of the slot-symmetry group, are the keys the k^n label filter keeps, in
-    the same order, with the real unit-kills flags and with none."""
-    from weakid import tideal
-
-    f = SLOT_CASES[name]
-    k = tideal._arity(f)
-    group = tideal._slot_symmetries(f, k)
-    needs = [tideal._unit_kills_slot(f, k, j) for j in range(1, k + 1)]
-    for n in range(1, 8):
-        for needs_block in (needs, [False] * k):
-            assert (list(tideal._slot_assignments(n, k, needs_block, group))
-                    == list(slot_assignments_by_filter(n, k, needs_block, group)))
-
-
-def test_slot_symmetry_groups():
-    from weakid import tideal
-
-    assert len(tideal._slot_symmetries(standard_poly(4), 4)) == 24
-    # [[x1, x2], [x3, x4]] up to sign: swap inside either commutator, or
-    # swap the two commutators
-    assert set(tideal._slot_symmetries(metabelian(), 4)) == {
-        (1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3),
-        (3, 4, 1, 2), (4, 3, 1, 2), (3, 4, 2, 1), (4, 3, 2, 1)}
+        assert family == [*left, *right, *expanded, *base]
+        d = consequences_span(gens, n - 1).dim if n > 1 else 0
+        assert len(left) == len(right) == n * d
+        assert len(expanded) == n * (n - 1) // 2 * d
+        assert len({min(r) for r in family[:n * d]}) == n * d
 
 
 @pytest.mark.parametrize("gens", [default_generators(), (metabelian(),)],
@@ -323,7 +293,7 @@ def test_kernel_bound_is_tight_on_the_tables(n):
     from weakid.linalg import rank, rank_mod2
     from weakid.matrep import eval_table
 
-    rows = eval_table(multilinear_words(n))[1]
+    rows = eval_table(multilinear_words(n))
     assert rank_mod2(rows) == rank(rows)
     assert tideal._kernel_bound(n) == pn_kernel_dim(n)
 
@@ -393,7 +363,7 @@ def test_family_members_are_weak_identities():
     """verify_degree certifies containment on the family alone; every RREF
     row of the span and of its proper part must then be a weak identity too,
     checked here on the tests' own evaluation oracle, which shares no code
-    with the certification's ``poly_eval_row``."""
+    with the certification's ``is_weak_identity``."""
     words = multilinear_words(5)
     for row in consequence_family(default_generators(), 5):
         assert oracle_is_weak_identity(from_coeffs(row, words))
@@ -429,9 +399,9 @@ def test_verify_reports_failure_for_non_identity_generators():
 
 
 def test_containment_fails_at_and_above_a_non_identity_generator():
-    """[x1, x2] is not a weak identity: the core fails at its own degree, and
+    """[x1, x2] is not a weak identity: the base fails at its own degree, and
     the degree above inherits the failure along with its one-letter
-    multiples."""
+    moves."""
     from weakid import tideal
 
     gens = (comm(NcPoly.variable(1), NcPoly.variable(2)),)
@@ -443,26 +413,34 @@ def test_containment_fails_at_and_above_a_non_identity_generator():
 
 
 def test_degree6_certification_evaluates_only_the_core(monkeypatch):
-    """The 660 one-letter multiples are certified by the degree-5 flag; only
-    the 420 core members are evaluated."""
+    """Only the unit specializations are evaluated: the two generators
+    themselves at degree 4, and nothing at degree 6 once degree 5 is
+    cached, where the 1485 moves inherit the degree-5 flag."""
     from weakid import tideal
 
-    tideal._consequences.cache_clear()
-    consequences_span(None, 5)
     calls = []
-    real = tideal.poly_eval_row
+    real = tideal.is_weak_identity
 
-    def counting(coeffs, word_rows):
-        calls.append(coeffs)
-        return real(coeffs, word_rows)
+    def counting(f):
+        calls.append(f)
+        return real(f)
 
-    monkeypatch.setattr(tideal, "poly_eval_row", counting)
+    monkeypatch.setattr(tideal, "is_weak_identity", counting)
+    tideal._consequences.cache_clear()
+    assert tideal._consequences(default_generators(), 4)[1]
+    assert calls == list(default_generators())
+    consequences_span(None, 5)
+    calls.clear()
     span, certified = tideal._consequences(default_generators(), 6)
     assert certified and span.dim == 516
-    assert len(calls) == 420
-    index = word_index(multilinear_words(6))
-    assert calls == [coeff_vector(g, index)
-                     for g in tideal._core(default_generators(), 6)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("gen", [NcPoly.one(), NcPoly.zero()],
+                         ids=["one", "zero"])
+def test_constant_generators_are_rejected(gen):
+    with pytest.raises(ValueError, match="multilinear in x1..xk"):
+        verify_degree(4, generators=(gen,))
 
 
 # -- degree 6 -------------------------------------------------------------------
