@@ -7,8 +7,10 @@ degree down and the kernel bound (``prepare_s``), then runs
 ``tideal._consequences`` at the degree itself with its parts timed: the
 family build (``family_s``; of it, ``moves_s`` for the one-letter moves,
 the multiples and circle expansions, and ``base_s`` for the relabelled unit
-specializations), the certification of the unit specializations by
-``is_weak_identity`` (``certify_s``) and the elimination (``eliminate_s``).
+specializations), the unit specializations themselves, over both their
+calls, the certification's and the base's (``specializations_s``), the
+certification of the unit specializations by ``is_weak_identity``
+(``certify_s``) and the elimination (``eliminate_s``).
 It also counts the members, the base, the left multiples and the circle
 expansions.  Another child times ``verify_degree(n)`` end to end
 (``verify_s``, with the report's own ``timings_ms``).  Prints one JSON
@@ -29,6 +31,7 @@ PARTS = {
     "family_s": ("consequence_family",),
     "moves_s": ("_moves",),
     "base_s": ("_base",),
+    "specializations_s": ("_specializations",),
     "certify_s": ("is_weak_identity",),
     "eliminate_s": ("echelonize",),
 }

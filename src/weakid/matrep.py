@@ -53,9 +53,11 @@ independent evaluation oracle the tests check all of this against lives in
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from .freealg import coeff_vector, word_index
@@ -180,10 +182,7 @@ def eval_table(words):
     order."""
     width = _width(words)
     rows = eval_rows(words, width)
-    counts = {}
-    for row in rows:
-        for k in row:
-            counts[k] = counts.get(k, 0) + 1
+    counts = Counter(chain.from_iterable(rows))
 
     def sparse_first(key):
         entry, m = _decode(key, width)

@@ -17,7 +17,10 @@ degree-(n - 1) span relabelled onto the letters other than j, plus a base:
 * left and right multiples x_j * r and r * x_j;
 * circle expansions r[x_i -> x_i o x_j] for i < j;
 * the base: each generator's nonzero unit specializations of degree n (some
-  slots set to 1, one letter in each other slot) in every relabelling.
+  slots set to 1, one letter in each other slot) in every relabelling, once
+  per scalar class.  A unit slot deletes its letter from every word, so a
+  specialization is built from the generator's words alone, and a scalar
+  class is keyed by its primitive integer row.
 
 Every member is a consequence: the space is closed under multiplication by
 letters, under relabelling, and under x_i -> x_i o x_j, which substitutes a
@@ -72,8 +75,9 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
-                      proper_span, standard_poly, substitute, word_index)
-from .linalg import Subspace, echelonize, intersection_dim, rank, rank_mod2
+                      proper_span, standard_poly, word_index)
+from .linalg import (Subspace, _int_row, _strip, echelonize, intersection_dim,
+                     rank, rank_mod2)
 from .matrep import eval_table, is_weak_identity, weak_identities_within
 
 __all__ = [
@@ -93,10 +97,10 @@ __all__ = [
 # words.
 _MAX_DEGREE = 7
 
-# Consequence spans kept, keyed by (generators, degree).  One per degree
-# 1.._MAX_DEGREE, all of which the induction visits, and one to spare, so the
-# default generators never rebuild a span, while each other presentation a
-# caller passes in cannot hold one for good.
+# Consequence spans, and unit specializations, kept, keyed by (generators,
+# degree).  One per degree 1.._MAX_DEGREE, all of which the induction visits,
+# and one to spare, so the default generators never rebuild either, while
+# each other presentation a caller passes in cannot hold one for good.
 _SPANS = 8
 
 
@@ -171,32 +175,48 @@ def _moves(gens, n, index):
     return left, right, expanded
 
 
+@lru_cache(maxsize=_SPANS)
 def _specializations(gens, n):
     """The nonzero unit specializations of degree n: each generator with all
-    but n of its slots set to 1 and x_1, ..., x_n in the others, in order."""
+    but n of its slots set to 1 and x_1, ..., x_n in the others, in order.
+    Setting a slot to 1 deletes its letter from every word, so each word
+    keeps the letters of the kept slots, relabelled 1..n in order, and
+    equal words add up.  Built once per (generators, degree), for both the
+    certification and the base."""
     out = []
     for f in gens:
         k = _arity(f)
         for kept in combinations(range(1, k + 1), n):
-            subs = {s: NcPoly.one() for s in range(1, k + 1)}
-            subs.update((s, NcPoly.variable(i)) for i, s in enumerate(kept, 1))
-            g = substitute(f, subs)
-            if not g.is_zero():
-                out.append(g)
-    return out
+            label = dict(zip(kept, range(1, n + 1)))
+            terms = {}
+            for w, c in f.terms.items():
+                u = tuple(label[l] for l in w if l in label)
+                s = terms.get(u, 0) + c
+                if s:
+                    terms[u] = s
+                else:
+                    del terms[u]
+            if terms:
+                out.append(NcPoly._raw(terms))
+    return tuple(out)
 
 
 def _base(gens, n):
     """Each unit specialization in every relabelling of x_1, ..., x_n, once
-    per ``normalized()`` class: for the default generators, S4 and the three
+    per scalar class, keyed by its primitive integer row with a positive
+    lead (``_strip``); the least column is the lex-least word, the lead of
+    ``normalized()``, so these are its classes.  The first relabelling of
+    each class is kept: for the default generators, S4 and the three
     pairings of [[x1, x2], [x3, x4]] at degree 4, and nothing elsewhere."""
+    index = word_index(multilinear_words(n))
     classes = {}
-    for g in _specializations(gens, n):
+    for g in _specializations(tuple(gens), n):
         for perm in permutations(range(1, n + 1)):
-            h = NcPoly._raw({tuple(perm[l - 1] for l in w): c
-                             for w, c in g.terms.items()})
-            classes.setdefault(h.normalized(), h)
-    return list(classes.values())
+            terms = {tuple(perm[l - 1] for l in w): c
+                     for w, c in g.terms.items()}
+            row = _strip(_int_row({index[w]: c for w, c in terms.items()}))
+            classes.setdefault(frozenset(row.items()), terms)
+    return [NcPoly._raw(t) for t in classes.values()]
 
 
 # -- the full multilinear component -------------------------------------------

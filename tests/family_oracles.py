@@ -2,8 +2,9 @@
 
 None is on the verification path: substitution by multiplying the
 substituted polynomials factor by factor with a product of its own, the
-proper family over all orderings of each block, and the one-letter moves
-built as polynomials.
+proper family over all orderings of each block, the one-letter moves
+built as polynomials, and the unit specializations and the base built by
+substitution and deduplicated by ``normalized()``.
 """
 
 from functools import reduce
@@ -12,7 +13,7 @@ from itertools import combinations, permutations, product
 from weakid.freealg import (NcPoly, circ, coeff_vector, from_coeffs,
                             left_normed, multilinear_words, substitute,
                             word_index)
-from weakid.tideal import consequences_span
+from weakid.tideal import _arity, consequences_span
 
 
 def moves_by_words(gens, n):
@@ -41,6 +42,34 @@ def moves_by_words(gens, n):
             expanded += [coeff_vector(substitute(r, expand), index)
                          for r in moved]
     return left, right, expanded
+
+
+def specializations_by_substitution(gens, n):
+    """The nonzero unit specializations of degree n: each generator with all
+    but n of its slots set to 1 and x_1, ..., x_n in the others, in order,
+    by ``substitute``."""
+    out = []
+    for f in gens:
+        k = _arity(f)
+        for kept in combinations(range(1, k + 1), n):
+            subs = {s: NcPoly.one() for s in range(1, k + 1)}
+            subs.update((s, NcPoly.variable(i)) for i, s in enumerate(kept, 1))
+            g = substitute(f, subs)
+            if not g.is_zero():
+                out.append(g)
+    return out
+
+
+def base_by_normalized(gens, n):
+    """Each unit specialization in every relabelling of x_1, ..., x_n, the
+    first of each ``normalized()`` class."""
+    classes = {}
+    for g in specializations_by_substitution(gens, n):
+        for perm in permutations(range(1, n + 1)):
+            h = NcPoly._raw({tuple(perm[l - 1] for l in w): c
+                             for w, c in g.terms.items()})
+            classes.setdefault(h.normalized(), h)
+    return list(classes.values())
 
 
 def _multiply(a, b):

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,8 @@ from weakid.tideal import (consequence_family, consequences_span,
 
 from tests import identities as ids
 from tests.eval_oracle import oracle_is_weak_identity
-from tests.family_oracles import moves_by_words
+from tests.family_oracles import (base_by_normalized, moves_by_words,
+                                  specializations_by_substitution)
 from tests.linalg_oracles import subspace_intersect, subspace_sum
 
 
@@ -168,6 +171,77 @@ def test_family_rows_match_the_word_route(name):
         assert len(left) == len(right) == n * d
         assert len(expanded) == n * (n - 1) // 2 * d
         assert len({min(r) for r in family[:n * d]}) == n * d
+
+
+def _seeded_relabelling(gens, seed):
+    rng = random.Random(seed)
+    out = []
+    for f in gens:
+        perm = list(range(1, max(f.support()) + 1))
+        rng.shuffle(perm)
+        out.append(_relabelled(f, perm))
+    return tuple(out)
+
+
+SPECIALIZATION_CASES = {
+    "default": default_generators(),
+    "default-seeded-relabelling": _seeded_relabelling(default_generators(), 5),
+    "metabelian": (metabelian(),),
+    "s3": (standard_poly(3),),
+    "commutator": (comm(NcPoly.variable(1), NcPoly.variable(2)),),
+    # Fraction coefficients, and leads of -3 and -3/2, which normalized()
+    # divides by
+    "fractions-negative-leads": (
+        NcPoly({(1, 2): -3, (2, 1): Fraction(5, 7)}),
+        Fraction(-3, 2) * standard_poly(3),
+        -metabelian()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALIZATION_CASES))
+def test_specializations_and_base_match_the_substitution_route(name):
+    """Deleting the letters of the unit slots gives the polynomials that
+    substituting 1 gives, term for term in the same order, and keying the
+    base by primitive integer rows keeps the representatives that
+    ``normalized()`` keeps, in the same order, at n = 1..k."""
+    from weakid import tideal
+
+    def listed(polys):
+        return [list(g.terms.items()) for g in polys]
+
+    gens = SPECIALIZATION_CASES[name]
+    for n in range(1, max(max(f.support()) for f in gens) + 1):
+        assert (listed(tideal._specializations(gens, n))
+                == listed(specializations_by_substitution(gens, n))), n
+        assert (listed(tideal._base(gens, n))
+                == listed(base_by_normalized(gens, n))), n
+
+
+def test_cold_verify_substitutes_nothing_and_specializes_once(monkeypatch):
+    """A cold ``verify_degree(5)`` builds each degree's unit specializations
+    once, for the certification and the base together, and never calls
+    ``freealg.substitute``, under any module's name for it."""
+    from weakid import freealg, matrep, tideal
+
+    for cached in (matrep.eval_table, tideal._kernel_bound,
+                   tideal._consequences, tideal._specializations):
+        cached.cache_clear()
+    calls = []
+    real = freealg.substitute
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("weakid"):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counting)
+    assert verify_degree(5).equal
+    assert calls == []
+    info = tideal._specializations.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)
 
 
 @pytest.mark.parametrize("gens", [default_generators(), (metabelian(),)],
