@@ -10,9 +10,11 @@ owns, one at a time and with their parts timed:
   its elimination (``span_eliminate_s``);
 - ``tideal.proper_kernel`` (``kernel_s``): the evaluation table
   (``eval_table_s``), the evaluation rows of the RREF rows of Gamma_n
-  (``kernel_rows_s``), their ``left_kernel`` (``left_kernel_s``) and the
-  rest of ``weak_identities_within`` (``recombine_s``: the RREF rows, the
-  recombination and its elimination);
+  (``kernel_rows_s``: the ``poly_eval_row`` calls over the table), their
+  ``left_kernel`` (``left_kernel_s``: the augmented elimination, whose
+  id-block rows are the basis) and the rest of ``weak_identities_within``
+  (``recombine_s``: the RREF rows, the ``poly_eval_row`` calls that combine
+  them by the kernel rows, and the elimination of the combinations);
 - ``repthy.decompose_quotient`` (``decompose_s``): the stability checks
   (``stable_s``) and the traces (``trace_s``).
 
@@ -37,7 +39,6 @@ PARTS = {
     "family_s": ("freealg", "proper_family"),
     "span_eliminate_s": ("freealg", "echelonize"),
     "eval_table_s": ("tideal", "eval_table"),
-    "kernel_rows_s": ("matrep", "poly_eval_row"),
     "left_kernel_s": ("matrep", "left_kernel"),
     "within_s": ("tideal", "weak_identities_within"),
     "stable_s": ("repthy", "_check_stable"),
@@ -54,16 +55,21 @@ def _timed(fn, *args):
 def layers(n):
     """The stages of the decomposition layer at degree n, the consequence
     side untouched."""
-    from weakid import freealg, repthy, tideal
+    from weakid import freealg, matrep, repthy, tideal
 
     totals = {}
     for module, name in PARTS.values():
         harness.time_calls(importlib.import_module(f"weakid.{module}"), name,
                            totals)
     gamma, span_s = _timed(freealg.proper_span, n)
+    # proper_kernel reads this cached span: the calls that combine its RREF
+    # rows belong to recombine_s, the others evaluate them
+    harness.time_calls(matrep, "poly_eval_row", totals,
+                       when=lambda _coeffs, rows: rows is not gamma.rows)
     kernel, kernel_s = _timed(tideal.proper_kernel, n)
     dec, decompose_s = _timed(repthy.decompose_quotient, gamma, kernel, n)
-    out = {"span_s": span_s, "kernel_s": kernel_s, "decompose_s": decompose_s}
+    out = {"span_s": span_s, "kernel_s": kernel_s, "decompose_s": decompose_s,
+           "kernel_rows_s": totals.get("poly_eval_row", 0.0)}
     for part, (_, name) in PARTS.items():
         out[part] = totals.get(name, 0.0)
     out["recombine_s"] = (out.pop("within_s") - out["kernel_rows_s"]

@@ -14,12 +14,15 @@ import sys
 import time
 
 
-def time_calls(module, name, totals):
+def time_calls(module, name, totals, when=None):
     """Rebind module.name to a wrapper that adds each call's wall time to
-    totals[name]."""
+    totals[name]; given ``when``, only the calls whose arguments it
+    accepts."""
     fn = getattr(module, name)
 
     def timed(*args, **kwargs):
+        if when is not None and not when(*args, **kwargs):
+            return fn(*args, **kwargs)
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)

@@ -21,10 +21,11 @@ from .freealg import proper_span
 from .matrep import weak_identity_witness
 from .repthy import decompose, decompose_quotient
 from .series import closed_form_series, image_dims
-from .tideal import is_consequence, proper_kernel, verify_degree
+from .tideal import _MAX_DEGREE, is_consequence, proper_kernel, verify_degree
 
 # Degrees ``verify`` and ``report`` accept.
-_VERIFY_DEGREES = range(4, 8)
+_VERIFY_DEGREES = range(4, _MAX_DEGREE + 1)
+_VERIFY_SPAN = f"{_VERIFY_DEGREES.start}..{_MAX_DEGREE}"
 
 # Highest degree ``hilbert --max`` accepts.
 _HILBERT_CAP = 10
@@ -102,11 +103,7 @@ def cmd_verify(args):
 
 
 def cmd_check(args):
-    try:
-        f = parse_poly(args.expr)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    f = parse_poly(args.expr)
     if args.mode == "identity":
         witness = weak_identity_witness(f)
         ok = witness is None
@@ -130,15 +127,9 @@ def cmd_check(args):
         return 0 if ok else 1
     degree = f.degree()
     if degree is not None and degree > _CONSEQUENCE_CAP:
-        print(f"error: degree {degree} above cap {_CONSEQUENCE_CAP}; "
-              f"degree 7 is proved by 'weakid verify --degree 7'",
-              file=sys.stderr)
-        return 2
-    try:
-        ok = is_consequence(f)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"degree {degree} above cap {_CONSEQUENCE_CAP}; "
+                         f"degree 7 is proved by 'weakid verify --degree 7'")
+    ok = is_consequence(f)
     if _want_json(args):
         _emit({"expr": args.expr, "canonical": render(f), "mode": "consequence",
                "result": ok, "toolkit_version": __version__}, args)
@@ -169,8 +160,7 @@ def cmd_decompose(args):
 def cmd_hilbert(args):
     n_max = args.max
     if n_max > _HILBERT_CAP:
-        print(f"error: degree {n_max} above cap {_HILBERT_CAP}", file=sys.stderr)
-        return 2
+        raise ValueError(f"degree {n_max} above cap {_HILBERT_CAP}")
     computed = image_dims(n_max)
     closed = closed_form_series(n_max)
     equal = computed == closed
@@ -191,16 +181,12 @@ def cmd_report(args):
     try:
         degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
     except ValueError:
-        print(f"error: bad degree list {args.degrees!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad degree list {args.degrees!r}") from None
     if not degrees:
-        print(f"error: no degree in {args.degrees!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no degree in {args.degrees!r}")
     bad = [n for n in degrees if n not in _VERIFY_DEGREES]
     if bad:
-        print(f"error: degrees {bad} outside {_VERIFY_DEGREES.start}.."
-              f"{_VERIFY_DEGREES.stop - 1}", file=sys.stderr)
-        return 2
+        raise ValueError(f"degrees {bad} outside {_VERIFY_SPAN}")
     lines = not _want_json(args) or args.out
     reports = []
     all_equal = True
@@ -239,7 +225,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="compare consequences with weak identities")
     sp.add_argument("--degree", type=int, required=True, choices=_VERIFY_DEGREES,
-                    metavar="N", help="degree to verify (4..7)")
+                    metavar="N", help=f"degree to verify ({_VERIFY_SPAN})")
     group = sp.add_mutually_exclusive_group()
     group.add_argument("--full-p", dest="proper", action="store_false",
                        help="verify in the full multilinear component (default)")
@@ -285,7 +271,7 @@ def main(argv=None):
         if args.out:
             _check_out(args.out)
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -206,16 +206,6 @@ class NcPoly:
         md = self.multidegree()
         return md is not None and all(v == 1 for v in md.values())
 
-    def normalized(self):
-        """Scalar-normalized form: leading (deg-lex) coefficient 1."""
-        if not self.terms:
-            return self
-        lead = min(self.terms, key=_deglex)
-        c = self.terms[lead]
-        if c == 1:
-            return self
-        return NcPoly._raw({w: Fraction(v, c) for w, v in self.terms.items()})
-
     def __repr__(self):
         return f"NcPoly({render(self)!r})"
 

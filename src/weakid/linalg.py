@@ -86,18 +86,17 @@ def _back_substitute(rows):
 class Subspace:
     """A vector subspace of Q^N held as a reduced row echelon basis.
 
-    Internally rows are content-1 integer vectors, one per pivot, built by
-    ``_add``; the ``rows`` property materializes the usual pivot-is-1 RREF
-    as dicts.  Once built, instances are conceptually immutable: RREF
-    finalization is a cached, deterministic normalization and every query
-    is read-only.
+    Internally rows are content-1 integer vectors with a positive lead, one
+    per pivot, built by ``_add``; the ``rows`` property back-substitutes
+    them on its first read and materializes the usual pivot-is-1 RREF as
+    dicts.  Once built, instances are conceptually immutable: that read is
+    a cached, deterministic normalization and every query is read-only.
     """
 
-    __slots__ = ("_rows", "_finalized", "_rref")
+    __slots__ = ("_rows", "_rref")
 
     def __init__(self, rows):
         self._rows = rows  # pivot column -> content-1 integer row
-        self._finalized = False
         self._rref = None
 
     @classmethod
@@ -113,18 +112,13 @@ class Subspace:
         """Pivot columns in increasing order."""
         return tuple(sorted(self._rows))
 
-    def _finalize(self):
-        if not self._finalized:
-            _back_substitute(self._rows)
-            self._finalized = True
-
     @property
     def rows(self):
         """RREF rows in increasing pivot order: dicts with pivot value 1 and
         keys in increasing column order.  Every caller gets the same cached
         dicts, so they are read-only."""
         if self._rref is None:
-            self._finalize()
+            _back_substitute(self._rows)
             out = []
             for p in sorted(self._rows):
                 piv = self._rows[p][p]
@@ -171,17 +165,13 @@ class Subspace:
     def contains(self, vec):
         return not self._reduce(_int_row(vec))
 
-    def _canonical(self):
-        self._finalize()
-        return {p: tuple(sorted(row.items())) for p, row in self._rows.items()}
-
     def __eq__(self, other):
         if isinstance(other, Subspace):
-            return self._canonical() == other._canonical()
+            return self.rows == other.rows
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._canonical().items()))
+        return hash(tuple(tuple(row.items()) for row in self.rows))
 
     def __repr__(self):
         return f"<Subspace dim={self.dim} pivots={self.pivots[:8]}{'...' if self.dim > 8 else ''}>"
@@ -252,14 +242,16 @@ def left_kernel(rows):
     Implemented by eliminating rows augmented with an identity block; a row
     whose original part dies leaves its combination recorded in the id block.
     Denominators are cleared from each augmented row as a whole, so the id
-    block records combinations of the rows as given.
+    block records combinations of the rows as given.  A stored row that
+    leads in the id block has no entry outside it: shifted back, it is a
+    stored kernel row as it stands, and ``rows`` back-substitutes them.
     """
     offset = 1 + max((c for r in rows for c in r), default=-1)
     space = Subspace({})
     for i, r in enumerate(rows):
         space._add(_int_row({**r, offset + i: 1}))
-    return echelonize([{c - offset: v for c, v in row.items()}
-                       for p, row in space._rows.items() if p >= offset])
+    return Subspace({p - offset: {c - offset: v for c, v in row.items()}
+                     for p, row in space._rows.items() if p >= offset})
 
 
 def intersection_dim(a, b):

@@ -195,8 +195,10 @@ def eval_table(words):
 def poly_eval_row(coeffs, word_rows):
     """Evaluation coordinates of sum_i coeffs[i] * word_rows[i].
 
-    The word rows are integral, so the coefficients are scaled by their
-    common denominator, summed as ints and divided once at the end.
+    The coefficients are scaled by their common denominator, summed and
+    divided once at the end.  The rows combined may hold ``Fraction``s too
+    (the RREF rows a kernel row recombines); the arithmetic is exact either
+    way, and on integral rows it runs on ints alone.
     """
     den = lcm(*(c.denominator for c in coeffs.values()))
     acc = {}
@@ -340,11 +342,4 @@ def weak_identities_within(space, word_rows):
     """
     rows = space.rows
     kern = left_kernel([poly_eval_row(r, word_rows) for r in rows])
-    vecs = []
-    for k in kern.rows:
-        acc = {}
-        for i, c in k.items():
-            for col, v in rows[i].items():
-                acc[col] = acc.get(col, 0) + c * v
-        vecs.append(acc)
-    return echelonize(vecs)
+    return echelonize([poly_eval_row(k, rows) for k in kern.rows])

@@ -144,19 +144,16 @@ def class_representative(rho):
     return tuple(perm)
 
 
-def _relabelled(cols, perm, words, index):
-    """For each column c in cols, the column of words[c] with every letter l
-    replaced by perm[l - 1]."""
-    return [index[tuple(perm[l - 1] for l in words[c])] for c in cols]
+def _column_map(perm, words, index):
+    """For each word, the column of that word with every letter l replaced
+    by perm[l - 1]."""
+    return [index[tuple(perm[l - 1] for l in w)] for w in words]
 
 
-def _check_stable(space, n, words, index):
+def _check_stable(space, swaps):
     """Raise unless every adjacent transposition maps the row space into
-    itself; each transposition's column map is built once."""
-    for t in range(1, n):
-        perm = list(range(1, n + 1))
-        perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        to = _relabelled(range(len(words)), perm, words, index)
+    itself; swaps[t - 1] is the column map of (t t+1)."""
+    for t, to in enumerate(swaps, 1):
         for row in space.rows:
             if not space.contains({to[c]: v for c, v in row.items()}):
                 raise DecompositionError(
@@ -164,13 +161,11 @@ def _check_stable(space, n, words, index):
 
 
 def _trace(space, perm, words, index):
-    """Trace of the relabeling action on the subspace, via the RREF pivots."""
-    inv = [0] * len(perm)
-    for i, img in enumerate(perm):
-        inv[img - 1] = i + 1
-    # (s.v)[pivot] = v[s^{-1}.pivot word]
-    pre = _relabelled(space.pivots, inv, words, index)
-    return sum(row.get(c, 0) for c, row in zip(pre, space.rows))
+    """Trace of the relabeling action of s = perm on a stable subspace, via
+    the RREF pivots: (s^{-1}.v)[pivot] = v[s.pivot word] sums to tr(s^{-1}),
+    which is tr(s), since s^{-1} has the cycle type of s."""
+    to = _column_map(perm, [words[p] for p in space.pivots], index)
+    return sum(row.get(c, 0) for c, row in zip(to, space.rows))
 
 
 def _multiplicities(traces, n, dim):
@@ -203,8 +198,13 @@ def decompose_quotient(ambient, sub, n):
     """Decompose the quotient ambient/sub of Sym(n)-stable subspaces."""
     words = multilinear_words(n)
     index = word_index(words)
-    _check_stable(sub, n, words, index)
-    _check_stable(ambient, n, words, index)
+    swaps = []
+    for t in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        swaps.append(_column_map(perm, words, index))
+    _check_stable(sub, swaps)
+    _check_stable(ambient, swaps)
     for row in sub.rows:
         if not ambient.contains(row):
             raise DecompositionError("sub is not contained in ambient")

@@ -204,10 +204,10 @@ def _specializations(gens, n):
 def _base(gens, n):
     """Each unit specialization in every relabelling of x_1, ..., x_n, once
     per scalar class, keyed by its primitive integer row with a positive
-    lead (``_strip``); the least column is the lex-least word, the lead of
-    ``normalized()``, so these are its classes.  The first relabelling of
-    each class is kept: for the default generators, S4 and the three
-    pairings of [[x1, x2], [x3, x4]] at degree 4, and nothing elsewhere."""
+    lead (``_strip``), which every nonzero multiple shares.  The first
+    relabelling of each class is kept: for the default generators, S4 and
+    the three pairings of [[x1, x2], [x3, x4]] at degree 4, and nothing
+    elsewhere."""
     index = word_index(multilinear_words(n))
     classes = {}
     for g in _specializations(tuple(gens), n):

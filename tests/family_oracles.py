@@ -1,19 +1,31 @@
 """Family oracles used only by the tests.
 
-None is on the verification path: substitution by multiplying the
-substituted polynomials factor by factor with a product of its own, the
-proper family over all orderings of each block, the one-letter moves
-built as polynomials, and the unit specializations and the base built by
-substitution and deduplicated by ``normalized()``.
+None is on the verification path: the scalar normalization
+``normalized``, substitution by multiplying the substituted polynomials
+factor by factor with a product of its own, the proper family over all
+orderings of each block, the one-letter moves built as polynomials, and
+the unit specializations and the base built by substitution and
+deduplicated by ``normalized``.
 """
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
 
-from weakid.freealg import (NcPoly, circ, coeff_vector, from_coeffs,
+from weakid.freealg import (NcPoly, _deglex, circ, coeff_vector, from_coeffs,
                             left_normed, multilinear_words, substitute,
                             word_index)
 from weakid.tideal import _arity, consequences_span
+
+
+def normalized(f):
+    """Scalar-normalized form of f: leading (deg-lex) coefficient 1."""
+    if not f.terms:
+        return f
+    c = f.terms[min(f.terms, key=_deglex)]
+    if c == 1:
+        return f
+    return NcPoly._raw({w: Fraction(v, c) for w, v in f.terms.items()})
 
 
 def moves_by_words(gens, n):
@@ -62,13 +74,13 @@ def specializations_by_substitution(gens, n):
 
 def base_by_normalized(gens, n):
     """Each unit specialization in every relabelling of x_1, ..., x_n, the
-    first of each ``normalized()`` class."""
+    first of each ``normalized`` class."""
     classes = {}
     for g in specializations_by_substitution(gens, n):
         for perm in permutations(range(1, n + 1)):
             h = NcPoly._raw({tuple(perm[l - 1] for l in w): c
                              for w, c in g.terms.items()})
-            classes.setdefault(h.normalized(), h)
+            classes.setdefault(normalized(h), h)
     return list(classes.values())
 
 
@@ -99,7 +111,7 @@ def block_commutators_all_orderings(block):
     seen = {}
     for perm in permutations(block):
         p = left_normed(*(NcPoly.variable(i) for i in perm))
-        seen.setdefault(p.normalized(), p)
+        seen.setdefault(normalized(p), p)
     return tuple(seen.values())
 
 

@@ -1,15 +1,16 @@
 """Linear-algebra oracles used only by the tests.
 
 None of these is on the verification path: a right-kernel basis built from
-the public RREF, subspace sums and intersections, and an independent modular
-engine (ranks over Q recomputed mod large primes; rank mod p can only drop,
-so agreement certifies).
+the public RREF, a left kernel that eliminates its id-block rows a second
+time, subspace sums and intersections, and an independent modular engine
+(ranks over Q recomputed mod large primes; rank mod p can only drop, so
+agreement certifies).
 """
 
 import random
 from fractions import Fraction
 
-from weakid.linalg import echelonize, rank
+from weakid.linalg import Subspace, _int_row, echelonize, rank
 
 
 def kernel_basis(rows, ncols):
@@ -31,6 +32,18 @@ def kernel_basis(rows, ncols):
                 v[p] = -val
         vecs.append(v)
     return echelonize(vecs)
+
+
+def left_kernel_eliminated_twice(rows):
+    """The left kernel by two eliminations: the id-block rows of the
+    augmented elimination, shifted back and eliminated again by
+    ``echelonize``."""
+    offset = 1 + max((c for r in rows for c in r), default=-1)
+    space = Subspace({})
+    for i, r in enumerate(rows):
+        space._add(_int_row({**r, offset + i: 1}))
+    return echelonize([{c - offset: v for c, v in row.items()}
+                       for p, row in space._rows.items() if p >= offset])
 
 
 def subspace_sum(a, b):

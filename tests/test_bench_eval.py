@@ -1,22 +1,10 @@
 """The evaluation-layer bench script runs and prints one JSON object."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
+from tests.bench_runner import run_bench
 
 
 def test_bench_eval_prints_json_at_degree_4():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, str(ROOT / "bench" / "bench_eval.py"),
-                          "--degrees", "4"],
-                         env=env, capture_output=True, text=True, check=True)
-    result = json.loads(out.stdout)
+    result = run_bench("bench_eval.py", "--degrees", "4")
     assert result["multilinear"]["4"]["words"] == 24
     assert result["multilinear"]["4"]["s"] > 0
     # the kernel rank of the degree-4 table: 4! - 4 weak identities

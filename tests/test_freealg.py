@@ -16,7 +16,7 @@ from weakid.freealg import (NcPoly, _block_commutators, circ, coeff_vector,
 from weakid.linalg import echelonize
 
 from tests.family_oracles import (block_commutators_all_orderings,
-                                  proper_family_all_orderings,
+                                  normalized, proper_family_all_orderings,
                                   substitute_by_products)
 
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
@@ -310,10 +310,10 @@ def test_integer_input_keeps_int_coefficients():
 
 
 def test_normalized_gives_fractions_never_floats():
-    g = (2 * x1 * x2 + 3 * x2 * x1).normalized()
+    g = normalized(2 * x1 * x2 + 3 * x2 * x1)
     assert g.terms == {(1, 2): 1, (2, 1): Fraction(3, 2)}
     assert all(type(c) is Fraction for c in g.terms.values())
-    assert (4 * comm(x1, x2)).normalized().terms == {(1, 2): 1, (2, 1): -1}
+    assert normalized(4 * comm(x1, x2)).terms == {(1, 2): 1, (2, 1): -1}
     for make in (lambda: NcPoly({(1,): 0.5}), lambda: 0.5 * x1,
                  lambda: NcPoly.scalar(0.5)):
         with pytest.raises(TypeError):

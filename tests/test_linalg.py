@@ -1,6 +1,7 @@
 """Exact linear algebra: examples, invariants, and modular cross-checks."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,9 @@ from weakid import linalg
 from weakid.linalg import (echelonize, intersection_dim, left_kernel, rank,
                            rank_mod2)
 
-from tests.linalg_oracles import (kernel_basis, modular_rank_check, rank_mod,
-                                  rref_mod, subspace_intersect, subspace_sum)
+from tests.linalg_oracles import (kernel_basis, left_kernel_eliminated_twice,
+                                  modular_rank_check, rank_mod, rref_mod,
+                                  subspace_intersect, subspace_sum)
 
 
 def dense_rank(rows, ncols):
@@ -184,6 +186,35 @@ def test_sum_intersect_dimension_formula(d1, d2):
     for r in inter.rows:
         assert a.contains(r) and b.contains(r)
     assert intersection_dim(a, b) == a.dim + b.dim - total.dim == inter.dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_left_kernel_reads_its_basis_off_the_augmented_elimination(data):
+    rows, ncols = data
+    lk = left_kernel(rows)
+    # each stored row leads at its own pivot key, content 1, positive lead
+    for p, row in lk._rows.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+    transposed = [{i: r[c] for i, r in enumerate(rows) if c in r}
+                  for c in range(ncols)]
+    assert lk == kernel_basis(transposed, len(rows))
+    assert lk == left_kernel_eliminated_twice(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equal_subspaces_built_in_different_orders_compare_and_hash_equal(data):
+    rows, _ = data.draw(sparse_matrices())
+    shuffled = data.draw(st.permutations(rows))
+    built = linalg.Subspace({})
+    for r in shuffled:
+        built._add(linalg._int_row(r))
+    early = echelonize(rows)
+    assert early.rows is early.rows  # read early: back-substituted and cached
+    assert built == early and hash(built) == hash(early)
 
 
 @settings(max_examples=100, deadline=None)

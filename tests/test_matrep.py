@@ -1,6 +1,7 @@
 """Generic symmetric-matrix evaluation: oracles and kernel computations."""
 
 import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -407,6 +408,33 @@ def test_kernel_rejects_mixed_degrees():
 def test_image_rank_complements_kernel():
     fam = proper_basis(4)
     assert image_rank(fam) + family_kernel(fam).dim == len(fam)
+
+
+@pytest.mark.parametrize("n,seed", [(4, 1), (4, 2), (5, 3)])
+def test_weak_identities_within_fractional_rref_match_family_kernel(n, seed):
+    """On a span whose RREF rows hold Fractions, the recombined kernel rows
+    span the weak identities that ``family_kernel`` finds among the
+    integer polynomials the span was built from."""
+    rng = random.Random(seed)
+    gammas = proper_basis(n)
+    family = []
+    for _ in range(len(gammas) - 1):
+        g = NcPoly.zero()
+        for f in gammas:
+            g = g + f.scale(rng.randint(-3, 3))
+        family.append(g.scale(rng.choice((2, 3, 5))))
+    words = multilinear_words(n)
+    index = word_index(words)
+    space = echelonize([coeff_vector(g, index) for g in family])
+    assert any(type(v) is Fraction for r in space.rows for v in r.values())
+    expected = []
+    for k in family_kernel(family).rows:
+        g = NcPoly.zero()
+        for i, c in k.items():
+            g = g + family[i].scale(c)
+        expected.append(coeff_vector(g, index))
+    got = weak_identities_within(space, eval_table(words))
+    assert got == echelonize(expected) and got.dim > 0
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -8,7 +8,7 @@ import pytest
 
 from weakid.freealg import multilinear_words, proper_span, word_index
 from weakid.linalg import Subspace, echelonize
-from weakid.repthy import (DecompositionError, _relabelled, character,
+from weakid.repthy import (DecompositionError, _column_map, character,
                            class_representative, class_size, conjugate,
                            cycle_types, decompose, decompose_quotient, gl2_dim,
                            partitions, sym_dim)
@@ -232,15 +232,14 @@ def test_stability_check_names_the_one_breaking_transposition(n, t):
 def test_column_maps_relabel_each_word(n):
     words = multilinear_words(n)
     index = word_index(words)
-    cols = range(len(words))
     for t in range(1, n):
         perm = list(range(1, n + 1))
         perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        assert [words[c] for c in _relabelled(cols, perm, words, index)] == \
+        assert [words[c] for c in _column_map(perm, words, index)] == \
             [_swap(w, t) for w in words]
     for rho in cycle_types(n):
         image = dict(zip(range(1, n + 1), class_representative(rho)))
-        assert [words[c] for c in _relabelled(cols, class_representative(rho),
+        assert [words[c] for c in _column_map(class_representative(rho),
                                               words, index)] == \
             [tuple(map(image.get, w)) for w in words]
 
@@ -249,6 +248,6 @@ def test_column_map_of_a_three_cycle():
     words = multilinear_words(3)
     index = word_index(words)
     # (1 2 3) sends x1 x2 x3 to x2 x3 x1 and x1 x3 x2 to x2 x1 x3
-    assert [words[c] for c in _relabelled([index[(1, 2, 3)], index[(1, 3, 2)]],
-                                          (2, 3, 1), words, index)] == \
+    assert [words[c] for c in _column_map((2, 3, 1), [(1, 2, 3), (1, 3, 2)],
+                                          index)] == \
         [(2, 3, 1), (2, 1, 3)]

@@ -189,7 +189,7 @@ SPECIALIZATION_CASES = {
     "metabelian": (metabelian(),),
     "s3": (standard_poly(3),),
     "commutator": (comm(NcPoly.variable(1), NcPoly.variable(2)),),
-    # Fraction coefficients, and leads of -3 and -3/2, which normalized()
+    # Fraction coefficients, and leads of -3 and -3/2, which normalized
     # divides by
     "fractions-negative-leads": (
         NcPoly({(1, 2): -3, (2, 1): Fraction(5, 7)}),
@@ -203,7 +203,7 @@ def test_specializations_and_base_match_the_substitution_route(name):
     """Deleting the letters of the unit slots gives the polynomials that
     substituting 1 gives, term for term in the same order, and keying the
     base by primitive integer rows keeps the representatives that
-    ``normalized()`` keeps, in the same order, at n = 1..k."""
+    ``normalized`` keeps, in the same order, at n = 1..k."""
     from weakid import tideal
 
     def listed(polys):
