@@ -1,15 +1,18 @@
 """Time the generic evaluation table and its rank, the first layers of every
-proof step.
+proof step, and the Hilbert series' evaluation rows and ranks.
 
 Builds ``matrep.eval_table`` without its cache on the multilinear words of
-each requested degree and on the word universes the Hilbert series reads
-to degree 7 (the two-variable commutator families of every bidegree of
-total degree at most 7), and prints one JSON object with the best wall time
-of five builds per universe (``s``).  Each multilinear table also gets the
+each requested degree, and ``matrep.eval_rows`` of one walk (what
+``image_rank`` reads) on the word universes of the Hilbert series to
+degree 7 (the two-variable commutator families of every bidegree of total
+degree at most 7), and prints one JSON object with the best wall time of
+five builds per universe (``s``).  Each multilinear table also gets the
 best time of five ``linalg.rank`` calls on it (``rank_s``), the exact rank
 of ``tideal.pn_kernel_dim``, and of five ``linalg.rank_mod2`` calls
-(``rank_mod2_s``), the lower bound ``tideal._kernel_bound`` reads.  Run from
-the repository root:
+(``rank_mod2_s``), the lower bound ``tideal._kernel_bound`` reads.
+``hilbert_s`` is the best of five cold ``series.image_dims(n)`` at n = 7
+and 9, every cache of the package cleared before each.  Run from the
+repository root:
 
     PYTHONPATH=src python bench/bench_eval.py [--degrees 4,5,6]
 """
@@ -22,11 +25,13 @@ import platform
 import sys
 import time
 
+from weakid import freealg, matrep, series
 from weakid.freealg import multilinear_words, two_var_commutator_family
 from weakid.linalg import rank, rank_mod2
-from weakid.matrep import eval_table
+from weakid.matrep import _width, eval_rows, eval_table
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
+HILBERT_COLD = (7, 9)  # orders of the cold image_dims timed
 REPEAT = 5  # timed builds per universe; the best is kept
 
 
@@ -40,13 +45,17 @@ def _best(fn, arg):
     return out, round(best, 6)
 
 
-def _record(words):
-    rows, s = _best(eval_table.__wrapped__, words)
+def _record(build, words):
+    rows, s = _best(build, words)
     return {"words": len(words), "nnz": sum(len(r) for r in rows), "s": s}
 
 
+def _walk_rows(words):
+    return eval_rows(words, _width(words))
+
+
 def _record_with_rank(words):
-    out = _record(words)
+    out = _record(eval_table.__wrapped__, words)
     rows = eval_table.__wrapped__(words)
     out["rank"], out["rank_s"] = _best(rank, rows)
     out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, rows)
@@ -65,6 +74,15 @@ def hilbert_universes(n_max):
     return out
 
 
+def _cold_image_dims(n):
+    """series.image_dims(n) after clearing every cache it can reach."""
+    for module in (freealg, matrep, series):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    return series.image_dims(n)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--degrees", default="4,5,6",
@@ -74,8 +92,9 @@ def main(argv=None):
 
     multilinear = {str(n): _record_with_rank(multilinear_words(n))
                    for n in degrees}
-    hilbert = {key: _record(words)
+    hilbert = {key: _record(_walk_rows, words)
                for key, words in hilbert_universes(HILBERT_MAX).items()}
+    hilbert_s = {str(n): _best(_cold_image_dims, n)[1] for n in HILBERT_COLD}
     print(json.dumps({
         "python": platform.python_version(),
         "repeat": REPEAT,
@@ -83,6 +102,7 @@ def main(argv=None):
         "hilbert": {"max": HILBERT_MAX,
                     "bidegrees": hilbert,
                     "total_s": round(sum(r["s"] for r in hilbert.values()), 6)},
+        "hilbert_s": hilbert_s,
     }, indent=2, sort_keys=True))
     return 0
 

@@ -41,8 +41,13 @@ per word universe (a sorted tuple of words), with columns numbered
 sparse-first: by the number of rows that touch the column, then in deg-lex
 order of (monomial, entry).  The rank and the kernels do not depend on the
 column order, but the elimination takes its pivots in it, and pivots on
-sparse columns keep the fill-in down.  The rank and kernel passes read the
-rows from there.  The weak identity test (which also certifies the
+sparse columns keep the fill-in down.  The proof's kernel rank and bound
+and ``weak_identities_within`` read the multilinear rows from there.
+``image_rank`` reads each word universe of the Hilbert series once, so it
+ranks the rows of one walk as they come, keyed by the packed ints: a rank
+depends neither on the names nor on the order of the columns, and these
+eliminations (at most a few dozen rows) are too small for the numbering to
+pay for itself.  The weak identity test (which also certifies the
 consequence family) and the witness search read the generic coordinates of
 the one polynomial they are given,
 from the same prefix-stack walk and the same ``poly_eval_row``.  The
@@ -168,9 +173,9 @@ def eval_rows(words, width):
 
 
 # Word universes eval_table keeps.  A proof run reads one universe per
-# degree, and the Hilbert series reads each bidegree once, so a small bound
-# costs no recomputation while keeping long sessions from holding every
-# table they ever built.
+# degree (its multilinear words), and ``image_rank`` does not read the table,
+# so a small bound costs no recomputation while keeping long sessions from
+# holding every table they ever built.
 _TABLES = 8
 
 
@@ -320,7 +325,9 @@ def weak_identity_witness(f):
 
 
 def image_rank(family):
-    """Rank of the generic evaluation restricted to the span of the family."""
+    """Rank of the generic evaluation restricted to the span of the family,
+    over the rows of one walk of the family's words, keyed by its packed
+    ints (no table is built or cached)."""
     family = list(family)
     if not family:
         return 0
@@ -328,7 +335,7 @@ def image_rank(family):
     if len(degs) > 1:
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
     words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = word_index(words), eval_table(words)
+    index, word_rows = word_index(words), eval_rows(words, _width(words))
     return rank([poly_eval_row(coeff_vector(f, index), word_rows)
                  for f in family])
 

@@ -10,6 +10,16 @@ the total series can be compared coefficientwise with the closed form
 The closed form expands the two-parameter sum of gl2_dim(p+q, p) * t^(2p+q)
 over p > 0, q >= 0; its second factor is (1 - t^2)^-1, not another copy of
 (1 - t)^-1, which the regression tests pin down.
+
+Only the dominant weights dx >= dy are computed; ``family_dim`` and
+``image_dim`` read the mirrored bidegree for dx < dy.  The swap
+sigma: x1 <-> x2 is an automorphism of the free algebra that sends
+commutator products to commutator products, so it maps the bidegree-(dx, dy)
+proper component onto the (dy, dx) one and the two have the same dimension.
+The generic evaluation of sigma(f) is that of f with the slots of letters 1
+and 2 exchanged (a_1 <-> a_2, b_1 <-> b_2, c_1 <-> c_2), a bijection of
+coordinates, so the two components have the same evaluation rank too.  These
+are also the only weights ``gl2_decomposition`` reads.
 """
 
 from __future__ import annotations
@@ -57,7 +67,10 @@ def _family(dx, dy):
 
 @lru_cache(maxsize=None)
 def family_dim(dx, dy):
-    """Dimension of the two-variable proper component of bidegree (dx, dy)."""
+    """Dimension of the two-variable proper component of bidegree (dx, dy),
+    read from (dy, dx) when dx < dy (the mirror of the module docstring)."""
+    if dx < dy:
+        return family_dim(dy, dx)
     family = _family(dx, dy)
     if not family:
         return 0
@@ -67,7 +80,10 @@ def family_dim(dx, dy):
 
 @lru_cache(maxsize=None)
 def image_dim(dx, dy):
-    """Rank of the generic evaluation on the bidegree-(dx, dy) component."""
+    """Rank of the generic evaluation on the bidegree-(dx, dy) component,
+    read from (dy, dx) when dx < dy (the mirror of the module docstring)."""
+    if dx < dy:
+        return image_dim(dy, dx)
     family = _family(dx, dy)
     if not family:
         return 0

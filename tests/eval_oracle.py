@@ -10,8 +10,10 @@ x_i -> [[a_i, b_i], [b_i, c_i]], with slots 3*(i-1) + 0/1/2).
 import itertools
 from fractions import Fraction
 
+from weakid.freealg import coeff_vector, word_index
+from weakid.linalg import rank
 from weakid.matrep import (BASIS_MATRICES, _decode, _width, eval_rows,
-                           poly_eval_row)
+                           eval_table, poly_eval_row)
 
 
 class Comm:
@@ -133,6 +135,17 @@ def package_coords(f):
     words = sorted(f.terms)
     return poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
                          decoded_rows(words))
+
+
+def table_image_rank(family):
+    """The image rank by the package's earlier route: the family's rows
+    combined from ``eval_table`` (columns renumbered sparse-first) instead
+    of from the packed keys of one walk.  Reads the package's table, so it
+    checks that the column numbering does not change the rank."""
+    words = tuple(sorted({w for f in family for w in f.terms}))
+    index, word_rows = word_index(words), eval_table.__wrapped__(words)
+    return rank([poly_eval_row(coeff_vector(f, index), word_rows)
+                 for f in family])
 
 
 def oracle_is_weak_identity(f):

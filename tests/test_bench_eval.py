@@ -15,3 +15,10 @@ def test_bench_eval_prints_json_at_degree_4():
     assert result["multilinear"]["4"]["rank_mod2_s"] > 0
     # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7
     assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3 + 4 + 5 + 6
+    # the walk's rows of bidegree (1, 1): x1 x2 and x2 x1
+    assert result["hilbert"]["bidegrees"]["1,1"]["words"] == 2
+    assert result["hilbert"]["bidegrees"]["1,1"]["nnz"] > 0
+    assert all(r["s"] > 0 for r in result["hilbert"]["bidegrees"].values())
+    # cold image_dims at the two orders timed
+    assert set(result["hilbert_s"]) == {"7", "9"}
+    assert all(s > 0 for s in result["hilbert_s"].values())

@@ -26,7 +26,9 @@ GOLDEN_CHECKS = Path(__file__).parent / "data" / "check_identity_golden.json"
 # --with-decomposition --json --no-timings``, recorded before the proper
 # consequence dimension was counted by rank instead of a Zassenhaus basis;
 # and of ``decompose --space gamma`` and ``--space gamma-kernel`` at degree 6
-# (``--json``), recorded before the proper family became a basis.
+# (``--json``), recorded before the proper family became a basis; and of
+# ``hilbert --max 10 --json``, the cap, recorded before the Hilbert series
+# computed only the dominant bidegrees and ranked them without the table.
 GOLDEN_CLI = Path(__file__).parent / "data" / "cli_golden.json"
 
 REPORT_KEYS = {"degree", "dim_P", "dim_kernel", "dim_consequences",
@@ -85,7 +87,7 @@ def test_check_identity_replays_the_golden_file():
 
 def test_cli_replays_the_golden_file():
     cases = json.loads(GOLDEN_CLI.read_text())
-    assert len(cases) == 15
+    assert len(cases) == 16
     for case in cases:
         out = io.StringIO()
         with redirect_stdout(out):

@@ -24,7 +24,7 @@ from tests.eval_oracle import (MAT_ZERO, brute_eval, coords, decoded_rows,
                                first_failing_basis_substitution,
                                generic_coords, generic_eval, mat_add, mat_mul,
                                mat_scale, mat_transpose, package_coords,
-                               swap_a_c)
+                               swap_a_c, table_image_rank)
 from tests.linalg_oracles import subspace_intersect
 
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
@@ -351,14 +351,29 @@ def test_check_evaluates_a_non_identity_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _hilbert_universe(dx, dy):
+    return tuple(sorted({w for f in series._family(dx, dy) for w in f.terms}))
+
+
 def test_eval_table_cache_is_bounded():
-    for cached in (matrep.eval_table, series.image_dim, series._family):
-        cached.cache_clear()
-    assert series.image_dims(7) == [1, 0, 1, 2, 4, 6, 9, 12]
+    eval_table.cache_clear()
+    bidegrees = ((1, 1), (2, 1), (3, 2), (4, 3))
+    universes = [multilinear_words(n) for n in range(1, 7)] + [
+        _hilbert_universe(dx, dy) for dx, dy in bidegrees]
+    for words in universes:
+        eval_table(words)
     info = eval_table.cache_info()
     assert info.maxsize == matrep._TABLES
-    # image_dims(7) reads 21 bidegrees, more than the cache keeps
+    # ten universes, more than the cache keeps
     assert info.currsize <= matrep._TABLES < info.misses
+
+
+def test_image_dims_leave_the_table_cache_alone():
+    for cached in (series.image_dim, series._family):
+        cached.cache_clear()
+    before = eval_table.cache_info()
+    assert series.image_dims(7) == [1, 0, 1, 2, 4, 6, 9, 12]
+    assert eval_table.cache_info() == before
 
 
 # -- kernels --------------------------------------------------------------------
@@ -403,6 +418,36 @@ def test_kernel_vectors_are_weak_identities():
 def test_kernel_rejects_mixed_degrees():
     with pytest.raises(ValueError, match="mixes total degrees"):
         image_rank([x1, x1 * x2])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_image_rank_matches_the_table_route(n):
+    for dx in range(1, n):
+        family = list(series._family(dx, n - dx))
+        assert image_rank(family) == table_image_rank(family), (dx, n - dx)
+    family = series.tail_family(n)
+    assert image_rank(family) == table_image_rank(family)
+
+
+@st.composite
+def homogeneous_families(draw):
+    """Up to five polynomials of one total degree in 2 or 3 variables, with
+    small Fraction coefficients."""
+    letters = st.integers(1, draw(st.integers(2, 3)))
+    degree = draw(st.integers(1, 5))
+    words = st.lists(letters, min_size=degree, max_size=degree).map(tuple)
+    family = []
+    for _ in range(draw(st.integers(1, 5))):
+        chosen = draw(st.lists(words, min_size=1, max_size=4, unique=True))
+        family.append(NcPoly({w: draw(small_coeff.filter(bool))
+                              for w in chosen}))
+    return family
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_families())
+def test_image_rank_matches_the_table_route_on_drawn_families(family):
+    assert image_rank(family) == table_image_rank(family)
 
 
 def test_image_rank_complements_kernel():

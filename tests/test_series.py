@@ -1,8 +1,11 @@
 """Graded dimensions of the two-variable proper algebra and the closed form."""
 
-from weakid.matrep import is_weak_identity
-from weakid.series import (closed_form_series, degree6_relations, family_dim,
-                           family_dims, gl2_decomposition,
+from weakid import series
+from weakid.freealg import coeff_vector, word_index
+from weakid.linalg import echelonize
+from weakid.matrep import image_rank, is_weak_identity
+from weakid.series import (_family, closed_form_series, degree6_relations,
+                           family_dim, family_dims, gl2_decomposition,
                            gl2_intersection_decomposition, image_dim,
                            image_dims, intersection_dims, tail_family,
                            tail_family_spans_image)
@@ -78,11 +81,50 @@ def test_intersection_dims():
     assert intersection_dims(6) == [0, 0, 0, 0, 0, 2, 7]
 
 
+def _echelon_dim(family):
+    index = word_index(tuple(sorted({w for f in family for w in f.terms})))
+    return echelonize([coeff_vector(f, index) for f in family]).dim
+
+
 def test_bidegree_symmetry():
+    """The x1 <-> x2 mirror that family_dim and image_dim read, checked
+    without it: both orientations' families are eliminated and ranked."""
     for n in range(2, 9):
         for dx in range(1, n):
-            assert family_dim(dx, n - dx) == family_dim(n - dx, dx)
-            assert image_dim(dx, n - dx) == image_dim(n - dx, dx)
+            dy = n - dx
+            assert (_echelon_dim(_family(dx, dy))
+                    == _echelon_dim(_family(dy, dx)) == family_dim(dx, dy))
+            assert (image_rank(list(_family(dx, dy)))
+                    == image_rank(list(_family(dy, dx))) == image_dim(dx, dy))
+
+
+def test_image_dims_rank_the_dominant_bidegrees_only(monkeypatch):
+    calls = []
+
+    def counted(family):
+        calls.append(family)
+        return image_rank(family)
+
+    series.image_dim.cache_clear()
+    monkeypatch.setattr(series, "image_rank", counted)
+    assert image_dims(7) == [1, 0, 1, 2, 4, 6, 9, 12]
+    # (dx, dy) with dx >= dy >= 1 and dx + dy <= 7
+    assert len(calls) == 12
+
+
+def test_a_non_dominant_bidegree_reads_its_mirror(monkeypatch):
+    asked = []
+
+    def recorded(dx, dy):
+        asked.append((dx, dy))
+        return _family(dx, dy)
+
+    for cached in (series.image_dim, series.family_dim):
+        cached.cache_clear()
+    monkeypatch.setattr(series, "_family", recorded)
+    assert image_dim(2, 5) == image_dim(5, 2)
+    assert family_dim(2, 5) == family_dim(5, 2)
+    assert asked == [(5, 2), (5, 2)]
 
 
 def test_gl2_decomposition_degree6():
