@@ -11,7 +11,11 @@ best time of five ``linalg.rank`` calls on it (``rank_s``), the exact rank
 of ``tideal.pn_kernel_dim``, and of five ``linalg.rank_mod2`` calls
 (``rank_mod2_s``), the lower bound ``tideal._kernel_bound`` reads.
 ``hilbert_s`` is the best of five cold ``series.image_dims(n)`` at n = 7
-and 9, every cache of the package cleared before each.  Run from the
+and 9, every cache of the package cleared before each.  ``check`` times
+what ``weakid check`` does to a fixed list of ``CHECKS`` expressions of
+degree 4 to 6: the best of five passes of ``expr.parse_poly`` over the list
+(``parse_s``), and of ``matrep.weak_identity_witness`` over the parsed
+polynomials (``witness_s``, the generic coordinates of each).  Run from the
 repository root:
 
     PYTHONPATH=src python bench/bench_eval.py [--degrees 4,5,6]
@@ -26,13 +30,31 @@ import sys
 import time
 
 from weakid import freealg, matrep, series
+from weakid.expr import parse_poly
 from weakid.freealg import multilinear_words, two_var_commutator_family
 from weakid.linalg import rank, rank_mod2
-from weakid.matrep import _width, eval_rows, eval_table
+from weakid.matrep import _width, eval_rows, eval_table, weak_identity_witness
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
 HILBERT_COLD = (7, 9)  # orders of the cold image_dims timed
 REPEAT = 5  # timed builds per universe; the best is kept
+
+# check-style expressions: generator instances at Jordan arguments, outer
+# multiples, commutator products and the degree-6 two-variable relations.
+CHECKS = (
+    "S4(o(x1,x5),x2,x3,x4)",
+    "S4(o(x1,o(x2,x3)),x4,x5,x6)",
+    "S4(x^2,y,x3,x4)",
+    "x5*S4(x1,x2,x3,x4)*x6",
+    "[[o(x1,x5),x2],[x3,x4]]",
+    "[[x1,x2],[x3,o(x4,x5)]]*x6",
+    "x5*[[x,y],[x3,x4]]",
+    "[x1,x2]*[x3,x4]*[x5,x6]",
+    "[x1,x2,x3]*[x4,x5] - 1/2*[x4,x5]*[x1,x2,x3]",
+    "o([x1,x2],[x3,x4])",
+    "[[y,x,x,x],[y,x]]",
+    "[[y,x,y],[y,x,x]] + 4*[y,x]^3",
+)
 
 
 def _best(fn, arg):
@@ -83,6 +105,24 @@ def _cold_image_dims(n):
     return series.image_dims(n)
 
 
+def _parse_all(exprs):
+    return [parse_poly(e) for e in exprs]
+
+
+def _witness_all(polys):
+    return [weak_identity_witness(f) for f in polys]
+
+
+def check_section():
+    """Best pass times of parse_poly and weak_identity_witness over CHECKS."""
+    polys, parse_s = _best(_parse_all, CHECKS)
+    witnesses, witness_s = _best(_witness_all, polys)
+    return {"expressions": len(CHECKS),
+            "degrees": sorted({f.degree() for f in polys}),
+            "identities": sum(w is None for w in witnesses),
+            "parse_s": parse_s, "witness_s": witness_s}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--degrees", default="4,5,6",
@@ -103,6 +143,7 @@ def main(argv=None):
                     "bidegrees": hilbert,
                     "total_s": round(sum(r["s"] for r in hilbert.values()), 6)},
         "hilbert_s": hilbert_s,
+        "check": check_section(),
     }, indent=2, sort_keys=True))
     return 0
 

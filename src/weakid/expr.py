@@ -320,14 +320,16 @@ def elaborate(node):
     if tag == "var":
         return NcPoly.variable(node[1])
     if tag == "sum":
-        acc = NcPoly.zero()
-        for sign, term in node[1]:
+        (sign, first), *rest = node[1]
+        acc = elaborate(first) if sign > 0 else -elaborate(first)
+        for sign, term in rest:
             t = elaborate(term)
             acc = acc + t if sign > 0 else acc - t
         return acc
     if tag == "prod":
-        acc = NcPoly.one()
-        for factor in node[1]:
+        first, *rest = node[1]
+        acc = elaborate(first)
+        for factor in rest:
             acc = acc * elaborate(factor)
         return acc
     if tag == "pow":

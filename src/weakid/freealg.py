@@ -7,6 +7,14 @@ stays integral through every operation.  The module also builds the spanning
 families the rest of the toolkit consumes: all multilinear words of degree
 n, the multilinear proper polynomials (products of left-normed commutators),
 and the two-variable commutator-product families.
+
+Terms are added into a term dict in one place, ``_add_terms``, which drops
+every word whose coefficient cancels: the constructor, sums, differences and
+substitution all go through it.  The inner loops that run once per pair of
+terms or per nonzero entry keep the same few lines inline instead
+(``_times`` here, ``matrep.poly_eval_row`` and ``matrep._times_generic``, the
+two row updates in ``linalg``), because a call per entry costs more than the
+loop body itself.
 """
 
 from __future__ import annotations
@@ -47,9 +55,23 @@ def _deglex(word):
 
 def _exact(c):
     """c as an int when it is integral, else as a Fraction; floats are refused."""
+    if type(c) is int:
+        return c
     if not isinstance(c, Rational):
         raise TypeError(f"coefficients must be exact rationals, not {c!r}")
     return c.numerator if c.denominator == 1 else Fraction(c)
+
+
+def _add_terms(t, pairs):
+    """Add (word, coefficient) pairs into the term dict t, dropping each word
+    whose coefficient cancels; returns t."""
+    for w, c in pairs:
+        s = t.get(w, 0) + c
+        if s:
+            t[w] = s
+        else:
+            t.pop(w, None)
+    return t
 
 
 def _times(a, b):
@@ -72,19 +94,8 @@ class NcPoly:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, c in terms.items() if isinstance(terms, dict) else terms:
-                c = _exact(c)
-                if not c:
-                    continue
-                w = tuple(w)
-                s = t.get(w, 0) + c
-                if s:
-                    t[w] = s
-                else:
-                    del t[w]
-        self.terms = t
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = _add_terms({}, ((tuple(w), _exact(c)) for w, c in pairs))
         self._hash = None
 
     @classmethod
@@ -118,19 +129,13 @@ class NcPoly:
     def __add__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, 0) + c
-            if s:
-                t[w] = s
-            else:
-                del t[w]
-        return NcPoly._raw(t)
+        return NcPoly._raw(_add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        return self + (-other)
+        return NcPoly._raw(_add_terms(dict(self.terms),
+                                      ((w, -c) for w, c in other.terms.items())))
 
     def __neg__(self):
         return NcPoly._raw({w: -c for w, c in self.terms.items()})
@@ -217,8 +222,6 @@ def comm(f, g):
 
 def left_normed(*args):
     """Left-normed commutator [a1, ..., ak] = [[a1, ..., a_{k-1}], ak]."""
-    if len(args) == 1 and isinstance(args[0], (list, tuple)):
-        args = tuple(args[0])
     if len(args) < 2:
         raise ValueError("left-normed commutators need at least 2 arguments")
     return reduce(comm, args)
@@ -269,12 +272,7 @@ def substitute(f, subs):
             except KeyError:
                 raise KeyError(f"variable x{i} has no substitution value") from None
             acc = _times(acc, value.terms)
-        for u, v in acc.items():
-            s = out.get(u, 0) + v
-            if s:
-                out[u] = s
-            else:
-                del out[u]
+        _add_terms(out, acc.items())
     return NcPoly._raw(out)
 
 

@@ -19,6 +19,7 @@ does the elimination work.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 __all__ = [
@@ -181,31 +182,21 @@ def echelonize(vectors, *, echelon=(), stop_dim=None):
     """Reduced row echelon basis of the span of the given vectors and of the
     rows in ``echelon``.
 
-    ``echelon`` holds nonzero rows that are already in echelon form, each
-    with its own leading (least) column; they are stored as pivot rows
-    unreduced, in the given order, and ``ValueError`` is raised if two of
-    them share a leading column.  ``stop_dim`` aborts insertion once that
-    dimension is reached; callers use it only when the span is independently
-    known to be capped at stop_dim.  The other vectors are fed short first,
-    in a canonical order, which keeps pivot rows sparse and makes the
-    elimination work independent of their input order.
+    The ``echelon`` rows are inserted first, in the given order, then the
+    other vectors short first, in a canonical order, which keeps pivot rows
+    sparse and makes the elimination work independent of their input order.
+    Every row is reduced against the pivot rows before it, so a row that
+    leads at a column no earlier row leads at is stored as it stands after
+    one lookup: callers pass as ``echelon`` rows they know to be in echelon
+    form, each with its own leading (least) column.  ``stop_dim`` aborts
+    insertion once that dimension is reached; callers use it only when the
+    span is independently known to be capped at stop_dim.
     """
     space = Subspace({})
-    pivots = space._rows
-    for v in echelon:
-        if stop_dim is not None and len(pivots) >= stop_dim:
-            break
-        r = _strip(_int_row(v))
-        if not r:
-            raise ValueError("echelon rows must be nonzero")
-        lead = min(r)
-        if lead in pivots:
-            raise ValueError(f"two echelon rows lead at column {lead}")
-        pivots[lead] = r
-    rows = sorted((_int_row(v) for v in vectors),
+    rest = sorted((_int_row(v) for v in vectors),
                   key=lambda r: (len(r), sorted(r.items())))
-    for r in rows:
-        if stop_dim is not None and len(pivots) >= stop_dim:
+    for r in chain(map(_int_row, echelon), rest):
+        if stop_dim is not None and space.dim >= stop_dim:
             break
         space._add(r)
     return space

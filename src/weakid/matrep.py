@@ -44,15 +44,14 @@ column order, but the elimination takes its pivots in it, and pivots on
 sparse columns keep the fill-in down.  The proof's kernel rank and bound
 and ``weak_identities_within`` read the multilinear rows from there.
 ``image_rank`` reads each word universe of the Hilbert series once, so it
-ranks the rows of one walk as they come, keyed by the packed ints: a rank
-depends neither on the names nor on the order of the columns, and these
+evaluates each family member by its own terms over the {word: row} dict of
+one walk, keyed by the packed ints, with no word index: a rank depends
+neither on the names nor on the order of the columns, and these
 eliminations (at most a few dozen rows) are too small for the numbering to
 pay for itself.  The weak identity test (which also certifies the
-consequence family) and the witness search read the generic coordinates of
-the one polynomial they are given,
-from the same prefix-stack walk and the same ``poly_eval_row``.  The
-independent evaluation oracle the tests check all of this against lives in
-``tests/``.
+consequence family) and the witness search read, the same way, the generic
+coordinates of the one polynomial they are given.  The independent
+evaluation oracle the tests check all of this against lives in ``tests/``.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 
-from .freealg import coeff_vector, word_index
 from .linalg import echelonize, left_kernel, rank
 
 __all__ = [
@@ -200,6 +198,10 @@ def eval_table(words):
 def poly_eval_row(coeffs, word_rows):
     """Evaluation coordinates of sum_i coeffs[i] * word_rows[i].
 
+    ``coeffs`` is keyed like ``word_rows``: by positions when the rows are a
+    list (a vector over a word universe, or a kernel row over RREF rows), by
+    words when they are the {word: coordinates} dict of one walk (a
+    polynomial's own terms).
     The coefficients are scaled by their common denominator, summed and
     divided once at the end.  The rows combined may hold ``Fraction``s too
     (the RREF rows a kernel row recombines); the arithmetic is exact either
@@ -230,9 +232,7 @@ def _generic_coords(f):
     label = {v: i for i, v in enumerate(sorted(f.support()), 1)}
     terms = {tuple(label[l] for l in w): c for w, c in f.terms.items()}
     width = _width(terms)
-    walk = list(_walk(terms, width))
-    acc = poly_eval_row({i: terms[w] for i, (w, _) in enumerate(walk)},
-                        [coords for _, coords in walk])
+    acc = poly_eval_row(terms, dict(_walk(terms, width)))
     return {_decode(k, width): v for k, v in acc.items()}
 
 
@@ -325,9 +325,10 @@ def weak_identity_witness(f):
 
 
 def image_rank(family):
-    """Rank of the generic evaluation restricted to the span of the family,
-    over the rows of one walk of the family's words, keyed by its packed
-    ints (no table is built or cached)."""
+    """Rank of the generic evaluation restricted to the span of the family:
+    each member is evaluated by its own terms over the rows of one walk of
+    the family's words, keyed by its packed ints (no table or word index is
+    built or cached)."""
     family = list(family)
     if not family:
         return 0
@@ -335,9 +336,8 @@ def image_rank(family):
     if len(degs) > 1:
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
     words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = word_index(words), eval_rows(words, _width(words))
-    return rank([poly_eval_row(coeff_vector(f, index), word_rows)
-                 for f in family])
+    walk = dict(zip(words, eval_rows(words, _width(words))))
+    return rank([poly_eval_row(f.terms, walk) for f in family])
 
 
 def weak_identities_within(space, word_rows):

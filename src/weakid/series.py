@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freealg import (coeff_vector, comm, two_var_commutator,
-                      two_var_commutator_family, word_index)
-from .linalg import echelonize
+from .freealg import comm, two_var_commutator, two_var_commutator_family
+from .linalg import rank
 from .matrep import image_rank
 
 __all__ = [
@@ -68,14 +67,12 @@ def _family(dx, dy):
 @lru_cache(maxsize=None)
 def family_dim(dx, dy):
     """Dimension of the two-variable proper component of bidegree (dx, dy),
-    read from (dy, dx) when dx < dy (the mirror of the module docstring)."""
+    read from (dy, dx) when dx < dy (the mirror of the module docstring):
+    the rank of the family's term dicts, whose columns are the words
+    themselves."""
     if dx < dy:
         return family_dim(dy, dx)
-    family = _family(dx, dy)
-    if not family:
-        return 0
-    index = word_index(tuple(sorted({w for f in family for w in f.terms})))
-    return echelonize([coeff_vector(f, index) for f in family]).dim
+    return rank([f.terms for f in _family(dx, dy)])
 
 
 @lru_cache(maxsize=None)

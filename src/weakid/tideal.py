@@ -188,16 +188,10 @@ def _specializations(gens, n):
         k = _arity(f)
         for kept in combinations(range(1, k + 1), n):
             label = dict(zip(kept, range(1, n + 1)))
-            terms = {}
-            for w, c in f.terms.items():
-                u = tuple(label[l] for l in w if l in label)
-                s = terms.get(u, 0) + c
-                if s:
-                    terms[u] = s
-                else:
-                    del terms[u]
-            if terms:
-                out.append(NcPoly._raw(terms))
+            g = NcPoly((tuple(label[l] for l in w if l in label), c)
+                       for w, c in f.terms.items())
+            if g:
+                out.append(g)
     return tuple(out)
 
 
@@ -241,9 +235,10 @@ def _consequences(gens, n):
     every family member is a weak identity.  Only the unit specializations
     are evaluated; the moves and the relabelled base inherit the flag
     (module docstring).  The k left multiples that open the family enter the
-    elimination as ready echelon rows (``_moves``), so only the rest is
-    sorted and reduced.  A certified span lies in the kernel, so its
-    dimension is at most ``_kernel_bound(n)``, where the elimination stops."""
+    elimination first, as ready echelon rows (``_moves``): each is stored
+    after one pivot lookup, and only the rest is sorted.  A certified span
+    lies in the kernel, so its dimension is at most ``_kernel_bound(n)``,
+    where the elimination stops."""
     below, certified = (_consequences(gens, n - 1) if n > 1
                         else (Subspace.zero(), True))
     certified = certified and all(is_weak_identity(g)

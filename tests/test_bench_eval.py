@@ -22,3 +22,11 @@ def test_bench_eval_prints_json_at_degree_4():
     # cold image_dims at the two orders timed
     assert set(result["hilbert_s"]) == {"7", "9"}
     assert all(s > 0 for s in result["hilbert_s"].values())
+    # the check section: a dozen expressions of degree 4 to 6, three of
+    # them not weak identities
+    check = result["check"]
+    assert check["expressions"] == 12
+    assert check["degrees"] == [4, 5, 6]
+    assert check["identities"] == 9
+    assert check["parse_s"] > 0
+    assert check["witness_s"] > 0

@@ -3,7 +3,7 @@
 import io
 import json
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,12 @@ from weakid.expr import _MAX_NESTING, parse_poly
 # check-mix template (seed 1) and a few hand-picked ones, recorded before the
 # witness search moved onto the generic coordinates.
 GOLDEN_CHECKS = Path(__file__).parent / "data" / "check_identity_golden.json"
+
+# ``check --mode consequence --json`` stdout, stderr and exit code for the
+# same expressions, recorded before sums and products were elaborated from
+# their first operand and before one helper added every polynomial's terms.
+GOLDEN_CONSEQUENCES = (Path(__file__).parent / "data"
+                       / "check_consequence_golden.json")
 
 # stdout of ``verify`` (degrees 4 and 5, both modes, ``--json --no-timings``),
 # ``decompose --json`` (degrees 4 and 5, all three spaces) and
@@ -83,6 +89,19 @@ def test_check_identity_replays_the_golden_file():
             code = main(["check", "--mode", "identity", "--json",
                          f"--expr={case['expr']}"])
         assert (code, out.getvalue()) == (case["exit"], case["stdout"]), case["expr"]
+
+
+def test_check_consequence_replays_the_golden_file():
+    cases = json.loads(GOLDEN_CONSEQUENCES.read_text())
+    assert [c["expr"] for c in cases] == [
+        c["expr"] for c in json.loads(GOLDEN_CHECKS.read_text())]
+    for case in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check", "--mode", "consequence", "--json",
+                         f"--expr={case['expr']}"])
+        assert ((code, out.getvalue(), err.getvalue())
+                == (case["exit"], case["stdout"], case["stderr"])), case["expr"]
 
 
 def test_cli_replays_the_golden_file():

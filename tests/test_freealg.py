@@ -42,6 +42,42 @@ def nc_polys(draw, max_vars=3, max_len=3, max_terms=4):
     return NcPoly(terms)
 
 
+@st.composite
+def term_pairs(draw):
+    """(word, coefficient) pairs over a few words, so that words repeat,
+    with int, Fraction and zero coefficients, some cancelled exactly by a
+    negated copy."""
+    words = st.sampled_from([(), (1,), (2,), (1, 2), (2, 1)])
+    coeffs = st.one_of(st.integers(-2, 2),
+                       st.fractions(-2, 2, max_denominator=3))
+    pairs = draw(st.lists(st.tuples(words, coeffs), max_size=8))
+    cancels = [(w, -c) for w, c in pairs if draw(st.booleans())]
+    return draw(st.permutations(pairs + cancels))
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_pairs(), term_pairs())
+def test_terms_add_up_per_word_and_cancellations_drop(pairs, other):
+    naive = {}
+    for w, c in pairs:
+        naive[w] = naive.get(w, 0) + c
+    f, g = NcPoly(pairs), NcPoly(other)
+    assert f.terms == {w: c for w, c in naive.items() if c}
+    assert f - g == f + (-g)
+
+
+def test_difference_builds_no_negated_copy(monkeypatch):
+    f, g = x1 * x2 - 3 * x2, x2 * x1 + Fraction(1, 2) * x2
+    expected = {(1, 2): 1, (2, 1): -1, (2,): Fraction(-7, 2)}
+
+    def refused(self):
+        raise AssertionError("f - g negated g")
+
+    monkeypatch.setattr(NcPoly, "__neg__", refused)
+    assert (f - g).terms == expected
+    assert (f - f).is_zero()
+
+
 def test_mul_examples():
     assert (x1 * x2).terms == {(1, 2): 1}
     sq = (x1 + x2) * (x1 + x2)

@@ -314,11 +314,12 @@ def test_echelon_rows_are_stored_as_given():
                                                        1: {1: 1, 2: -1}}
 
 
-def test_echelon_rows_sharing_a_leading_column_are_refused():
-    with pytest.raises(ValueError, match="lead at column 1"):
-        echelonize([], echelon=[{1: 1, 2: 1}, {0: 0, 1: 2}])
-    with pytest.raises(ValueError, match="nonzero"):
-        echelonize([], echelon=[{0: 1}, {}])
+def test_echelon_rows_sharing_a_leading_column_are_reduced():
+    rows = [{1: 1, 2: 1}, {0: 0, 1: 2}]
+    assert echelonize([], echelon=rows) == echelonize(rows)
+    assert echelonize([], echelon=rows).pivots == (1, 2)
+    # an empty row adds nothing
+    assert echelonize([], echelon=[{0: 1}, {}]) == echelonize([{0: 1}])
 
 
 def test_stop_dim_caps_echelon_rows_and_the_rest():

@@ -1,6 +1,6 @@
 """Graded dimensions of the two-variable proper algebra and the closed form."""
 
-from weakid import series
+from weakid import freealg, series
 from weakid.freealg import coeff_vector, word_index
 from weakid.linalg import echelonize
 from weakid.matrep import image_rank, is_weak_identity
@@ -125,6 +125,18 @@ def test_a_non_dominant_bidegree_reads_its_mirror(monkeypatch):
     assert image_dim(2, 5) == image_dim(5, 2)
     assert family_dim(2, 5) == family_dim(5, 2)
     assert asked == [(5, 2), (5, 2)]
+
+
+def test_the_hilbert_series_builds_no_word_index():
+    """Family members are ranked and evaluated by their own terms, so no
+    universe of the series enters the word_index cache."""
+    for cached in (series.image_dim, series.family_dim, series._family,
+                   freealg.word_index):
+        cached.cache_clear()
+    assert image_dims(9) == [1, 0, 1, 2, 4, 6, 9, 12, 16, 20]
+    assert family_dims(9) == [1, 0, 1, 2, 4, 8, 16, 32, 64, 128]
+    info = freealg.word_index.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_gl2_decomposition_degree6():
