@@ -30,8 +30,8 @@ _VERIFY_SPAN = f"{_VERIFY_DEGREES.start}..{_MAX_DEGREE}"
 # Highest degree ``hilbert --max`` accepts.
 _HILBERT_CAP = 10
 
-# Highest linearized degree ``check --mode consequence`` accepts: the degree-7
-# span takes minutes, and ``verify --degree 7`` is the way to build it.
+# Highest linearized degree ``check --mode consequence`` accepts: a degree-7
+# query exits 2 at once, and ``verify --degree 7`` (about 15 s) builds it.
 _CONSEQUENCE_CAP = 6
 
 

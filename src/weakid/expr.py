@@ -279,7 +279,7 @@ def _bounds(node):
         return 1, 1
     if tag == "pow":
         d, t = _bounds(node[1])
-        return min(d * node[2], _MAX_DEGREE + 1), _power(t, node[2])
+        return min(max(d, 1) * node[2], _MAX_DEGREE + 1), _power(t, node[2])
     if tag == "ad":  # g (ad f)^m: each bracket doubles the terms
         df, tf = _bounds(node[1])
         dg, tg = _bounds(node[2])

@@ -68,7 +68,7 @@ def _add_terms(t, pairs):
     for w, c in pairs:
         s = t.get(w, 0) + c
         if s:
-            t[w] = s
+            t[w] = s if s.__class__ is int or s.denominator != 1 else s.numerator
         else:
             t.pop(w, None)
     return t
@@ -82,7 +82,7 @@ def _times(a, b):
             w = w1 + w2
             s = t.get(w, 0) + c1 * c2
             if s:
-                t[w] = s
+                t[w] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
                 del t[w]
     return t
@@ -144,7 +144,7 @@ class NcPoly:
         c = _exact(c)
         if not c:
             return NcPoly.zero()
-        return NcPoly._raw({w: v * c for w, v in self.terms.items()})
+        return NcPoly._raw({w: _exact(v * c) for w, v in self.terms.items()})
 
     def is_zero(self):
         return not self.terms

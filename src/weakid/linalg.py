@@ -12,14 +12,12 @@ input reaches it without building a single ``Fraction``.
 
 Row spaces are presented in reduced row echelon form.  RREF is unique for a
 given row space, so results do not depend on the order in which vectors are
-fed in; ``echelonize`` sorts its rows into a canonical order first, so neither
-does the elimination work.
+fed in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 __all__ = [
@@ -178,27 +176,22 @@ class Subspace:
         return f"<Subspace dim={self.dim} pivots={self.pivots[:8]}{'...' if self.dim > 8 else ''}>"
 
 
-def echelonize(vectors, *, echelon=(), stop_dim=None):
-    """Reduced row echelon basis of the span of the given vectors and of the
-    rows in ``echelon``.
+def echelonize(vectors, *, stop_dim=None):
+    """Reduced row echelon basis of the span of the given vectors.
 
-    The ``echelon`` rows are inserted first, in the given order, then the
-    other vectors short first, in a canonical order, which keeps pivot rows
-    sparse and makes the elimination work independent of their input order.
-    Every row is reduced against the pivot rows before it, so a row that
-    leads at a column no earlier row leads at is stored as it stands after
-    one lookup: callers pass as ``echelon`` rows they know to be in echelon
-    form, each with its own leading (least) column.  ``stop_dim`` aborts
-    insertion once that dimension is reached; callers use it only when the
-    span is independently known to be capped at stop_dim.
+    The vectors are inserted in the order given, each reduced against the
+    pivot rows before it, so a row that leads at a column no earlier row
+    leads at is stored as it stands after one lookup.  The span does not
+    depend on the order, but the work does: callers pass rows in an order
+    that does not change between runs.  ``stop_dim`` aborts insertion once
+    that dimension is reached; callers use it only when the span is
+    independently known to be capped at stop_dim.
     """
     space = Subspace({})
-    rest = sorted((_int_row(v) for v in vectors),
-                  key=lambda r: (len(r), sorted(r.items())))
-    for r in chain(map(_int_row, echelon), rest):
+    for v in vectors:
         if stop_dim is not None and space.dim >= stop_dim:
             break
-        space._add(r)
+        space._add(_int_row(v))
     return space
 
 

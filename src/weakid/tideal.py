@@ -92,9 +92,8 @@ __all__ = [
     "DegreeReport",
 ]
 
-# Highest degree the consequence engine accepts: degree 7 already takes about
-# 160 s and 410 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear
-# words.
+# Highest degree the consequence engine accepts: degree 7 takes about 15 s
+# and 90 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
 _MAX_DEGREE = 7
 
 # Consequence spans, and unit specializations, kept, keyed by (generators,
@@ -153,7 +152,8 @@ def _moves(gens, n, index):
     The left multiples are in echelon form: relabelling 1..n-1 increasingly
     onto the letters other than j, and prefixing j, both keep the
     lexicographic order of words, so each x_j * r keeps the leading column
-    of r, and the blocks of different j have disjoint supports."""
+    of r, and the blocks of different j have disjoint supports.  They lead
+    the family, so the elimination stores each after one pivot lookup."""
     if n == 1:
         return [], [], []
     words = multilinear_words(n - 1)
@@ -198,10 +198,11 @@ def _specializations(gens, n):
 def _base(gens, n):
     """Each unit specialization in every relabelling of x_1, ..., x_n, once
     per scalar class, keyed by its primitive integer row with a positive
-    lead (``_strip``), which every nonzero multiple shares.  The first
-    relabelling of each class is kept: for the default generators, S4 and
-    the three pairings of [[x1, x2], [x3, x4]] at degree 4, and nothing
-    elsewhere."""
+    lead (``_strip``), which every nonzero multiple shares, and listed in
+    key order, which does not depend on the generators' order or variable
+    names.  The first relabelling of each class is kept: for the default
+    generators, S4 and the three pairings of [[x1, x2], [x3, x4]] at degree
+    4, and nothing elsewhere."""
     index = word_index(multilinear_words(n))
     classes = {}
     for g in _specializations(tuple(gens), n):
@@ -209,8 +210,8 @@ def _base(gens, n):
             terms = {tuple(perm[l - 1] for l in w): c
                      for w, c in g.terms.items()}
             row = _strip(_int_row({index[w]: c for w, c in terms.items()}))
-            classes.setdefault(frozenset(row.items()), terms)
-    return [NcPoly._raw(t) for t in classes.values()]
+            classes.setdefault(tuple(sorted(row.items())), terms)
+    return [NcPoly._raw(classes[key]) for key in sorted(classes)]
 
 
 # -- the full multilinear component -------------------------------------------
@@ -218,8 +219,12 @@ def _base(gens, n):
 
 @lru_cache(maxsize=None)
 def pn_kernel_dim(n):
-    """Dimension of the weak identities inside the multilinear component."""
-    return factorial(n) - rank(eval_table(multilinear_words(n)))
+    """Dimension of the weak identities inside the multilinear component, the
+    exact-rank fallback of ``verify_degree``: the table's rows are eliminated
+    short first, in a canonical order, faster than in word order."""
+    rows = sorted(eval_table(multilinear_words(n)),
+                  key=lambda r: (len(r), sorted(r.items())))
+    return factorial(n) - rank(rows)
 
 
 @lru_cache(maxsize=None)
@@ -234,23 +239,17 @@ def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member is a weak identity.  Only the unit specializations
     are evaluated; the moves and the relabelled base inherit the flag
-    (module docstring).  The k left multiples that open the family enter the
-    elimination first, as ready echelon rows (``_moves``): each is stored
-    after one pivot lookup, and only the rest is sorted.  A certified span
-    lies in the kernel, so its dimension is at most ``_kernel_bound(n)``,
-    where the elimination stops."""
-    below, certified = (_consequences(gens, n - 1) if n > 1
-                        else (Subspace.zero(), True))
-    certified = certified and all(is_weak_identity(g)
-                                  for g in _specializations(gens, n))
+    (module docstring).  The family is eliminated in the order it is built
+    (``_moves``, ``_base``).  A certified span lies in the kernel, so its
+    dimension is at most ``_kernel_bound(n)``, where the elimination stops."""
+    certified = ((n == 1 or _consequences(gens, n - 1)[1])
+                 and all(map(is_weak_identity, _specializations(gens, n))))
     family = consequence_family(gens, n)
     if not family:
         # nothing to eliminate, and no evaluation table to build
         return Subspace.zero(), certified
-    k = n * below.dim
     ceiling = _kernel_bound(n) if certified else None
-    return echelonize(family[k:], echelon=family[:k],
-                      stop_dim=ceiling), certified
+    return echelonize(family, stop_dim=ceiling), certified
 
 
 def _norm_gens(gens):

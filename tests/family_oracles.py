@@ -11,6 +11,7 @@ deduplicated by ``normalized``.
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
+from math import lcm
 
 from weakid.freealg import (NcPoly, _deglex, circ, coeff_vector, from_coeffs,
                             left_normed, multilinear_words, substitute,
@@ -74,14 +75,22 @@ def specializations_by_substitution(gens, n):
 
 def base_by_normalized(gens, n):
     """Each unit specialization in every relabelling of x_1, ..., x_n, the
-    first of each ``normalized`` class."""
+    first of each ``normalized`` class, listed in the order of the classes'
+    primitive integer rows over ``multilinear_words(n)``: the normalized
+    form, whose lead is 1, times the lcm of its denominators."""
+    index = word_index(multilinear_words(n))
     classes = {}
     for g in specializations_by_substitution(gens, n):
         for perm in permutations(range(1, n + 1)):
             h = NcPoly._raw({tuple(perm[l - 1] for l in w): c
                              for w, c in g.terms.items()})
             classes.setdefault(normalized(h), h)
-    return list(classes.values())
+
+    def primitive_row(f):
+        den = lcm(*(Fraction(c).denominator for c in f.terms.values()))
+        return sorted((index[w], int(c * den)) for w, c in f.terms.items())
+
+    return [classes[f] for f in sorted(classes, key=primitive_row)]
 
 
 def _multiply(a, b):

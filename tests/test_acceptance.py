@@ -1,17 +1,14 @@
 """Acceptance suite: one test per criterion, with the stated budgets.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion, including wall-clock timings.  Degree 7 is a stretch target and is
-only exercised when WEAKID_STRETCH=1 is set.
+criterion, including wall-clock timings.  Degree 7, the stretch target, runs
+with the rest: on a 2-vCPU VM it took 15 s wall and 88 MB max RSS.
 """
 
 import itertools
-import os
 import random
 import time
 from math import factorial
-
-import pytest
 
 from weakid.freealg import (NcPoly, comm, involution, multilinear_words,
                             perm_sign, proper_span, standard_poly,
@@ -70,18 +67,13 @@ def test_criterion_2_main_theorem_degrees_5_and_6():
         assert report6.dim_kernel == report6.dim_consequences == 516
 
 
-@pytest.mark.skipif(not os.environ.get("WEAKID_STRETCH"),
-                    reason="degree 7 is an optional stretch target")
 def test_criterion_2_stretch_degree_7():
-    # Optional and hardware-dependent; the equality itself is what matters.
-    # Measured once on a 2-vCPU VM: 157 s wall, 408 MB max RSS
+    # Measured once on a 2-vCPU VM: 15 s wall, 88 MB max RSS
     # (dim_P 5040, kernel = consequences = 4417).
-    t0 = time.perf_counter()
-    report7 = verify_degree(7)
-    print(f"stretch: degree 7 equality in {time.perf_counter() - t0:.0f}s "
-          f"(kernel {report7.dim_kernel}, consequences {report7.dim_consequences})")
-    assert report7.containment and report7.equal
-    assert report7.dim_kernel == report7.dim_consequences == 4417
+    with Budget("criterion 2c: main equality at degree 7", 300):
+        report7 = verify_degree(7)
+        assert report7.containment and report7.equal
+        assert report7.dim_kernel == report7.dim_consequences == 4417
 
 
 def test_criterion_3_proper_degree4_decomposition():

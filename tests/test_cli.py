@@ -218,7 +218,10 @@ def test_check_identity_renders_only_for_json(monkeypatch, capsys):
 
 def test_check_rejects_oversized_expressions_fast(capsys):
     s12 = "S12(" + ",".join(f"x{i}" for i in range(1, 13)) + ")"
-    for expr in (s12, "(x+y)^40", "x^100000000", "ad(x,y,40)"):
+    for expr in (s12, "(x+y)^40", "x^100000000", "ad(x,y,40)",
+                 # a scalar base is no cheaper to raise to a power
+                 "2^100000000", "(x^0)^100000000", "((2^12)^12)^12",
+                 "(1/2)^13", "S1(3)^100000000"):
         t0 = time.perf_counter()
         assert main(["check", "--expr", expr]) == 2
         assert time.perf_counter() - t0 < 1.0

@@ -108,8 +108,12 @@ def test_size_caps():
     assert parse_poly("x^12") == x1 ** 12
     assert len(parse_poly("S6(x1,x2,x3,x4,x5,x6)").terms) == 720
     assert len(parse_poly("(x+y)^9").terms) == 512
+    # a scalar base counts as degree 1
+    assert parse_poly("2^12") == NcPoly.scalar(4096)
+    assert parse_poly("x^6*2^6") == 64 * x1 ** 6
     for src in ("x^13", "x1*[x2,x3]^6", "(x+y)^10", "S7(x1,x2,x3,x4,x5,x6,x7)",
-                "ad(x,y,10)", "o(x,y)^10"):
+                "ad(x,y,10)", "o(x,y)^10", "2^100000000", "(x^0)^100000000",
+                "((2^12)^12)^12", "(1/2)^13", "S1(3)^100000000"):
         with pytest.raises(ValueError, match="too large"):
             parse_poly(src)
 

@@ -345,6 +345,18 @@ def test_integer_input_keeps_int_coefficients():
     assert type(half.terms[(1,)]) is Fraction
 
 
+def test_integral_results_of_fraction_arithmetic_are_int():
+    """Scaling, sums and products that make a fraction integral store it
+    as an int, as the constructor does."""
+    from weakid.expr import parse_poly
+
+    half = NcPoly({(1,): Fraction(1, 2)})
+    for f in (half * 2, half + half, parse_poly("1/2*x + 1/2*x"),
+              (2 * x2) * half, half - NcPoly({(1,): Fraction(-1, 2)})):
+        assert f.terms in ({(1,): 1}, {(2, 1): 1})
+        assert _all_int(f), f.terms
+
+
 def test_normalized_gives_fractions_never_floats():
     g = normalized(2 * x1 * x2 + 3 * x2 * x1)
     assert g.terms == {(1, 2): 1, (2, 1): Fraction(3, 2)}

@@ -219,10 +219,16 @@ def test_equal_subspaces_built_in_different_orders_compare_and_hash_equal(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_elimination_work_is_independent_of_input_order(data):
+def test_rows_are_inserted_in_the_given_order(data):
+    """echelonize stores what ``_add`` stores when the rows are inserted in
+    the given order, and any order spans the same space."""
     rows, _ = data.draw(sparse_matrices())
     shuffled = data.draw(st.permutations(rows))
-    assert echelonize(rows)._rows == echelonize(shuffled)._rows
+    built = linalg.Subspace({})
+    for r in rows:
+        built._add(linalg._int_row(r))
+    assert echelonize(rows)._rows == built._rows
+    assert echelonize(shuffled) == echelonize(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,25 +312,27 @@ def test_stop_dim_caps_insertion():
 
 
 def test_echelon_rows_are_stored_as_given():
+    """Rows in echelon form, each with its own leading column, are stored
+    as they stand when they come first."""
     echelon = [{0: 2, 3: 4}, {1: -1, 2: 1}]
-    s = echelonize([{0: 1, 1: 1}, {2: 1, 3: 1}], echelon=echelon)
-    assert s == echelonize(echelon + [{0: 1, 1: 1}, {2: 1, 3: 1}])
+    rest = [{0: 1, 1: 1}, {2: 1, 3: 1}]
+    s = echelonize(echelon + rest)
+    assert s == echelonize(rest + echelon)
     # stored unreduced: content 1, positive leading entry
-    assert echelonize([], echelon=echelon)._rows == {0: {0: 1, 3: 2},
-                                                       1: {1: 1, 2: -1}}
+    assert echelonize(echelon)._rows == {0: {0: 1, 3: 2}, 1: {1: 1, 2: -1}}
 
 
 def test_echelon_rows_sharing_a_leading_column_are_reduced():
     rows = [{1: 1, 2: 1}, {0: 0, 1: 2}]
-    assert echelonize([], echelon=rows) == echelonize(rows)
-    assert echelonize([], echelon=rows).pivots == (1, 2)
+    assert echelonize(rows) == echelonize(rows[::-1])
+    assert echelonize(rows).pivots == (1, 2)
     # an empty row adds nothing
-    assert echelonize([], echelon=[{0: 1}, {}]) == echelonize([{0: 1}])
+    assert echelonize([{0: 1}, {}]) == echelonize([{0: 1}])
 
 
 def test_stop_dim_caps_echelon_rows_and_the_rest():
     echelon = [{0: 1, 5: 1}, {2: 1}]
     rest = [{1: 1}, {3: 1}, {4: 1}]
-    assert echelonize(rest, echelon=echelon, stop_dim=4).dim == 4
-    assert echelonize(rest, echelon=echelon, stop_dim=1).pivots == (0,)
-    assert echelonize(rest, echelon=echelon).dim == 5
+    assert echelonize(echelon + rest, stop_dim=4).dim == 4
+    assert echelonize(echelon + rest, stop_dim=1).pivots == (0,)
+    assert echelonize(echelon + rest).dim == 5

@@ -156,8 +156,8 @@ FAMILY_CASES = {
 def test_family_rows_match_the_word_route(name):
     """The moves made through column maps are, row for row, the ones built
     through word form, followed by the base, and the n * d left multiples
-    that open the family lead at distinct columns, as ``echelon=`` rows
-    must."""
+    that open the family lead at distinct columns, so the elimination
+    stores each as it stands."""
     from weakid import tideal
 
     gens = FAMILY_CASES[name]
@@ -203,7 +203,7 @@ def test_specializations_and_base_match_the_substitution_route(name):
     """Deleting the letters of the unit slots gives the polynomials that
     substituting 1 gives, term for term in the same order, and keying the
     base by primitive integer rows keeps the representatives that
-    ``normalized`` keeps, in the same order, at n = 1..k."""
+    ``normalized`` keeps, in the order of those rows, at n = 1..k."""
     from weakid import tideal
 
     def listed(polys):
@@ -246,14 +246,62 @@ def test_cold_verify_substitutes_nothing_and_specializes_once(monkeypatch):
 
 @pytest.mark.parametrize("gens", [default_generators(), (metabelian(),)],
                          ids=["default", "metabelian"])
-def test_seeded_elimination_matches_plain_elimination(gens):
-    """The left multiples enter the elimination as ready echelon rows; the
-    span is the one of the whole family eliminated from scratch."""
+def test_build_order_spans_what_the_canonical_order_spans(gens):
+    """The family is eliminated in the order it is built; the span is the
+    one of the family sorted short first, in a canonical order."""
     for n in (4, 5, 6):
         family = consequence_family(gens, n)
-        k = n * consequences_span(gens, n - 1).dim
-        left, rest = family[:k], family[k:]
-        assert echelonize(rest, echelon=left) == echelonize(left + rest)
+        canonical = sorted(family, key=lambda r: (len(r), sorted(r.items())))
+        assert echelonize(family) == echelonize(canonical)
+
+
+def _seeded_presentation(gens, seed):
+    """The generators in a seeded order, each with its variables relabelled
+    by a seeded permutation, as the benchmark's presentations are made."""
+    gens = list(gens)
+    random.Random(seed).shuffle(gens)
+    return _seeded_relabelling(gens, seed)
+
+
+PRESENTED = {"default": default_generators(), "metabelian": (metabelian(),)}
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED))
+def test_base_rows_do_not_depend_on_the_presentation(name):
+    """``_base`` lists the same primitive rows, in the same order, however
+    the generators are ordered and their variables named."""
+    from weakid.linalg import _int_row, _strip
+    from weakid.tideal import _base
+
+    def rows(gens, n):
+        index = word_index(multilinear_words(n))
+        return [_strip(_int_row(coeff_vector(g, index)))
+                for g in _base(gens, n)]
+
+    gens = PRESENTED[name]
+    for n in range(1, 5):
+        want = rows(gens, n)
+        for seed in range(1, 6):
+            assert rows(_seeded_presentation(gens, seed), n) == want, (n, seed)
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED))
+def test_stored_rows_do_not_depend_on_the_presentation(name):
+    """The elimination stores the same rows, under the same pivots, for
+    every presentation of the same generators, so its work is the same.
+    The stored rows are read before ``rows`` back-substitutes them, that is
+    before the next degree is built, so each presentation starts cold."""
+    from weakid.tideal import _consequences
+
+    def stored(gens):
+        _consequences.cache_clear()
+        return [{p: dict(r) for p, r in _consequences(gens, n)[0]._rows.items()}
+                for n in (4, 5, 6)]
+
+    gens = PRESENTED[name]
+    want = stored(gens)
+    for seed in (1, 2):
+        assert stored(_seeded_presentation(gens, seed)) == want, seed
 
 
 def test_consequences_span_rejects_degrees_outside_the_supported_range():
