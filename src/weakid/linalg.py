@@ -50,13 +50,10 @@ def _strip(row):
 
 
 def _int_row(vec):
-    """Clear denominators: a vector -> a fresh content-1 integer dict."""
+    """Clear denominators: a vector -> a fresh integer dict.  Its content is
+    left to ``_strip``, where every caller ends."""
     den = lcm(*(v.denominator for v in vec.values()))
-    row = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
-    g = gcd(*row.values()) or 1
-    if g > 1:
-        row = {c: v // g for c, v in row.items()}
-    return row
+    return {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
 
 
 def _back_substitute(rows):

@@ -74,11 +74,12 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
-from .freealg import (NcPoly, coeff_vector, linearize, multilinear_words,
+from .freealg import (NcPoly, coeff_vector, comm, linearize, multilinear_words,
                       proper_span, standard_poly, word_index)
 from .linalg import (Subspace, _int_row, _strip, echelonize, intersection_dim,
                      rank, rank_mod2)
 from .matrep import eval_table, is_weak_identity, weak_identities_within
+from .repthy import decompose_quotient
 
 __all__ = [
     "metabelian",
@@ -106,8 +107,6 @@ _SPANS = 8
 def metabelian():
     """[[x1, x2], [x3, x4]]."""
     x = NcPoly.variable
-    from .freealg import comm
-
     return comm(comm(x(1), x(2)), comm(x(3), x(4)))
 
 
@@ -131,10 +130,8 @@ def consequence_family(gens, n):
     n * d right ones, the n(n - 1)/2 * d circle expansions (``_moves``), then
     the base (``_base``).  The module docstring shows that it spans every
     a * f(u_1, ..., u_k) * b."""
-    index = word_index(multilinear_words(n))
-    left, right, expanded = _moves(gens, n, index)
-    return [*left, *right, *expanded,
-            *(coeff_vector(g, index) for g in _base(gens, n))]
+    left, right, expanded = _moves(gens, n, word_index(multilinear_words(n)))
+    return [*left, *right, *expanded, *_base(gens, n)]
 
 
 def _moves(gens, n, index):
@@ -197,21 +194,20 @@ def _specializations(gens, n):
 
 def _base(gens, n):
     """Each unit specialization in every relabelling of x_1, ..., x_n, once
-    per scalar class, keyed by its primitive integer row with a positive
-    lead (``_strip``), which every nonzero multiple shares, and listed in
-    key order, which does not depend on the generators' order or variable
-    names.  The first relabelling of each class is kept: for the default
-    generators, S4 and the three pairings of [[x1, x2], [x3, x4]] at degree
-    4, and nothing elsewhere."""
+    per scalar class, as rows over the columns of ``multilinear_words(n)``:
+    the primitive integer row with a positive lead (``_strip``), which every
+    nonzero multiple shares, listed in row order, which does not depend on
+    the generators' order or variable names.  For the default generators,
+    S4 and the three pairings of [[x1, x2], [x3, x4]] at degree 4, and
+    nothing elsewhere."""
     index = word_index(multilinear_words(n))
-    classes = {}
+    classes = set()
     for g in _specializations(tuple(gens), n):
         for perm in permutations(range(1, n + 1)):
-            terms = {tuple(perm[l - 1] for l in w): c
-                     for w, c in g.terms.items()}
-            row = _strip(_int_row({index[w]: c for w, c in terms.items()}))
-            classes.setdefault(tuple(sorted(row.items())), terms)
-    return [NcPoly._raw(classes[key]) for key in sorted(classes)]
+            row = _strip(_int_row({index[tuple(perm[l - 1] for l in w)]: c
+                                   for w, c in g.terms.items()}))
+            classes.add(tuple(sorted(row.items())))
+    return [dict(key) for key in sorted(classes)]
 
 
 # -- the full multilinear component -------------------------------------------
@@ -394,8 +390,6 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     decomposition = None
     if with_decomposition:
         t0 = time.perf_counter()
-        from .repthy import decompose_quotient
-
         dec = decompose_quotient(proper_span(n), proper_kernel(n), n)
         decomposition = tuple((tuple(lam), m) for lam, m in
                               sorted(dec.items(), key=lambda kv: kv[0], reverse=True))

@@ -1,15 +1,19 @@
 """Acceptance suite: one test per criterion, with the stated budgets.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion, including wall-clock timings.  Degree 7, the stretch target, runs
-with the rest: on a 2-vCPU VM it took 15 s wall and 88 MB max RSS.
+criterion, including wall-clock timings.  Degree 7 runs with the rest, as
+``weakid verify --degree 7`` does, and its report is pinned byte for byte:
+on a 2-vCPU VM it took 15 s wall and 88 MB max RSS.
 """
 
 import itertools
+import json
 import random
 import time
 from math import factorial
+from pathlib import Path
 
+from weakid import __version__
 from weakid.freealg import (NcPoly, comm, involution, multilinear_words,
                             perm_sign, proper_span, standard_poly,
                             substitute, word_index)
@@ -74,6 +78,11 @@ def test_criterion_2_stretch_degree_7():
         report7 = verify_degree(7)
         assert report7.containment and report7.equal
         assert report7.dim_kernel == report7.dim_consequences == 4417
+    # as `weakid verify --degree 7 --json --no-timings --full-p` prints it
+    printed = json.dumps(report7.to_json_dict(__version__, with_timings=False),
+                         indent=2, sort_keys=True) + "\n"
+    assert printed == (Path(__file__).parent / "data"
+                       / "verify_degree7.json").read_text()
 
 
 def test_criterion_3_proper_degree4_decomposition():

@@ -334,6 +334,14 @@ def test_decompose_gamma(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["decomposition"] == [
         [[3, 1], 1], [[2, 2], 1], [[2, 1, 1], 1], [[1, 1, 1, 1], 1]]
+    assert main(["decompose", "--space", "gamma", "--degree", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "gamma at degree 4:\n  (3, 1): 1\n  (2, 2): 1\n  (2, 1, 1): 1\n"
+        "  (1, 1, 1, 1): 1\n")
+    assert main(["verify", "--degree", "4", "--proper", "--with-decomposition",
+                 "--no-timings"]) == 0
+    assert ("  quotient decomposition  (((3, 1), 1), ((2, 2), 1))\n"
+            in capsys.readouterr().out)
 
 
 def test_decompose_quotient_and_kernel(capsys):
@@ -352,6 +360,11 @@ def test_hilbert(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["equal"] is True
     assert payload["computed"] == ["1", "0", "1", "2", "4", "6", "9"]
+    assert main(["hilbert", "--max", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "computed    [1, 0, 1, 2, 4, 6, 9]\n"
+        "closed form [1, 0, 1, 2, 4, 6, 9]\n"
+        "equal       True\n")
 
 
 def test_hilbert_respects_degree_cap(capsys):
@@ -393,6 +406,8 @@ def test_report_without_degrees_is_a_usage_error(capsys):
     for degrees in (",,", "", " , "):
         assert main(["report", "--degrees", degrees]) == 2
         assert "no degree" in capsys.readouterr().err
+    assert main(["report", "--degrees", "4,x"]) == 2
+    assert "bad degree list '4,x'" in capsys.readouterr().err
 
 
 def test_report_checks_every_degree_before_verifying(monkeypatch, capsys):

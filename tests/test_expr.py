@@ -85,6 +85,10 @@ def test_errors_carry_positions():
         parse("ad(x1, x2, x3)")
     with pytest.raises(ParseError):
         parse("1/0")
+    with pytest.raises(ParseError, match="indices start at 1"):
+        parse("x0")
+    with pytest.raises(ParseError, match="k >= 1"):
+        parse("S0(x)")
 
 
 @pytest.mark.parametrize("src, col", [("(" * 2000, _MAX_NESTING + 1),

@@ -191,6 +191,26 @@ def test_decompose_rejects_unstable_space():
         decompose(unstable, 2)
 
 
+def test_multiplicities_reject_inconsistent_traces():
+    """Gamma_4's traces decompose it; a trace off by one leaves a
+    fractional multiplicity, and a wrong dimension fails the dimension
+    sum."""
+    from weakid.repthy import _multiplicities, _trace
+
+    words = multilinear_words(4)
+    index = word_index(words)
+    gamma = proper_span(4)
+    traces = {rho: _trace(gamma, class_representative(rho), words, index)
+              for rho in cycle_types(4)}
+    assert _multiplicities(traces, 4, gamma.dim) == decompose(gamma, 4)
+    off = dict(traces)
+    off[(1, 1, 1, 1)] += 1
+    with pytest.raises(DecompositionError, match="not a nonnegative integer"):
+        _multiplicities(off, 4, gamma.dim)
+    with pytest.raises(DecompositionError, match="expected 10"):
+        _multiplicities(traces, 4, gamma.dim + 1)
+
+
 def test_quotient_requires_containment():
     a = echelonize([{0: 1, 1: 1}])  # the symmetric line in P2
     b = echelonize([{0: 1, 1: -1}])  # the sign line
