@@ -3,7 +3,8 @@
 
 Each degree runs in fresh child processes, so every cache starts cold, as
 in one iteration of a benchmark.  One child builds ``consequences_span`` one
-degree down and the kernel bound (``prepare_s``), then runs
+degree down (``prepare_s``), then the kernel bound, cold (``bound_s``: one
+walk of the multilinear words and its rank mod 2), then runs
 ``tideal._consequences`` at the degree itself with its parts timed: the
 family build (``family_s``; of it, ``moves_s`` for the one-letter moves,
 the multiples and circle expansions, and ``base_s`` for the relabelled unit
@@ -46,15 +47,18 @@ def layers(n):
     t0 = time.perf_counter()
     if n > 1:
         tideal.consequences_span(gens, n - 1)
-    tideal._kernel_bound(n)
     prepare_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    tideal._kernel_bound(n)
+    bound_s = time.perf_counter() - t0
     totals = {}
     for names in PARTS.values():
         for name in names:
             harness.time_calls(tideal, name, totals)
     t0 = time.perf_counter()
     span, certified = tideal._consequences(gens, n)
-    out = {"prepare_s": prepare_s, "consequences_s": time.perf_counter() - t0}
+    out = {"prepare_s": prepare_s, "bound_s": bound_s,
+           "consequences_s": time.perf_counter() - t0}
     for part, names in PARTS.items():
         out[part] = sum(totals.get(name, 0.0) for name in names)
     out = {key: round(v, 6) for key, v in out.items()}

@@ -3,7 +3,8 @@
 Every rank, kernel (``left_kernel``), intersection dimension
 (``intersection_dim``) and subspace comparison in the toolkit runs through
 this module, and through its one elimination engine; ``rank_mod2`` is only a
-lower bound on a rank.  There is no floating point anywhere.  A vector is a
+lower bound on a rank, and reads rows with any column keys, such as an
+evaluation walk's.  There is no floating point anywhere.  A vector is a
 plain dict {column: number}; a number is an int, or a ``Fraction`` only where
 a denominator above 1 appears.  The elimination engine works on
 content-normalized integer rows (a scalar multiple of a row spans the same
@@ -201,17 +202,25 @@ def rank_mod2(rows):
 
     Rows independent mod 2 have a maximal minor that is odd, hence nonzero,
     so they are independent over Q: rank_mod2(rows) <= rank(rows).  Each row
-    is a bitset of its odd entries, reduced by XOR against the pivot rows
-    keyed by their lowest set bit.
+    is a bitset of its odd entries, the columns numbered as first seen (any
+    hashable key, a large one no dearer than a small one), reduced by XOR
+    against the pivot rows keyed by their highest set bit.
     """
+    bits = {}  # column -> its bit
     pivots = {}
     for row in rows:
-        v = sum(1 << c for c, x in row.items() if x & 1)
+        v = 0
+        for c, x in row.items():
+            if x & 1:
+                b = bits.get(c)
+                if b is None:
+                    b = bits[c] = 1 << len(bits)
+                v |= b
         while v:
-            low = v & -v
-            p = pivots.get(low)
+            top = v.bit_length()
+            p = pivots.get(top)
             if p is None:
-                pivots[low] = v
+                pivots[top] = v
                 break
             v ^= p
     return len(pivots)

@@ -41,8 +41,11 @@ per word universe (a sorted tuple of words), with columns numbered
 sparse-first: by the number of rows that touch the column, then in deg-lex
 order of (monomial, entry).  The rank and the kernels do not depend on the
 column order, but the elimination takes its pivots in it, and pivots on
-sparse columns keep the fill-in down.  The proof's kernel rank and bound
-and ``weak_identities_within`` read the multilinear rows from there.
+sparse columns keep the fill-in down.  The exact kernel rank and
+``weak_identities_within`` read the multilinear rows from there; the kernel
+bound, a rank mod 2, ranks one walk's rows as they are, and that walk is
+handed to ``eval_table`` when the same proof needs the table
+(``_walk_rows``).
 ``image_rank`` reads each word universe of the Hilbert series once, so it
 evaluates each family member by its own terms over the {word: row} dict of
 one walk, keyed by the packed ints, with no word index: a rank depends
@@ -170,6 +173,15 @@ def eval_rows(words, width):
     return [table[w] for w in words]
 
 
+@lru_cache(maxsize=1)
+def _walk_rows(words):
+    """``eval_rows`` of a sorted tuple of words at their own width, kept
+    until ``eval_table`` takes the rows or the consequence elimination
+    drops them (each clears this cache), so no walk is held beside a table
+    or through an elimination."""
+    return eval_rows(words, _width(words))
+
+
 # Word universes eval_table keeps.  A proof run reads one universe per
 # degree (its multilinear words), and ``image_rank`` does not read the table,
 # so a small bound costs no recomputation while keeping long sessions from
@@ -182,9 +194,10 @@ def eval_table(words):
     """The integer first-row evaluation rows of a sorted tuple of words, one
     per word in order, with columns numbered sparse-first: by the number of
     rows that touch the column, then by (entry, monomial) in deg-lex
-    order."""
+    order, from the kept walk of the words if there is one."""
     width = _width(words)
-    rows = eval_rows(words, width)
+    rows = _walk_rows(words)
+    _walk_rows.cache_clear()
     counts = Counter(chain.from_iterable(rows))
 
     def sparse_first(key):

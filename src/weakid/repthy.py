@@ -150,6 +150,19 @@ def _column_map(perm, words, index):
     return [index[tuple(perm[l - 1] for l in w)] for w in words]
 
 
+def _swaps(n):
+    """Column maps of the adjacent transpositions (t t+1), t = 1..n-1, over
+    ``multilinear_words(n)``; they generate Sym(n)."""
+    words = multilinear_words(n)
+    index = word_index(words)
+    out = []
+    for t in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        out.append(_column_map(perm, words, index))
+    return out
+
+
 def _check_stable(space, swaps):
     """Raise unless every adjacent transposition maps the row space into
     itself; swaps[t - 1] is the column map of (t t+1)."""
@@ -198,11 +211,7 @@ def decompose_quotient(ambient, sub, n):
     """Decompose the quotient ambient/sub of Sym(n)-stable subspaces."""
     words = multilinear_words(n)
     index = word_index(words)
-    swaps = []
-    for t in range(1, n):
-        perm = list(range(1, n + 1))
-        perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        swaps.append(_column_map(perm, words, index))
+    swaps = _swaps(n)
     _check_stable(sub, swaps)
     _check_stable(ambient, swaps)
     for row in sub.rows:

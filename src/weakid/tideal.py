@@ -16,11 +16,12 @@ degree-(n - 1) span relabelled onto the letters other than j, plus a base:
 
 * left and right multiples x_j * r and r * x_j;
 * circle expansions r[x_i -> x_i o x_j] for i < j;
-* the base: each generator's nonzero unit specializations of degree n (some
-  slots set to 1, one letter in each other slot) in every relabelling, once
-  per scalar class.  A unit slot deletes its letter from every word, so a
-  specialization is built from the generator's words alone, and a scalar
-  class is keyed by its primitive integer row.
+* the base: the span of each generator's nonzero unit specializations of
+  degree n (some slots set to 1, one letter in each other slot) in every
+  relabelling, as RREF rows.  A unit slot deletes its letter from every
+  word, so a specialization is built from the generator's words alone, and
+  the relabellings are reached by closing the span under the adjacent
+  transpositions.
 
 Every member is a consequence: the space is closed under multiplication by
 letters, under relabelling, and under x_i -> x_i o x_j, which substitutes a
@@ -46,7 +47,7 @@ family members, so a certified family puts the whole span (and every
 subspace of it, such as its proper part) inside the kernel, and the
 elimination may stop once it reaches the kernel dimension.  The second check
 needs only dim kernel <= dim span, so the kernel dimension is bounded from
-above by n! minus the evaluation table's rank mod 2 (``_kernel_bound``); a
+above by n! minus the evaluation rows' rank mod 2 (``_kernel_bound``); a
 certified span of that dimension is the whole kernel.  Where the bound is not
 reached, the exact rank over Q decides (``verify_degree``).
 
@@ -54,8 +55,9 @@ The pass evaluates only the unit specializations (``_specializations``), by
 ``is_weak_identity``, and takes the rest of the family by induction on the
 degree.  If the degree-(n - 1) family was certified, every row r vanishes at
 generic symmetric matrices (a linear combination of certified members), so
-does its relabelling and every relabelled base member (a weak identity stays
-one under any renaming of its variables), so do x_j * r and r * x_j, because
+does its relabelling, and so does every base row, a combination of
+relabelled unit specializations (a weak identity stays one under any
+renaming of its variables); so do x_j * r and r * x_j, because
 the evaluation is an algebra homomorphism (X_j * 0 = 0 * X_j = 0), and so
 does r[x_i -> x_i o x_j], because X_i X_j + X_j X_i is again symmetric.  So
 the degree-n family is certified iff the degree-(n - 1) one was and every
@@ -71,15 +73,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .freealg import (NcPoly, coeff_vector, comm, linearize, multilinear_words,
                       proper_span, standard_poly, word_index)
-from .linalg import (Subspace, _int_row, _strip, echelonize, intersection_dim,
-                     rank, rank_mod2)
-from .matrep import eval_table, is_weak_identity, weak_identities_within
-from .repthy import decompose_quotient
+from .linalg import (Subspace, _int_row, echelonize, intersection_dim, rank,
+                     rank_mod2)
+from .matrep import (_walk_rows, eval_table, is_weak_identity,
+                     weak_identities_within)
+from .repthy import _swaps, decompose_quotient
 
 __all__ = [
     "metabelian",
@@ -94,7 +97,7 @@ __all__ = [
 ]
 
 # Highest degree the consequence engine accepts: degree 7 takes about 15 s
-# and 90 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
+# and 65 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
 _MAX_DEGREE = 7
 
 # Consequence spans, and unit specializations, kept, keyed by (generators,
@@ -184,8 +187,11 @@ def _specializations(gens, n):
     for f in gens:
         k = _arity(f)
         for kept in combinations(range(1, k + 1), n):
-            label = dict(zip(kept, range(1, n + 1)))
-            g = NcPoly((tuple(label[l] for l in w if l in label), c)
+            label = [0] * (k + 1)  # slot -> new letter, 0 for a unit slot
+            for i, slot in enumerate(kept, 1):
+                label[slot] = i
+            relabel = label.__getitem__
+            g = NcPoly((tuple(filter(None, map(relabel, w))), c)
                        for w, c in f.terms.items())
             if g:
                 out.append(g)
@@ -193,21 +199,29 @@ def _specializations(gens, n):
 
 
 def _base(gens, n):
-    """Each unit specialization in every relabelling of x_1, ..., x_n, once
-    per scalar class, as rows over the columns of ``multilinear_words(n)``:
-    the primitive integer row with a positive lead (``_strip``), which every
-    nonzero multiple shares, listed in row order, which does not depend on
+    """The RREF rows, over the columns of ``multilinear_words(n)``, of the
+    Sym(n)-module the unit specializations span: unique, so independent of
     the generators' order or variable names.  For the default generators,
-    S4 and the three pairings of [[x1, x2], [x3, x4]] at degree 4, and
-    nothing elsewhere."""
+    the span of S4 and the three pairings of [[x1, x2], [x3, x4]] at degree
+    4, and nothing elsewhere.  Each vector that raises the dimension is
+    pushed through the n - 1 adjacent transpositions, which generate
+    Sym(n): those vectors span the space and are mapped into it, so it is
+    stable, hence the module.  That is dim * (n - 1) relabellings, not n!
+    per specialization."""
     index = word_index(multilinear_words(n))
-    classes = set()
-    for g in _specializations(tuple(gens), n):
-        for perm in permutations(range(1, n + 1)):
-            row = _strip(_int_row({index[tuple(perm[l - 1] for l in w)]: c
-                                   for w, c in g.terms.items()}))
-            classes.add(tuple(sorted(row.items())))
-    return [dict(key) for key in sorted(classes)]
+    todo = [{index[w]: c for w, c in g.terms.items()}
+            for g in _specializations(tuple(gens), n)]
+    if not todo:
+        return []
+    swaps = _swaps(n)
+    space = Subspace.zero()
+    while todo:
+        v = todo.pop()
+        dim = space.dim
+        space._add(_int_row(v))
+        if space.dim > dim:
+            todo += [{to[c]: x for c, x in v.items()} for to in swaps]
+    return list(space.rows)
 
 
 # -- the full multilinear component -------------------------------------------
@@ -225,26 +239,30 @@ def pn_kernel_dim(n):
 
 @lru_cache(maxsize=None)
 def _kernel_bound(n):
-    """An upper bound on ``pn_kernel_dim(n)``: the evaluation table's rank
-    mod 2 is at most its rank over Q (``rank_mod2``)."""
-    return factorial(n) - rank_mod2(eval_table(multilinear_words(n)))
+    """An upper bound on ``pn_kernel_dim(n)``: the evaluation rows' rank
+    mod 2 is at most their rank over Q (``rank_mod2``).  The rows are
+    ranked as one walk returns them, with no table; the walk is kept for
+    ``eval_table`` (``matrep._walk_rows``)."""
+    return factorial(n) - rank_mod2(_walk_rows(multilinear_words(n)))
 
 
 @lru_cache(maxsize=_SPANS)
 def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member is a weak identity.  Only the unit specializations
-    are evaluated; the moves and the relabelled base inherit the flag
+    are evaluated; the moves and the base rows inherit the flag
     (module docstring).  The family is eliminated in the order it is built
     (``_moves``, ``_base``).  A certified span lies in the kernel, so its
-    dimension is at most ``_kernel_bound(n)``, where the elimination stops."""
+    dimension is at most ``_kernel_bound(n)``, where the elimination stops;
+    the bound's walk is dropped first."""
     certified = ((n == 1 or _consequences(gens, n - 1)[1])
                  and all(map(is_weak_identity, _specializations(gens, n))))
     family = consequence_family(gens, n)
     if not family:
-        # nothing to eliminate, and no evaluation table to build
+        # nothing to eliminate, and no kernel bound to take
         return Subspace.zero(), certified
     ceiling = _kernel_bound(n) if certified else None
+    _walk_rows.cache_clear()
     return echelonize(family, stop_dim=ceiling), certified
 
 
@@ -356,6 +374,9 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     component.  The proper consequence dimension is dim span + dim Gamma -
     rank(span rows + Gamma rows): the dimension formula for an intersection,
     exact because the rank is computed in exact arithmetic on bases of both.
+    Under ``proper`` or ``with_decomposition`` the proper kernel is built
+    right after the bound, so its table takes the bound's walk; its time
+    counts in ``proper_ms``, or else in ``decompose_ms``.
     """
     if not 4 <= n <= _MAX_DEGREE:
         raise ValueError(f"degrees 4..{_MAX_DEGREE} are supported")
@@ -366,6 +387,11 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     bound = _kernel_bound(n)
     timings["kernel_ms"] = _ms(t0)
 
+    if proper or with_decomposition:
+        t0 = time.perf_counter()
+        gamma_kernel = proper_kernel(n)
+        gamma_kernel_ms = _ms(t0)
+
     t0 = time.perf_counter()
     span, containment = _consequences(gens, n)
     timings["consequences_ms"] = _ms(t0)
@@ -373,9 +399,9 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     if proper:
         t0 = time.perf_counter()
         gamma = proper_span(n)
-        dim_kernel = proper_kernel(n).dim
+        dim_kernel = gamma_kernel.dim
         dim_cons = intersection_dim(span, gamma)
-        timings["proper_ms"] = _ms(t0)
+        timings["proper_ms"] = round(gamma_kernel_ms + _ms(t0), 3)
         dim_p = gamma.dim
     else:
         dim_cons = span.dim
@@ -390,10 +416,11 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     decomposition = None
     if with_decomposition:
         t0 = time.perf_counter()
-        dec = decompose_quotient(proper_span(n), proper_kernel(n), n)
+        dec = decompose_quotient(proper_span(n), gamma_kernel, n)
         decomposition = tuple((tuple(lam), m) for lam, m in
                               sorted(dec.items(), key=lambda kv: kv[0], reverse=True))
-        timings["decompose_ms"] = _ms(t0)
+        timings["decompose_ms"] = round(
+            _ms(t0) + (0 if proper else gamma_kernel_ms), 3)
 
     equal = containment and dim_cons == dim_kernel
     return DegreeReport(

@@ -2,7 +2,7 @@
 
 None of these is on the verification path: a right-kernel basis built from
 the public RREF, a left kernel that eliminates its id-block rows a second
-time, subspace sums and intersections, and an independent modular engine
+time, a rank mod 2 with one bit per column index, subspace sums and intersections, and an independent modular engine
 (ranks over Q recomputed mod large primes; rank mod p can only drop, so
 agreement certifies).
 """
@@ -44,6 +44,24 @@ def left_kernel_eliminated_twice(rows):
         space._add(_int_row({**r, offset + i: 1}))
     return echelonize([{c - offset: v for c, v in row.items()}
                        for p, row in space._rows.items() if p >= offset])
+
+
+def rank_mod2_lowest_bit(rows):
+    """Rank over GF(2) of integer rows, each a bitset of its odd entries
+    with bit c for column c, reduced by XOR against the pivot rows keyed by
+    their lowest set bit.  Columns must be small ints: column c costs a
+    c-bit int."""
+    pivots = {}
+    for row in rows:
+        v = sum(1 << c for c, x in row.items() if x & 1)
+        while v:
+            low = v & -v
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = v
+                break
+            v ^= p
+    return len(pivots)
 
 
 def subspace_sum(a, b):

@@ -10,7 +10,8 @@ def test_bench_eval_prints_json_at_degree_4():
     # the kernel rank of the degree-4 table: 4! - 4 weak identities
     assert result["multilinear"]["4"]["rank"] == 20
     assert result["multilinear"]["4"]["rank_s"] > 0
-    # the rank mod 2 the kernel bound reads is tight here
+    # the rank mod 2 of the walk's rows, which the kernel bound ranks, is
+    # tight here
     assert result["multilinear"]["4"]["rank_mod2"] == 20
     assert result["multilinear"]["4"]["rank_mod2_s"] > 0
     # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7

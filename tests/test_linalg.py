@@ -11,7 +11,8 @@ from weakid.linalg import (echelonize, intersection_dim, left_kernel, rank,
                            rank_mod2)
 
 from tests.linalg_oracles import (kernel_basis, left_kernel_eliminated_twice,
-                                  modular_rank_check, rank_mod, rref_mod,
+                                  modular_rank_check, rank_mod,
+                                  rank_mod2_lowest_bit, rref_mod,
                                   subspace_intersect, subspace_sum)
 
 
@@ -267,6 +268,22 @@ def test_rank_mod2_is_the_rank_over_gf2_and_bounds_the_rank(rows):
     """Integer rows with negative, even and zero entries: rank_mod2 agrees
     with the modular oracle at p = 2 and never exceeds the rank over Q."""
     assert rank_mod2(rows) == rank_mod(rows, 2) <= rank(rows)
+
+
+# Column keys a relabelling may use: small ones, and ones from 2**80 up, for
+# which ``1 << key`` raises OverflowError before allocating anything, so a
+# key made a bit position (as the lowest-bit oracle makes it) fails at once.
+column_keys = st.one_of(st.integers(0, 40), st.integers(2**80, 2**100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows, st.lists(column_keys, min_size=8, max_size=8, unique=True))
+def test_rank_mod2_ignores_column_names(rows, keys):
+    """Any injective relabelling of the columns, keys of 2**40 and above
+    included, keeps the rank mod 2, which the lowest-bit version with one
+    bit per column index gives on the original columns."""
+    relabelled = [{keys[c]: x for c, x in row.items()} for row in rows]
+    assert rank_mod2(relabelled) == rank_mod2(rows) == rank_mod2_lowest_bit(rows)
 
 
 def test_rank_mod2_undercounts_even_and_cancelling_rows():

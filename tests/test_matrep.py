@@ -227,7 +227,7 @@ def test_eval_rows_are_integral():
 def test_proper_verify_evaluates_the_words_once(monkeypatch):
     """Every package module's name for ``eval_rows`` is counted, so a walk
     reached through a name imported elsewhere counts too."""
-    for cached in (matrep.eval_table, tideal.pn_kernel_dim,
+    for cached in (matrep.eval_table, matrep._walk_rows, tideal.pn_kernel_dim,
                    tideal._kernel_bound, tideal._consequences,
                    tideal.proper_kernel):
         cached.cache_clear()
@@ -246,6 +246,30 @@ def test_proper_verify_evaluates_the_words_once(monkeypatch):
     report = tideal.verify_degree(5, proper=True, with_decomposition=True)
     assert report.equal
     assert calls.count(list(multilinear_words(5))) == 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda: tideal.verify_degree(5).equal,
+    lambda: tideal.consequences_span(None, 5).dim == 55,
+], ids=["verify_degree", "consequences_span"])
+def test_default_proof_builds_no_table_and_keeps_no_walk(run, monkeypatch):
+    """The kernel bound ranks the walk's rows as they come: a cold default
+    proof builds no sparse-first table, under any module's name for
+    ``eval_table``, and the walk is not kept once the proof is done."""
+    for cached in (matrep.eval_table, matrep._walk_rows, tideal.pn_kernel_dim,
+                   tideal._kernel_bound, tideal._consequences):
+        cached.cache_clear()
+
+    def refuse(words):
+        raise AssertionError("an evaluation table was built")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("weakid"):
+            for name, value in list(vars(module).items()):
+                if value is matrep.eval_table:
+                    monkeypatch.setattr(module, name, refuse)
+    assert run()
+    assert matrep._walk_rows.cache_info().currsize == 0
 
 
 # -- weak identity testing -----------------------------------------------------

@@ -12,7 +12,7 @@ from weakid.freealg import (NcPoly, coeff_vector, comm, from_coeffs,
                             multilinear_words, proper_span, standard_poly,
                             substitute, word_index)
 from weakid.jordan import sj_multilinear_span
-from weakid.linalg import _int_row, _strip, echelonize
+from weakid.linalg import echelonize
 from weakid.matrep import is_weak_identity
 from weakid.tideal import (consequence_family, consequences_span,
                            default_generators, is_consequence, metabelian,
@@ -200,8 +200,8 @@ SPECIALIZATION_CASES = {
 def test_specializations_and_base_match_the_substitution_route(name):
     """Deleting the letters of the unit slots gives the polynomials that
     substituting 1 gives, term for term in the same order, and the base
-    rows are the primitive integer rows of the representatives that
-    ``normalized`` keeps, in the same order, at n = 1..k."""
+    rows are the RREF rows of the span of the representatives that
+    ``normalized`` keeps, at n = 1..k."""
     from weakid import tideal
 
     def listed(polys):
@@ -212,9 +212,48 @@ def test_specializations_and_base_match_the_substitution_route(name):
         assert (listed(tideal._specializations(gens, n))
                 == listed(specializations_by_substitution(gens, n))), n
         index = word_index(multilinear_words(n))
-        assert tideal._base(gens, n) == [
-            _strip(_int_row(coeff_vector(g, index)))
-            for g in base_by_normalized(gens, n)], n
+        assert tideal._base(gens, n) == list(echelonize(
+            [coeff_vector(g, index) for g in base_by_normalized(gens, n)]).rows), n
+
+
+# (generators, degree, rounds of adjacent transpositions the unit
+# specializations need to span their Sym(n)-module)
+BASE_ROUND_CASES = {
+    # [[x1, x2], [x3, x4]]: (2 3) gives the pairing {13|24}, and only a
+    # second round gives {14|23}
+    "metabelian-4": ((metabelian(),), 4, 2),
+    # S3 is alternating: it spans its one-dimensional module alone
+    "s3-3": ((standard_poly(3),), 3, 0),
+    "fractions-negative-leads-4": (
+        SPECIALIZATION_CASES["fractions-negative-leads"], 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_ROUND_CASES))
+def test_base_closes_the_specializations_under_relabelling(name):
+    """``_base`` is the RREF of every relabelling of every unit
+    specialization, also where the closure under adjacent transpositions
+    takes more than one round to get there."""
+    from weakid import tideal
+
+    gens, n, rounds = BASE_ROUND_CASES[name]
+    index = word_index(multilinear_words(n))
+    specs = specializations_by_substitution(gens, n)
+    module = echelonize([coeff_vector(_relabelled(g, perm), index)
+                         for g in specs
+                         for perm in itertools.permutations(range(1, n + 1))])
+    assert tideal._base(gens, n) == list(module.rows)
+    swaps = []
+    for t in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[t - 1], perm[t] = perm[t], perm[t - 1]
+        swaps.append(perm)
+    layer, seen = specs, list(specs)
+    for _ in range(rounds):
+        assert echelonize([coeff_vector(g, index) for g in seen]) != module
+        layer = [_relabelled(g, perm) for g in layer for perm in swaps]
+        seen += layer
+    assert echelonize([coeff_vector(g, index) for g in seen]) == module
 
 
 def test_cold_verify_substitutes_nothing_and_specializes_once(monkeypatch):
