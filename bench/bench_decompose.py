@@ -8,9 +8,10 @@ owns, one at a time and with their parts timed:
 
 - ``freealg.proper_span`` (``span_s``): the family build (``family_s``) and
   its elimination (``span_eliminate_s``);
-- ``tideal.proper_kernel`` (``kernel_s``): the evaluation table
-  (``eval_table_s``), the evaluation rows of the RREF rows of Gamma_n
-  (``kernel_rows_s``: the ``poly_eval_row`` calls over the table), their
+- ``tideal.proper_kernel`` (``kernel_s``): the evaluation rows of the
+  multilinear words at x1 = E11 (``e11_rows_s``: ``matrep.proper_rows``),
+  the evaluation rows of the RREF rows of Gamma_n (``kernel_rows_s``: the
+  ``poly_eval_row`` calls over the E11 rows), their
   ``left_kernel`` (``left_kernel_s``: the augmented elimination, whose
   id-block rows are the basis) and the rest of ``weak_identities_within``
   (``recombine_s``: the RREF rows, the ``poly_eval_row`` calls that combine
@@ -38,7 +39,7 @@ import harness
 PARTS = {
     "family_s": ("freealg", "proper_family"),
     "span_eliminate_s": ("freealg", "echelonize"),
-    "eval_table_s": ("tideal", "eval_table"),
+    "e11_rows_s": ("tideal", "proper_rows"),
     "left_kernel_s": ("matrep", "left_kernel"),
     "within_s": ("tideal", "weak_identities_within"),
     "stable_s": ("repthy", "_check_stable"),

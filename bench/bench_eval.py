@@ -2,9 +2,9 @@
 proof step, and the Hilbert series' evaluation rows and ranks.
 
 Builds ``matrep.eval_table`` without its cache on the multilinear words of
-each requested degree, and ``matrep.eval_rows`` of one walk (what
-``image_rank`` reads) on the word universes of the Hilbert series to
-degree 7 (the two-variable commutator families of every bidegree of total
+each requested degree, and ``matrep.proper_rows`` of one walk at x1 = E11
+(what ``proper_image_rank`` reads) on the word universes of the Hilbert
+series to degree 7 (the two-variable commutator families of every bidegree of total
 degree at most 7), and prints one JSON object with the best wall time of
 five builds per universe (``s``).  Each multilinear table also gets the
 best time of five ``linalg.rank`` calls on its rows in the order
@@ -35,7 +35,8 @@ from weakid import freealg, matrep, series
 from weakid.expr import parse_poly
 from weakid.freealg import multilinear_words, two_var_commutator_family
 from weakid.linalg import rank, rank_mod2
-from weakid.matrep import _width, eval_rows, eval_table, weak_identity_witness
+from weakid.matrep import (_width, eval_rows, eval_table, proper_rows,
+                           weak_identity_witness)
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
 HILBERT_COLD = (7, 9)  # orders of the cold image_dims timed
@@ -76,6 +77,10 @@ def _record(build, words):
 
 def _walk_rows(words):
     return eval_rows(words, _width(words))
+
+
+def _e11_rows(words):
+    return proper_rows(words, _width(words))
 
 
 def _record_with_rank(words):
@@ -135,7 +140,7 @@ def main(argv=None):
 
     multilinear = {str(n): _record_with_rank(multilinear_words(n))
                    for n in degrees}
-    hilbert = {key: _record(_walk_rows, words)
+    hilbert = {key: _record(_e11_rows, words)
                for key, words in hilbert_universes(HILBERT_MAX).items()}
     hilbert_s = {str(n): _best(_cold_image_dims, n)[1] for n in HILBERT_COLD}
     print(json.dumps({

@@ -41,11 +41,9 @@ per word universe (a sorted tuple of words), with columns numbered
 sparse-first: by the number of rows that touch the column, then in deg-lex
 order of (monomial, entry).  The rank and the kernels do not depend on the
 column order, but the elimination takes its pivots in it, and pivots on
-sparse columns keep the fill-in down.  The exact kernel rank and
-``weak_identities_within`` read the multilinear rows from there; the kernel
-bound, a rank mod 2, ranks one walk's rows as they are, and that walk is
-handed to ``eval_table`` when the same proof needs the table
-(``_walk_rows``).
+sparse columns keep the fill-in down.  The exact kernel rank reads the
+multilinear rows from there; the kernel bound, a rank mod 2, ranks one
+walk's rows as they are.
 ``image_rank`` reads each word universe of the Hilbert series once, so it
 evaluates each family member by its own terms over the {word: row} dict of
 one walk, keyed by the packed ints, with no word index: a rank depends
@@ -55,6 +53,31 @@ pay for itself.  The weak identity test (which also certifies the
 consequence family) and the witness search read, the same way, the generic
 coordinates of the one polynomial they are given.  The independent
 evaluation oracle the tests check all of this against lives in ``tests/``.
+
+A proper polynomial (a combination of products of commutators) needs less:
+it may be evaluated at x1 = E11 (``proper_rows``, ``proper_image_rank``).
+Such an f does not change under x1 -> x1 + t * 1.  Every real symmetric
+X1 is O diag(l, m) O^T = O (m I + (l - m) E11) O^T with O orthogonal, so if
+f is homogeneous of degree d in x1,
+
+    f(X1, X2, ...) = (l - m)^d * O f(E11, O^T X2 O, ...) O^T,
+
+by the shift, homogeneity in x1 and conjugation, which commutes with every
+polynomial.  As the O^T X_i O are again symmetric, f vanishes at all real
+symmetric matrices, hence generically, iff f(E11, X2, ...) vanishes with
+X2, ... generic.  A first row times E11 keeps its column-0 entries with
+their keys unchanged, so x1 owns no slot.  The first row still suffices:
+P E11 P = E22 = I - E11, so P f(E11, X) P = f(I - E11, X') = (-1)^d
+f(E11, X'), where X' is X with every a_i and c_i swapped, and the second
+row is again the first reflected, up to a sign fixed by d.  On a span of
+such polynomials the two evaluations have the same kernel, hence the same
+rank, as long as each coordinate fixes the x1-degree of what reaches it:
+it is 1 on multilinear words, and on words of one total degree in x1 and
+x2 it is that degree minus the x2-exponents of the coordinate.  The proper
+kernel reads the multilinear E11 rows as they come, with no table: its
+RREF is unique, whatever the column order.  A polynomial that is not
+proper breaks this: x1 [x2, x1] x1 is not a weak identity, but it vanishes at
+x1 = E11, since E11 [X, E11] E11 = 0.
 """
 
 from __future__ import annotations
@@ -75,6 +98,7 @@ __all__ = [
     "weak_identity_witness",
     "Witness",
     "image_rank",
+    "proper_image_rank",
     "weak_identities_within",
     "BASIS_MATRICES",
 ]
@@ -141,9 +165,10 @@ def _times_generic(coords, steps):
     return out
 
 
-def _walk(words, width):
+def _walk(words, width, *, e11=False):
     """Yield (word, generic coordinates) for each distinct word in sorted
-    order, keyed by packed ints of the given width (at least ``_width``).
+    order, keyed by packed ints of the given width (at least ``_width``);
+    with ``e11``, letter 1 is E11 instead of generic (module docstring).
 
     A prefix stack keeps the first-row coordinates of the current word's
     prefixes, starting from the first row of the identity, so a set of words
@@ -158,6 +183,11 @@ def _walk(words, width):
             k += 1
         del stack[k + 1:]
         for letter in w[k:]:
+            if e11 and letter == 1:
+                # times E11: the column-0 entries stay, keys unchanged
+                stack.append({key: v for key, v in stack[-1].items()
+                              if not key & 3})
+                continue
             if letter not in steps:
                 steps[letter] = _steps(letter, width)
             stack.append(_times_generic(stack[-1], steps[letter]))
@@ -173,19 +203,17 @@ def eval_rows(words, width):
     return [table[w] for w in words]
 
 
-@lru_cache(maxsize=1)
-def _walk_rows(words):
-    """``eval_rows`` of a sorted tuple of words at their own width, kept
-    until ``eval_table`` takes the rows or the consequence elimination
-    drops them (each clears this cache), so no walk is held beside a table
-    or through an elimination."""
-    return eval_rows(words, _width(words))
+def proper_rows(words, width):
+    """``eval_rows`` at x1 = E11: rows to combine proper polynomials from,
+    and no others (module docstring)."""
+    table = dict(_walk(words, width, e11=True))
+    return [table[w] for w in words]
 
 
-# Word universes eval_table keeps.  A proof run reads one universe per
-# degree (its multilinear words), and ``image_rank`` does not read the table,
-# so a small bound costs no recomputation while keeping long sessions from
-# holding every table they ever built.
+# Word universes eval_table keeps.  Only the exact kernel rank reads it, one
+# universe per degree (its multilinear words), so a small bound costs no
+# recomputation while keeping long sessions from holding every table they
+# ever built.
 _TABLES = 8
 
 
@@ -194,10 +222,9 @@ def eval_table(words):
     """The integer first-row evaluation rows of a sorted tuple of words, one
     per word in order, with columns numbered sparse-first: by the number of
     rows that touch the column, then by (entry, monomial) in deg-lex
-    order, from the kept walk of the words if there is one."""
+    order."""
     width = _width(words)
-    rows = _walk_rows(words)
-    _walk_rows.cache_clear()
+    rows = eval_rows(words, width)
     counts = Counter(chain.from_iterable(rows))
 
     def sparse_first(key):
@@ -342,6 +369,17 @@ def image_rank(family):
     each member is evaluated by its own terms over the rows of one walk of
     the family's words, keyed by its packed ints (no table or word index is
     built or cached)."""
+    return _image_rank(family, eval_rows)
+
+
+def proper_image_rank(family):
+    """``image_rank`` of a family of proper polynomials that is multilinear
+    or in x1 and x2 alone: the same rank, read at x1 = E11 (module
+    docstring)."""
+    return _image_rank(family, proper_rows)
+
+
+def _image_rank(family, rows_of):
     family = list(family)
     if not family:
         return 0
@@ -349,7 +387,7 @@ def image_rank(family):
     if len(degs) > 1:
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
     words = tuple(sorted({w for f in family for w in f.terms}))
-    walk = dict(zip(words, eval_rows(words, _width(words))))
+    walk = dict(zip(words, rows_of(words, _width(words))))
     return rank([poly_eval_row(f.terms, walk) for f in family])
 
 

@@ -20,6 +20,18 @@ The generic evaluation of sigma(f) is that of f with the slots of letters 1
 and 2 exchanged (a_1 <-> a_2, b_1 <-> b_2, c_1 <-> c_2), a bijection of
 coordinates, so the two components have the same evaluation rank too.  These
 are also the only weights ``gl2_decomposition`` reads.
+
+The ranks are read at x1 = E11 (``matrep.proper_image_rank``).  A proper f
+is unchanged by x1 -> x1 + t * 1, and a real symmetric X1 is
+O (m I + (l - m) E11) O^T with O orthogonal, so for f of x1-degree d,
+f(X1, X2) = (l - m)^d * O f(E11, O^T X2 O) O^T: f is a weak identity iff
+f(E11, X2) vanishes for generic X2.  The first row still suffices:
+P E11 P = E22 = I - E11 for P = [[0, 1], [1, 0]], so
+P f(E11, X2) P = (-1)^d f(E11, X2'), where X2' is X2 with a_2 <-> c_2, a
+bijection of coordinates.  In total degree n a coordinate's x2-exponents
+fix d, so the rank over a family of several bidegrees (``tail_family``) is
+the generic one too.  With dx >= dy, E11 takes the letter of the higher
+degree.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from functools import lru_cache
 
 from .freealg import comm, two_var_commutator, two_var_commutator_family
 from .linalg import rank
-from .matrep import image_rank
+from .matrep import proper_image_rank
 
 __all__ = [
     "closed_form_series",
@@ -78,13 +90,14 @@ def family_dim(dx, dy):
 @lru_cache(maxsize=None)
 def image_dim(dx, dy):
     """Rank of the generic evaluation on the bidegree-(dx, dy) component,
-    read from (dy, dx) when dx < dy (the mirror of the module docstring)."""
+    read from (dy, dx) when dx < dy (the mirror of the module docstring),
+    at x1 = E11."""
     if dx < dy:
         return image_dim(dy, dx)
     family = _family(dx, dy)
     if not family:
         return 0
-    return image_rank(list(family))
+    return proper_image_rank(family)
 
 
 def _total(dim_fn, n):
@@ -149,7 +162,7 @@ def tail_family_spans_image(n_max):
     """True iff the reduced family has full evaluation rank in every degree."""
     for n in range(2, n_max + 1):
         fam = tail_family(n)
-        if image_rank(fam) != _total(image_dim, n):
+        if proper_image_rank(fam) != _total(image_dim, n):
             return False
     return True
 

@@ -80,7 +80,7 @@ from .freealg import (NcPoly, coeff_vector, comm, linearize, multilinear_words,
                       proper_span, standard_poly, word_index)
 from .linalg import (Subspace, _int_row, echelonize, intersection_dim, rank,
                      rank_mod2)
-from .matrep import (_walk_rows, eval_table, is_weak_identity,
+from .matrep import (eval_rows, eval_table, is_weak_identity, proper_rows,
                      weak_identities_within)
 from .repthy import _swaps, decompose_quotient
 
@@ -241,9 +241,8 @@ def pn_kernel_dim(n):
 def _kernel_bound(n):
     """An upper bound on ``pn_kernel_dim(n)``: the evaluation rows' rank
     mod 2 is at most their rank over Q (``rank_mod2``).  The rows are
-    ranked as one walk returns them, with no table; the walk is kept for
-    ``eval_table`` (``matrep._walk_rows``)."""
-    return factorial(n) - rank_mod2(_walk_rows(multilinear_words(n)))
+    ranked as one walk returns them, with no table."""
+    return factorial(n) - rank_mod2(eval_rows(multilinear_words(n), 1))
 
 
 @lru_cache(maxsize=_SPANS)
@@ -253,16 +252,19 @@ def _consequences(gens, n):
     are evaluated; the moves and the base rows inherit the flag
     (module docstring).  The family is eliminated in the order it is built
     (``_moves``, ``_base``).  A certified span lies in the kernel, so its
-    dimension is at most ``_kernel_bound(n)``, where the elimination stops;
-    the bound's walk is dropped first."""
+    dimension is at most ``_kernel_bound(n)``, where the elimination stops.
+    From the least generator degree on, the bound is taken before the
+    family is built, so the bound's walk and the family are never held
+    together.  Below that degree the family is often empty (always for the
+    default generators), so no walk is taken there, and a family that is
+    not empty is eliminated to the end."""
     certified = ((n == 1 or _consequences(gens, n - 1)[1])
                  and all(map(is_weak_identity, _specializations(gens, n))))
+    reached = any(n >= _arity(g) for g in gens)
+    ceiling = _kernel_bound(n) if certified and reached else None
     family = consequence_family(gens, n)
     if not family:
-        # nothing to eliminate, and no kernel bound to take
         return Subspace.zero(), certified
-    ceiling = _kernel_bound(n) if certified else None
-    _walk_rows.cache_clear()
     return echelonize(family, stop_dim=ceiling), certified
 
 
@@ -312,9 +314,10 @@ def is_consequence(f, gens=None):
 
 @lru_cache(maxsize=None)
 def proper_kernel(n):
-    """Word-coordinate subspace of the proper multilinear weak identities."""
+    """Word-coordinate subspace of the proper multilinear weak identities,
+    from the E11 rows of the multilinear words (``matrep`` docstring)."""
     return weak_identities_within(proper_span(n),
-                                  eval_table(multilinear_words(n)))
+                                  proper_rows(multilinear_words(n), 1))
 
 
 # -- degree-by-degree verification ---------------------------------------------
@@ -375,8 +378,8 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     rank(span rows + Gamma rows): the dimension formula for an intersection,
     exact because the rank is computed in exact arithmetic on bases of both.
     Under ``proper`` or ``with_decomposition`` the proper kernel is built
-    right after the bound, so its table takes the bound's walk; its time
-    counts in ``proper_ms``, or else in ``decompose_ms``.
+    right after the bound; its time counts in ``proper_ms``, or else in
+    ``decompose_ms``.
     """
     if not 4 <= n <= _MAX_DEGREE:
         raise ValueError(f"degrees 4..{_MAX_DEGREE} are supported")

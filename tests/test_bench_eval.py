@@ -16,7 +16,7 @@ def test_bench_eval_prints_json_at_degree_4():
     assert result["multilinear"]["4"]["rank_mod2_s"] > 0
     # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7
     assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3 + 4 + 5 + 6
-    # the walk's rows of bidegree (1, 1): x1 x2 and x2 x1
+    # the E11 walk's rows of bidegree (1, 1): x1 x2 and x2 x1
     assert result["hilbert"]["bidegrees"]["1,1"]["words"] == 2
     assert result["hilbert"]["bidegrees"]["1,1"]["nnz"] > 0
     assert all(r["s"] > 0 for r in result["hilbert"]["bidegrees"].values())

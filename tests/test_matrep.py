@@ -16,7 +16,7 @@ from weakid.cli import main
 from weakid.expr import parse_poly
 from weakid.linalg import echelonize, left_kernel, rank
 from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
-                           is_weak_identity, poly_eval_row,
+                           is_weak_identity, poly_eval_row, proper_image_rank,
                            weak_identities_within, weak_identity_witness)
 from weakid.tideal import metabelian
 
@@ -227,7 +227,7 @@ def test_eval_rows_are_integral():
 def test_proper_verify_evaluates_the_words_once(monkeypatch):
     """Every package module's name for ``eval_rows`` is counted, so a walk
     reached through a name imported elsewhere counts too."""
-    for cached in (matrep.eval_table, matrep._walk_rows, tideal.pn_kernel_dim,
+    for cached in (matrep.eval_table, tideal.pn_kernel_dim,
                    tideal._kernel_bound, tideal._consequences,
                    tideal.proper_kernel):
         cached.cache_clear()
@@ -255,8 +255,8 @@ def test_proper_verify_evaluates_the_words_once(monkeypatch):
 def test_default_proof_builds_no_table_and_keeps_no_walk(run, monkeypatch):
     """The kernel bound ranks the walk's rows as they come: a cold default
     proof builds no sparse-first table, under any module's name for
-    ``eval_table``, and the walk is not kept once the proof is done."""
-    for cached in (matrep.eval_table, matrep._walk_rows, tideal.pn_kernel_dim,
+    ``eval_table``, and no cache keeps the walk."""
+    for cached in (matrep.eval_table, tideal.pn_kernel_dim,
                    tideal._kernel_bound, tideal._consequences):
         cached.cache_clear()
 
@@ -269,7 +269,6 @@ def test_default_proof_builds_no_table_and_keeps_no_walk(run, monkeypatch):
                 if value is matrep.eval_table:
                     monkeypatch.setattr(module, name, refuse)
     assert run()
-    assert matrep._walk_rows.cache_info().currsize == 0
 
 
 # -- weak identity testing -----------------------------------------------------
@@ -444,13 +443,51 @@ def test_kernel_rejects_mixed_degrees():
         image_rank([x1, x1 * x2])
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_image_rank_matches_the_table_route(n):
+    """The walk's rank, the table's, and the rank at x1 = E11 agree on
+    every bidegree's family, x1 of the higher degree or not, and on the
+    reduced family, whose members have several bidegrees."""
     for dx in range(1, n):
         family = list(series._family(dx, n - dx))
-        assert image_rank(family) == table_image_rank(family), (dx, n - dx)
+        assert (image_rank(family) == table_image_rank(family)
+                == proper_image_rank(family)), (dx, n - dx)
     family = series.tail_family(n)
-    assert image_rank(family) == table_image_rank(family)
+    assert (image_rank(family) == table_image_rank(family)
+            == proper_image_rank(family))
+
+
+@st.composite
+def commutator_combinations(draw):
+    """One to five random rational combinations of the two-variable
+    commutator products of one bidegree (dx, dy), dx + dy <= 7."""
+    dx = draw(st.integers(1, 6))
+    family = series._family(dx, draw(st.integers(1, 7 - dx)))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        g = NcPoly.zero()
+        for f in draw(st.lists(st.sampled_from(family), min_size=1,
+                               max_size=4)):
+            g = g + f.scale(draw(small_coeff))
+        out.append(g)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(commutator_combinations())
+def test_proper_image_rank_matches_the_generic_rank(family):
+    assert proper_image_rank(family) == image_rank(family)
+
+
+def test_proper_image_rank_needs_a_proper_family():
+    """x1 [x2, x1] x1 is not proper: at symmetric X1, X2 it is
+    det X1 * [X2, X1] (X J X = det X * J for J = [[0, 1], [-1, 0]]), not
+    zero, but it vanishes at x1 = E11, whose determinant is 0."""
+    f = x1 * x2 * x1 * x1 - x1 * x1 * x2 * x1
+    assert f == x1 * comm(x2, x1) * x1
+    assert not is_weak_identity(f)
+    assert image_rank([f]) == 1
+    assert proper_image_rank([f]) == 0
 
 
 @st.composite
@@ -504,6 +541,14 @@ def test_weak_identities_within_fractional_rref_match_family_kernel(n, seed):
         expected.append(coeff_vector(g, index))
     got = weak_identities_within(space, eval_table(words))
     assert got == echelonize(expected) and got.dim > 0
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_proper_kernel_matches_the_generic_table(n):
+    """The E11 rows in word order give the RREF the generic table does."""
+    expected = weak_identities_within(proper_span(n),
+                                      eval_table(multilinear_words(n)))
+    assert tideal.proper_kernel(n).rows == expected.rows
 
 
 @pytest.mark.parametrize("n", [4, 5])

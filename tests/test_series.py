@@ -3,7 +3,7 @@
 from weakid import freealg, series
 from weakid.freealg import coeff_vector, word_index
 from weakid.linalg import echelonize
-from weakid.matrep import image_rank, is_weak_identity
+from weakid.matrep import image_rank, is_weak_identity, proper_image_rank
 from weakid.series import (_family, closed_form_series, degree6_relations,
                            family_dim, family_dims, gl2_decomposition,
                            gl2_intersection_decomposition, image_dim,
@@ -72,6 +72,11 @@ def test_image_dims_equal_closed_form():
     assert image_dims(n_max) == closed_form_series(n_max)
 
 
+def test_image_dims_equal_closed_form_to_degree_12():
+    """Past the CLI's cap of 10: the ranks at x1 = E11 are cheap there."""
+    assert image_dims(12) == closed_form_series(12)
+
+
 def test_image_dims_low_degrees():
     assert image_dims(2) == [1, 0, 1]
     assert image_dims(6)[6] == 9
@@ -103,10 +108,10 @@ def test_image_dims_rank_the_dominant_bidegrees_only(monkeypatch):
 
     def counted(family):
         calls.append(family)
-        return image_rank(family)
+        return proper_image_rank(family)
 
     series.image_dim.cache_clear()
-    monkeypatch.setattr(series, "image_rank", counted)
+    monkeypatch.setattr(series, "proper_image_rank", counted)
     assert image_dims(7) == [1, 0, 1, 2, 4, 6, 9, 12]
     # (dx, dy) with dx >= dy >= 1 and dx + dy <= 7
     assert len(calls) == 12

@@ -549,6 +549,26 @@ def test_low_degree_spans_are_zero():
     assert not is_consequence(comm(NcPoly.variable(1), NcPoly.variable(2)))
 
 
+def test_the_bound_is_taken_before_the_family(monkeypatch):
+    """A cold ``consequences_span(None, 5)`` takes each degree's kernel
+    bound before it builds that degree's family, from the generators'
+    degree 4 on, and takes none below, where the families are empty."""
+    from weakid import tideal
+
+    for cached in (tideal._kernel_bound, tideal._consequences):
+        cached.cache_clear()
+    seen = []
+    real = tideal.consequence_family
+
+    def recording(gens, n):
+        seen.append((n, tideal._kernel_bound.cache_info().currsize))
+        return real(gens, n)
+
+    monkeypatch.setattr(tideal, "consequence_family", recording)
+    assert consequences_span(None, 5).dim == 55
+    assert seen == [(1, 0), (2, 0), (3, 0), (4, 1), (5, 2)]
+
+
 def test_verify_reports_failure_for_non_identity_generators():
     """With a generator that is not a weak identity, the certified ceiling is
     disabled, the span is computed in full, and the report says so."""
