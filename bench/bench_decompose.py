@@ -17,7 +17,8 @@ owns, one at a time and with their parts timed:
   (``recombine_s``: the RREF rows, the ``poly_eval_row`` calls that combine
   them by the kernel rows, and the elimination of the combinations);
 - ``repthy.decompose_quotient`` (``decompose_s``): the stability checks
-  (``stable_s``) and the traces (``trace_s``).
+  (``stable_s``), the check that the kernel lies in Gamma_n
+  (``contained_s``) and the traces (``trace_s``).
 
 Another child times ``verify_degree(n, proper=True,
 with_decomposition=True)`` end to end (``verify_s``, with the report's
@@ -43,6 +44,7 @@ PARTS = {
     "left_kernel_s": ("matrep", "left_kernel"),
     "within_s": ("tideal", "weak_identities_within"),
     "stable_s": ("repthy", "_check_stable"),
+    "contained_s": ("repthy", "_check_contained"),
     "trace_s": ("repthy", "_trace"),
 }
 

@@ -2,14 +2,16 @@
 
 Every rank, kernel (``left_kernel``), intersection dimension
 (``intersection_dim``) and subspace comparison in the toolkit runs through
-this module, and through its one elimination engine; ``rank_mod2`` is only a
-lower bound on a rank, and reads rows with any column keys, such as an
-evaluation walk's.  There is no floating point anywhere.  A vector is a
-plain dict {column: number}; a number is an int, or a ``Fraction`` only where
-a denominator above 1 appears.  The elimination engine works on
-content-normalized integer rows (a scalar multiple of a row spans the same
-space, so scale-free integer arithmetic is both exact and fast), and integer
-input reaches it without building a single ``Fraction``.
+this module.  All but two go through its one elimination engine:
+``Subspace.contains_all`` tests many vectors at once against the RREF rows
+by subtraction alone, and ``rank_mod2`` is only a lower bound on a rank,
+and reads rows with any column keys, such as an evaluation walk's.  There
+is no floating point anywhere.  A vector is a plain dict {column: number};
+a number is an int, or a ``Fraction`` only where a denominator above 1
+appears.  The elimination engine works on content-normalized integer rows
+(a scalar multiple of a row spans the same space, so scale-free integer
+arithmetic is both exact and fast), and integer input reaches it without
+building a single ``Fraction``.
 
 Row spaces are presented in reduced row echelon form.  RREF is unique for a
 given row space, so results do not depend on the order in which vectors are
@@ -161,6 +163,36 @@ class Subspace:
 
     def contains(self, vec):
         return not self._reduce(_int_row(vec))
+
+    def contains_all(self, vectors):
+        """True iff every vector lies in the space, read off the RREF rows
+        with no elimination.
+
+        A member v is a combination sum_p c_p * rref_p over the pivots p.
+        An RREF row is 1 at its own pivot and 0 at every other pivot, so
+        reading that combination at pivot p gives c_p = v[p]: the pivot
+        entries fix the only possible combination, and v lies in the space
+        iff v - sum_p v[p] * rref_p is zero.  Entries may be int or
+        Fraction; explicit zeros are dropped.  Every pivot entry of v is
+        subtracted before a non-member is told apart, so a single query,
+        likely a non-member, is cheaper through ``contains``, which stops
+        at the first lead without a pivot row.
+        """
+        by_pivot = dict(zip(self.pivots, self.rows))
+        for v in vectors:
+            w = {c: x for c, x in v.items() if x}
+            # subtracting rref_p leaves every other pivot entry of w as it is
+            for p in by_pivot.keys() & w.keys():
+                b = w[p]
+                for c, x in by_pivot[p].items():
+                    y = w.get(c, 0) - b * x
+                    if y:
+                        w[c] = y
+                    else:
+                        del w[c]
+            if w:
+                return False
+        return True
 
     def __eq__(self, other):
         if isinstance(other, Subspace):

@@ -166,11 +166,18 @@ def _swaps(n):
 def _check_stable(space, swaps):
     """Raise unless every adjacent transposition maps the row space into
     itself; swaps[t - 1] is the column map of (t t+1)."""
+    rows = space.rows
     for t, to in enumerate(swaps, 1):
-        for row in space.rows:
-            if not space.contains({to[c]: v for c, v in row.items()}):
-                raise DecompositionError(
-                    f"subspace is not stable under the transposition ({t} {t + 1})")
+        if not space.contains_all({to[c]: v for c, v in row.items()}
+                                  for row in rows):
+            raise DecompositionError(
+                f"subspace is not stable under the transposition ({t} {t + 1})")
+
+
+def _check_contained(sub, ambient):
+    """Raise unless every row of sub lies in ambient."""
+    if not ambient.contains_all(sub.rows):
+        raise DecompositionError("sub is not contained in ambient")
 
 
 def _trace(space, perm, words, index):
@@ -214,9 +221,7 @@ def decompose_quotient(ambient, sub, n):
     swaps = _swaps(n)
     _check_stable(sub, swaps)
     _check_stable(ambient, swaps)
-    for row in sub.rows:
-        if not ambient.contains(row):
-            raise DecompositionError("sub is not contained in ambient")
+    _check_contained(sub, ambient)
     traces = {}
     for rho in cycle_types(n):
         perm = class_representative(rho)

@@ -176,6 +176,50 @@ def test_containment_antisymmetric(d1, d2):
     assert (a == b) == (a_in_b and b_in_a)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_contains_all_agrees_with_contains(matrix, data):
+    """The RREF membership test against ``contains``, the oracle: a random
+    rational combination of the rows, the same with one entry changed, and
+    the combination with explicit zeros at every column it misses."""
+    rows, ncols = matrix
+    space = echelonize(rows)
+    member = {}
+    for row in space.rows:
+        a = data.draw(small_number)
+        for c, x in row.items():
+            member[c] = member.get(c, 0) + a * x
+    member = {c: x for c, x in member.items() if x}
+    col = data.draw(st.integers(0, ncols - 1))
+    changed = {**member,
+               col: member.get(col, 0) + data.draw(small_number.filter(bool))}
+    padded = {**{c: 0 for c in range(ncols)}, **member}
+    assert space.contains_all([member]) and space.contains(member)
+    assert space.contains_all([padded]) and space.contains(padded)
+    assert space.contains_all([changed]) == space.contains(changed)
+    assert space.contains_all([member, padded, changed]) == \
+        space.contains(changed)
+    assert space.contains_all([])
+
+
+def test_contains_all_reads_the_rref_only(monkeypatch):
+    """Neither an integer row is built nor a least column sought: the pivot
+    entries alone fix the combination, with int and Fraction entries."""
+    space = echelonize([{0: 2, 2: 1, 3: 3}, {1: 3, 2: -1}])
+    assert space.rows == ({0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)},
+                          {1: 1, 2: Fraction(-1, 3)})
+
+    def refuse(*args):
+        raise AssertionError("the RREF test eliminated")
+
+    monkeypatch.setattr(linalg, "_int_row", refuse)
+    monkeypatch.setattr(linalg, "min", refuse, raising=False)
+    assert space.contains_all([{0: 4, 1: 3, 2: 1, 3: 6}, {2: 0},
+                               {0: Fraction(2, 3), 2: Fraction(1, 3), 3: 1}])
+    assert not space.contains_all([{0: 2, 2: 1, 3: 3}, {0: 2, 2: 1, 3: 4}])
+    assert not space.contains_all([{2: 1}])
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices(), sparse_matrices())
 def test_sum_intersect_dimension_formula(d1, d2):

@@ -170,6 +170,26 @@ def test_decompose_gamma4_kernel_and_quotient():
     assert decompose_quotient(proper_span(4), kern, 4) == {(3, 1): 1, (2, 2): 1}
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_proper_quotient_has_three_rows_at_most(n):
+    """Three rows at most, by Schur–Weyl duality.  Evaluation at symmetric
+    2x2 matrices sends a multilinear f of degree n to the multilinear map
+    (a_1, ..., a_n) -> f(a_1, ..., a_n) from S x ... x S to M_2, where S is
+    the 3-dimensional space of symmetric matrices; its kernel on P_n is K.
+    So Gamma_n/(Gamma_n ∩ K) embeds in Hom(S^{⊗n}, M_2), and relabelling
+    the variables permutes the tensor factors.  As a Sym(n)-module,
+    S^{⊗n} holds only the Specht modules of partitions with at most
+    dim S = 3 parts, and so do its dual and any sum of copies of it.  The
+    multiplicities add up to D_n, the number of derangements (dim Gamma_n),
+    less dim(Gamma_n ∩ K)."""
+    dec = decompose_quotient(proper_span(n), proper_kernel(n), n)
+    assert dec and all(len(lam) <= 3 for lam in dec)
+    derangements = sum(all(p[i] != i for i in range(n))
+                       for p in itertools.permutations(range(n)))
+    assert sum(m * sym_dim(lam) for lam, m in dec.items()) == \
+        derangements - proper_kernel(n).dim
+
+
 def test_decompose_p3_regular():
     full = echelonize([{i: 1} for i in range(6)])
     dec = decompose_quotient(full, Subspace.zero(), 3)
@@ -214,7 +234,7 @@ def test_multiplicities_reject_inconsistent_traces():
 def test_quotient_requires_containment():
     a = echelonize([{0: 1, 1: 1}])  # the symmetric line in P2
     b = echelonize([{0: 1, 1: -1}])  # the sign line
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match="not contained"):
         decompose_quotient(a, b, 2)
 
 
