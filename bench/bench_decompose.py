@@ -16,6 +16,9 @@ owns, one at a time and with their parts timed:
   id-block rows are the basis) and the rest of ``weak_identities_within``
   (``recombine_s``: the RREF rows, the ``poly_eval_row`` calls that combine
   them by the kernel rows, and the elimination of the combinations);
+- the first read of the kernel's RREF (``kernel_rref_s``: the
+  back-substitution of ``Subspace.rows``), timed apart so that no check
+  below is charged for it;
 - ``repthy.decompose_quotient`` (``decompose_s``): the stability checks
   (``stable_s``), the check that the kernel lies in Gamma_n
   (``contained_s``) and the traces (``trace_s``).
@@ -70,8 +73,10 @@ def layers(n):
     harness.time_calls(matrep, "poly_eval_row", totals,
                        when=lambda _coeffs, rows: rows is not gamma.rows)
     kernel, kernel_s = _timed(tideal.proper_kernel, n)
+    _, kernel_rref_s = _timed(getattr, kernel, "rows")
     dec, decompose_s = _timed(repthy.decompose_quotient, gamma, kernel, n)
-    out = {"span_s": span_s, "kernel_s": kernel_s, "decompose_s": decompose_s,
+    out = {"span_s": span_s, "kernel_s": kernel_s,
+           "kernel_rref_s": kernel_rref_s, "decompose_s": decompose_s,
            "kernel_rows_s": totals.get("poly_eval_row", 0.0)}
     for part, (_, name) in PARTS.items():
         out[part] = totals.get(name, 0.0)

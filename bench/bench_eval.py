@@ -11,7 +11,8 @@ best time of five ``linalg.rank`` calls on its rows in the order
 ``tideal.pn_kernel_dim`` passes them, short first (``rank_s``, the exact
 rank), and each degree the best time of five ``linalg.rank_mod2`` calls on
 the rows of one walk (``eval_rows`` at width 1) as it returns them, what
-``tideal._kernel_bound`` ranks (``rank_mod2_s``).
+``tideal._kernel_bound`` ranks (``rank_mod2_s``), with their nonzeros
+(``walk_nnz``).
 ``hilbert_s`` is the best of five cold ``series.image_dims(n)`` at n = 7
 and 9, every cache of the package cleared before each.  ``check`` times
 what ``weakid check`` does to a fixed list of ``CHECKS`` expressions of
@@ -88,7 +89,9 @@ def _record_with_rank(words):
     rows = eval_table.__wrapped__(words)
     short_first = sorted(rows, key=lambda r: (len(r), sorted(r.items())))
     out["rank"], out["rank_s"] = _best(rank, short_first)
-    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, _walk_rows(words))
+    walk = _walk_rows(words)
+    out["walk_nnz"] = sum(len(r) for r in walk)
+    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, walk)
     return out
 
 

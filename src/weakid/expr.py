@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .freealg import NcPoly, circ, comm, left_normed, render, standard_poly, substitute
 
@@ -341,7 +342,7 @@ def elaborate(node):
     if tag == "std":
         k, args = node[1], node[2]
         values = {i + 1: elaborate(a) for i, a in enumerate(args)}
-        return substitute(standard_poly(k), values)
+        return substitute(_standard_poly(k), values)
     if tag == "ad":
         f = elaborate(node[1])
         g = elaborate(node[2])
@@ -349,6 +350,10 @@ def elaborate(node):
             g = comm(g, f)
         return g
     raise ValueError(f"unknown node {tag!r}")
+
+
+# S_k, built once per k rather than at every S<k>(...) elaborated
+_standard_poly = lru_cache(maxsize=None)(standard_poly)
 
 
 def parse_poly(src):

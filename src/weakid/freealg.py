@@ -288,22 +288,26 @@ def linearize(f):
     md = f.multidegree()
     if md is None:
         raise ValueError("polynomial is not multihomogeneous")
-    slots = {}
+    fresh = {}  # a variable of degree 1 -> its one fresh variable
+    repeated, orders = [], []  # the other variables, each's fresh orders
     nxt = 1
     for v in sorted(md):
-        slots[v] = list(range(nxt, nxt + md[v]))
+        if md[v] == 1:
+            fresh[v] = nxt
+        else:
+            repeated.append(v)
+            orders.append(list(itertools.permutations(
+                range(nxt, nxt + md[v]))))
         nxt += md[v]
     t = {}
     for w, c in f.terms.items():
-        positions = {v: [] for v in md}
-        for pos, v in enumerate(w):
-            positions[v].append(pos)
-        choices = [itertools.permutations(slots[v]) for v in sorted(md)]
-        for assignment in itertools.product(*choices):
-            nw = list(w)
-            for v, perm in zip(sorted(md), assignment):
-                for pos, fresh in zip(positions[v], perm):
-                    nw[pos] = fresh
+        base = list(map(fresh.get, w))
+        positions = [[p for p, x in enumerate(w) if x == v] for v in repeated]
+        for assignment in itertools.product(*orders):
+            nw = base[:]
+            for pos, perm in zip(positions, assignment):
+                for p, x in zip(pos, perm):
+                    nw[p] = x
             # a fresh word determines its source word and its slot choice
             t[tuple(nw)] = c
     return NcPoly._raw(t)

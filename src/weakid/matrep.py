@@ -6,6 +6,16 @@ substitution iff it vanishes for every substitution of symmetric 2x2
 matrices over any commutative Q-algebra.  Over an exact field this makes the
 generic test a complete weak-identity test, multilinear or not.
 
+x1 needs only its diagonal.  Every real symmetric X1 is O diag(l, m) O^T
+with O orthogonal, and conjugation commutes with every polynomial, so
+
+    f(X1, X2, ...) = O f(diag(l, m), O^T X2 O, ...) O^T
+
+with every O^T X_i O symmetric: f vanishes at all real symmetric matrices,
+hence generically, iff f(diag(a1, c1), X2, ...) does with X2, ... generic.
+So letter 1 is diag(a1, c1), b1 never occurs, and every span keeps its
+kernel, hence its rank.
+
 Slot 3*(i-1)+0/1/2 is a_i / b_i / c_i, and matrix entries are numbered
 2*row + column.  A matrix over these polynomials is held only as the
 coordinate dict {key: number} of its first row, one key per (entry,
@@ -26,14 +36,14 @@ per distinct column (``eval_table``) or per final coordinate (the weak
 identity test and the witness), never per row entry.
 
 Only the first row is evaluated.  Conjugating by P = [[0, 1], [1, 0]]
-sends X_i = [[a_i, b_i], [b_i, c_i]] to the same matrix with a_i and c_i
-swapped, and (P M P)[r][k] = M[1 - r][1 - k].  Since f(P X P) = P f(X) P for
-every polynomial f, entry 3 - e of f(X) is entry e of f(X) with every a_i
-and c_i swapped: the second row is the first row reflected.  The reflection
-is a bijection of coordinates, so the first row alone has the same zero
-test, the same rank and the same kernel as the whole matrix.  Only the
-witness, which reports all four entries, rebuilds the second row
-(``_reflected``).
+sends X_i = [[a_i, b_i], [b_i, c_i]] (b_1 = 0 included) to the same matrix
+with a_i and c_i swapped, and (P M P)[r][k] = M[1 - r][1 - k].  Since
+f(P X P) = P f(X) P for every polynomial f, entry 3 - e of f(X) is entry e
+of f(X) with every a_i and c_i swapped: the second row is the first row
+reflected.  The reflection is a bijection of coordinates, so the first row
+alone has the same zero test, the same rank and the same kernel as the
+whole matrix.  Only the witness, which reports all four entries, rebuilds
+the second row (``_reflected``).
 
 A word evaluates to a matrix whose entries have integer coefficients, so its
 evaluation row is an integer dict.  ``eval_table`` builds those rows once
@@ -56,20 +66,17 @@ evaluation oracle the tests check all of this against lives in ``tests/``.
 
 A proper polynomial (a combination of products of commutators) needs less:
 it may be evaluated at x1 = E11 (``proper_rows``, ``proper_image_rank``).
-Such an f does not change under x1 -> x1 + t * 1.  Every real symmetric
-X1 is O diag(l, m) O^T = O (m I + (l - m) E11) O^T with O orthogonal, so if
-f is homogeneous of degree d in x1,
+Such an f does not change under x1 -> x1 + t * 1, and diag(l, m) =
+m I + (l - m) E11, so if f is homogeneous of degree d in x1,
 
-    f(X1, X2, ...) = (l - m)^d * O f(E11, O^T X2 O, ...) O^T,
+    f(diag(l, m), X2, ...) = (l - m)^d * f(E11, X2, ...),
 
-by the shift, homogeneity in x1 and conjugation, which commutes with every
-polynomial.  As the O^T X_i O are again symmetric, f vanishes at all real
-symmetric matrices, hence generically, iff f(E11, X2, ...) vanishes with
-X2, ... generic.  A first row times E11 keeps its column-0 entries with
-their keys unchanged, so x1 owns no slot.  The first row still suffices:
-P E11 P = E22 = I - E11, so P f(E11, X) P = f(I - E11, X') = (-1)^d
-f(E11, X'), where X' is X with every a_i and c_i swapped, and the second
-row is again the first reflected, up to a sign fixed by d.  On a span of
+and by the diagonalization above f is a weak identity iff f(E11, X2, ...)
+vanishes with X2, ... generic.  A first row times E11 keeps its column-0
+entries with their keys unchanged, so x1 owns no slot.  The first row
+still suffices: P E11 P = E22 = I - E11, so P f(E11, X) P = f(I - E11, X')
+= (-1)^d f(E11, X'), where X' is X with every a_i and c_i swapped, and the
+second row is again the first reflected, up to a sign fixed by d.  On a span of
 such polynomials the two evaluations have the same kernel, hence the same
 rank, as long as each coordinate fixes the x1-degree of what reaches it:
 it is 1 on multilinear words, and on words of one total degree in x1 and
@@ -106,10 +113,6 @@ __all__ = [
 
 def slot_a(i):
     return 3 * (i - 1)
-
-
-def slot_b(i):
-    return 3 * (i - 1) + 1
 
 
 def slot_c(i):
@@ -166,15 +169,19 @@ def _times_generic(coords, steps):
 
 
 def _walk(words, width, *, e11=False):
-    """Yield (word, generic coordinates) for each distinct word in sorted
-    order, keyed by packed ints of the given width (at least ``_width``);
-    with ``e11``, letter 1 is E11 instead of generic (module docstring).
+    """Yield (word, coordinates) for each distinct word in sorted order,
+    keyed by packed ints of the given width (at least ``_width``); letter 1
+    is diag(a1, c1), or E11 with ``e11``, and every other letter generic
+    (module docstring).
 
     A prefix stack keeps the first-row coordinates of the current word's
     prefixes, starting from the first row of the identity, so a set of words
-    costs one row-times-matrix product per distinct prefix.
+    costs one row-times-matrix product per distinct prefix.  Times
+    diag(a1, c1), entry (0, k) keeps its column and gains the slot a1
+    (k = 0) or c1 (k = 1), so the row does not branch.
     """
     steps = {}
+    diag = (4 << width * slot_a(1), 4 << width * slot_c(1))
     stack = [{0: 1}]
     prev = ()
     for w in sorted(set(words)):
@@ -183,22 +190,27 @@ def _walk(words, width, *, e11=False):
             k += 1
         del stack[k + 1:]
         for letter in w[k:]:
-            if e11 and letter == 1:
+            if letter != 1:
+                if letter not in steps:
+                    steps[letter] = _steps(letter, width)
+                stack.append(_times_generic(stack[-1], steps[letter]))
+            elif e11:
                 # times E11: the column-0 entries stay, keys unchanged
                 stack.append({key: v for key, v in stack[-1].items()
                               if not key & 3})
-                continue
-            if letter not in steps:
-                steps[letter] = _steps(letter, width)
-            stack.append(_times_generic(stack[-1], steps[letter]))
+            else:
+                stack.append({key + diag[key & 3]: v
+                              for key, v in stack[-1].items()})
         yield w, stack[-1]
         prev = w
 
 
 def eval_rows(words, width):
-    """Coordinate dicts of the first row of the generic evaluation of each
-    word (entries 0 and 1), keyed by the packed ints of one walk of the
-    given width (at least ``_width``)."""
+    """Coordinate dicts of the first row of the evaluation of each word
+    (entries 0 and 1) at x1 = diag(a1, c1), every other letter generic,
+    keyed by the packed ints of one walk of the given width (at least
+    ``_width``).  They have the kernel of the fully generic rows on every
+    span (module docstring)."""
     table = dict(_walk(words, width))
     return [table[w] for w in words]
 
@@ -265,10 +277,11 @@ def poly_eval_row(coeffs, word_rows):
 
 def _generic_coords(f):
     """First-row coordinates {(entry, monomial): value} of f at generic
-    symmetric matrices, from a walk over f's own words (no shared table
-    grows); only the final coordinates are decoded.  f's variables are
-    relabelled onto 1..k in increasing order first, since a packed key has
-    a field for every slot up to that of the largest label."""
+    symmetric matrices, the least variable diagonal, from a walk over f's
+    own words (no shared table grows); only the final coordinates are
+    decoded.  f's variables are relabelled onto 1..k in increasing order
+    first, since a packed key has a field for every slot up to that of the
+    largest label."""
     label = {v: i for i, v in enumerate(sorted(f.support()), 1)}
     terms = {tuple(label[l] for l in w): c for w, c in f.terms.items()}
     width = _width(terms)
@@ -328,18 +341,20 @@ def weak_identity_witness(f):
     polynomials): the substitution x_v = basis[k_v] sends the monomial with
     the slot 3*(i-1)+k_v of every variable v to 1 and every other monomial
     to 0, so the lexicographically first failing basis substitution is the
-    least (slot mod 3 per variable) over the nonzero coordinates, and its
-    value is the four entries at that monomial.  Other input is substituted
-    into the coordinates at seeded small random symmetric matrices (seed 0);
-    a nonvanishing polynomial fails on small integers quickly.  Both read
-    all four entries, the second row rebuilt from the first (``_reflected``).
+    least (slot mod 3 per variable) over the nonzero coordinates of all four
+    entries (the second row rebuilt from the first, ``_reflected``), and its
+    value is the four entries at that monomial.  x1 diagonal changes none of
+    this: a nonzero f has a coordinate with a1 (reflect one with c1), so the
+    least choice has x1 = E11, and a monomial with a1 lacks b1.  Other input
+    is evaluated exactly at seeded small random symmetric matrices (seed 0);
+    a nonvanishing polynomial fails on small integers quickly.
     """
     coords = _generic_coords(f)
     if not coords:
         return None
-    coords = _reflected(coords)
     variables = sorted(f.support())
     if f.is_multilinear():
+        coords = _reflected(coords)
         choice = min(tuple(s % 3 for s in m) for _, m in coords)
         m = tuple(slot_a(i) + k for i, k in enumerate(choice, 1))
         e = [coords.get((i, m), 0) for i in range(4)]
@@ -347,16 +362,21 @@ def weak_identity_witness(f):
                        ((e[0], e[1]), (e[2], e[3])))
     rng = random.Random(0)
     while True:
-        mats, point = {}, {}
-        for i, v in enumerate(variables, 1):
+        mats = {}
+        for v in variables:
             a, b, c = (rng.randint(-3, 3) for _ in range(3))
             mats[v] = ((a, b), (b, c))
-            point[slot_a(i)], point[slot_b(i)], point[slot_c(i)] = a, b, c
         e = [0] * 4
-        for (i, m), c in coords.items():
-            for s in m:
-                c *= point[s]
-            e[i] += c
+        for w, c in f.terms.items():
+            p, q, r, t = c, 0, 0, c  # c times the identity
+            for letter in w:
+                (x, y), (_, z) = mats[letter]
+                p, q = p * x + q * y, p * y + q * z
+                r, t = r * x + t * y, r * y + t * z
+            e[0] += p
+            e[1] += q
+            e[2] += r
+            e[3] += t
         if any(e):
             return Witness(mats, ((e[0], e[1]), (e[2], e[3])))
 

@@ -240,8 +240,9 @@ def pn_kernel_dim(n):
 @lru_cache(maxsize=None)
 def _kernel_bound(n):
     """An upper bound on ``pn_kernel_dim(n)``: the evaluation rows' rank
-    mod 2 is at most their rank over Q (``rank_mod2``).  The rows are
-    ranked as one walk returns them, with no table."""
+    mod 2 is at most their rank over Q (``rank_mod2``).  The rows, x1
+    diagonal (the kernel of the generic rows, with half the nonzeros;
+    ``matrep``), are ranked as one walk returns them, with no table."""
     return factorial(n) - rank_mod2(eval_rows(multilinear_words(n), 1))
 
 

@@ -4,7 +4,8 @@ The package evaluates through one prefix-stack walk and ``poly_eval_row``;
 the tests check that path against this one, which shares none of its code.
 Matrices are ((m11, m12), (m21, m22)) tuples whose entries are numbers
 (numeric substitutions) or ``Comm`` polynomials (the generic substitution
-x_i -> [[a_i, b_i], [b_i, c_i]], with slots 3*(i-1) + 0/1/2).
+x_i -> [[a_i, b_i], [b_i, c_i]], with slots 3*(i-1) + 0/1/2, x1 included;
+``at_diagonal_x1`` reads them at b1 = 0, as the package evaluates).
 """
 
 import itertools
@@ -104,6 +105,12 @@ def generic_coords(f):
     return coords(generic_eval(f))
 
 
+def at_diagonal_x1(coords_):
+    """Generic coordinates at x1 = diag(a1, c1), the package's evaluation:
+    every monomial containing slot 1 (b1) dropped."""
+    return {(e, m): v for (e, m), v in coords_.items() if 1 not in m}
+
+
 def swap_a_c(m):
     """A monomial with every a_i and c_i slot swapped."""
     return tuple(sorted({0: s + 2, 1: s, 2: s - 2}[s % 3] for s in m))
@@ -131,7 +138,8 @@ def decoded_rows(words):
 
 def package_coords(f):
     """The package's generic coordinates of f, read through ``eval_rows``
-    and ``poly_eval_row``, with the packed keys decoded."""
+    and ``poly_eval_row``, with the packed keys decoded; x1 is diagonal, so
+    they equal ``at_diagonal_x1`` of the oracle's."""
     words = sorted(f.terms)
     return poly_eval_row({i: f.terms[w] for i, w in enumerate(words)},
                          decoded_rows(words))

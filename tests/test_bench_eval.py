@@ -14,6 +14,9 @@ def test_bench_eval_prints_json_at_degree_4():
     # tight here
     assert result["multilinear"]["4"]["rank_mod2"] == 20
     assert result["multilinear"]["4"]["rank_mod2_s"] > 0
+    # the walk's rows are the table's, columns unnumbered
+    assert (result["multilinear"]["4"]["walk_nnz"]
+            == result["multilinear"]["4"]["nnz"])
     # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7
     assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3 + 4 + 5 + 6
     # the E11 walk's rows of bidegree (1, 1): x1 x2 and x2 x1

@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,14 +15,14 @@ from weakid.freealg import (NcPoly, coeff_vector, comm, from_coeffs,
 from weakid import matrep, series, tideal
 from weakid.cli import main
 from weakid.expr import parse_poly
-from weakid.linalg import echelonize, left_kernel, rank
+from weakid.linalg import echelonize, left_kernel, rank, rank_mod2
 from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
                            is_weak_identity, poly_eval_row, proper_image_rank,
                            weak_identities_within, weak_identity_witness)
 from weakid.tideal import metabelian
 
-from tests.eval_oracle import (MAT_ZERO, brute_eval, coords, decoded_rows,
-                               first_failing_basis_substitution,
+from tests.eval_oracle import (MAT_ZERO, at_diagonal_x1, brute_eval, coords,
+                               decoded_rows, first_failing_basis_substitution,
                                generic_coords, generic_eval, mat_add, mat_mul,
                                mat_scale, mat_transpose, package_coords,
                                swap_a_c, table_image_rank)
@@ -68,11 +69,11 @@ def brute_kernel_dim(family):
 
 
 def test_eval_single_variable():
-    assert decoded_rows([(1,)]) == [{(0, (0,)): 1, (1, (1,)): 1,
-                                      (2, (1,)): 1, (3, (2,)): 1}]
+    # x1 is diag(a1, c1): slot 1 (b1) never occurs
+    assert decoded_rows([(1,)]) == [{(0, (0,)): 1, (3, (2,)): 1}]
     # width 1: key = entry + 4 * 2**slot; only the first row is evaluated
-    assert eval_rows([(1,)], 1) == [{0 + 4 * 1: 1, 1 + 4 * 2: 1}]
-    assert package_coords(x1) == generic_coords(x1)
+    assert eval_rows([(1,)], 1) == [{0 + 4 * 1: 1}]
+    assert package_coords(x1) == at_diagonal_x1(generic_coords(x1))
 
 
 def test_eval_unit():
@@ -96,17 +97,22 @@ def test_packed_keys_do_not_carry_at_width_boundaries(length):
     # x1^L puts exponent L on one slot and (x1 x2)^L exponents up to L on
     # slots of two letters; L = 2**w - 1 and 2**w fill a field or widen it
     for f in (x1 ** length, (x1 * x2) ** length):
-        assert package_coords(f) == generic_coords(f)
+        assert package_coords(f) == at_diagonal_x1(generic_coords(f))
         assert matrep._width(list(f.terms)) == length.bit_length()
 
 
-def _oracle_table(words, entries=(0, 1)):
+def _oracle_table(words, entries=(0, 1), diagonal_x1=False):
     """Rows built from the oracle's evaluation of each word at the
-    given entries (the first row by default, as ``eval_table`` keeps), with
+    given entries (the first row by default, as ``eval_table`` keeps),
+    fully generic or at x1 = diag(a1, c1) (``at_diagonal_x1``), with
     columns sorted by (rows touching the column, deg-lex order of
     (monomial, entry))."""
-    coords_ = [{k: v for k, v in generic_coords(NcPoly({w: 1})).items()
-                if k[0] in entries} for w in words]
+    coords_ = []
+    for w in words:
+        c = generic_coords(NcPoly({w: 1}))
+        if diagonal_x1:
+            c = at_diagonal_x1(c)
+        coords_.append({k: v for k, v in c.items() if k[0] in entries})
     counts = {}
     for c in coords_:
         for k in c:
@@ -130,12 +136,14 @@ _TABLE_UNIVERSES = pytest.mark.parametrize(
 
 @_TABLE_UNIVERSES
 def test_eval_table_matches_the_oracle_table(words):
-    assert eval_table.__wrapped__(words) == _oracle_table(words)
+    assert eval_table.__wrapped__(words) == _oracle_table(
+        words, diagonal_x1=True)
 
 
 @_TABLE_UNIVERSES
 def test_first_row_table_has_the_rank_of_the_whole_matrix(words):
-    # the second row is the first reflected, so dropping it loses no rank
+    # the second row is the first reflected, so dropping it loses no rank;
+    # nor does x1 = diag(a1, c1): the oracle's table here is fully generic
     full = _oracle_table(words, entries=(0, 1, 2, 3))
     assert rank(eval_table(words)) == rank(full)
 
@@ -152,20 +160,24 @@ def _at_point(coords_, point):
 
 def test_eval_commutator_structure():
     # [x1, x2] evaluates to mu*(e12 - e21) with
-    # mu = a1 b2 + b1 c2 - a2 b1 - b2 c1; cross-checked against the hand oracle
+    # mu = a1 b2 + b1 c2 - a2 b1 - b2 c1; cross-checked against the hand
+    # oracle.  The package reads it at b1 = 0: mu = a1 b2 - b2 c1.
+    full = generic_coords(comm(x1, x2))
     ev = package_coords(comm(x1, x2))
-    assert ev == generic_coords(comm(x1, x2))
-    assert {e for e, _ in ev} == {1, 2}
+    assert ev == at_diagonal_x1(full)
+    assert {e for e, _ in ev} == {e for e, _ in full} == {1, 2}
     mu = {(0, 4): Fraction(1), (1, 5): Fraction(1),
           (1, 3): Fraction(-1), (2, 4): Fraction(-1)}
-    assert {m: c for (e, m), c in ev.items() if e == 1} == mu
-    assert {m: -c for (e, m), c in ev.items() if e == 2} == mu
+    assert {m: c for (e, m), c in full.items() if e == 1} == mu
+    assert {m: -c for (e, m), c in full.items() if e == 2} == mu
+    assert {m: c for (e, m), c in ev.items() if e == 1} == {
+        (0, 4): 1, (2, 4): -1}
 
     g = ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(3)))
     h = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(5)))
     by_hand = mat_add(mat_mul(g, h), mat_scale(-1, mat_mul(h, g)))
     point = dict(enumerate((1, 2, 3, 0, 1, 5)))
-    assert _at_point(ev, point) == by_hand
+    assert _at_point(full, point) == by_hand
 
 
 small_coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -186,13 +198,14 @@ def nc_polys(draw):
 def test_eval_is_homomorphism(f, g):
     lhs = package_coords(f * g)
     rhs = coords(mat_mul(generic_eval(f), generic_eval(g)))
-    assert lhs == rhs
+    assert lhs == at_diagonal_x1(rhs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(nc_polys())
 def test_involution_transpose_intertwining(f):
-    assert package_coords(involution(f)) == coords(mat_transpose(generic_eval(f)))
+    assert package_coords(involution(f)) == at_diagonal_x1(
+        coords(mat_transpose(generic_eval(f))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,7 +221,7 @@ def test_second_row_is_the_first_row_reflected(f):
 def test_poly_eval_row_on_fractional_coefficients():
     f = parse_poly("1/3*x*y - 2/5*y*x + 7/6*x*x*y")
     ours = package_coords(f)
-    assert ours == generic_coords(f)
+    assert ours == at_diagonal_x1(generic_coords(f))
     assert any(type(v) is Fraction and v.denominator > 1 for v in ours.values())
     # integral input stays integral
     assert all(type(v) is int for v in package_coords(comm(x1, x2)).values())
@@ -509,6 +522,24 @@ def homogeneous_families(draw):
 @given(homogeneous_families())
 def test_image_rank_matches_the_table_route_on_drawn_families(family):
     assert image_rank(family) == table_image_rank(family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(homogeneous_families())
+def test_image_rank_is_the_rank_of_the_fully_generic_rows(family):
+    """x1 = diag(a1, c1) keeps the kernel on every span: the rank equals
+    that of the oracle's four entries with x1 fully generic."""
+    assert image_rank(family) == rank([generic_coords(f) for f in family])
+
+
+@pytest.mark.parametrize("n,kernel", [(4, 4), (5, 55), (6, 516)])
+def test_diagonal_rows_rank_mod2_is_the_exact_rank(n, kernel):
+    """The rows ``tideal._kernel_bound`` ranks, x1 diagonal, keep the bound
+    tight: their rank mod 2 is their exact rank, the codimension of the
+    kernel."""
+    rows = eval_rows(multilinear_words(n), 1)
+    assert rank_mod2(rows) == factorial(n) - tideal.pn_kernel_dim(n)
+    assert tideal.pn_kernel_dim(n) == kernel
 
 
 def test_image_rank_complements_kernel():
