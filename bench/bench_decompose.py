@@ -16,9 +16,9 @@ owns, one at a time and with their parts timed:
   id-block rows are the basis) and the rest of ``weak_identities_within``
   (``recombine_s``: the RREF rows, the ``poly_eval_row`` calls that combine
   them by the kernel rows, and the elimination of the combinations);
-- the first read of the kernel's RREF (``kernel_rref_s``: the
-  back-substitution of ``Subspace.rows``), timed apart so that no check
-  below is charged for it;
+- the first read of the kernel's RREF (``kernel_rref_s``: ``Subspace.rows``
+  divides each stored row by its pivot entry), timed apart so that no
+  check below is charged for it;
 - ``repthy.decompose_quotient`` (``decompose_s``): the stability checks
   (``stable_s``), the check that the kernel lies in Gamma_n
   (``contained_s``) and the traces (``trace_s``).

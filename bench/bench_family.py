@@ -13,8 +13,11 @@ calls, the certification's and the base's (``specializations_s``), the
 certification of the unit specializations by ``is_weak_identity``
 (``certify_s``) and the elimination (``eliminate_s``).
 It also counts the members, the base, the left multiples and the circle
-expansions.  Another child times ``verify_degree(n)`` end to end
-(``verify_s``, with the report's own ``timings_ms``).  Prints one JSON
+expansions.  A second child counts the rows the elimination reads before
+``stop_dim`` (``read``) and how many of them reduce to zero (``zero``),
+apart from the timings, which the counting would weigh on.  Another child
+times ``verify_degree(n)`` end to end (``verify_s``, with the report's own
+``timings_ms`` and the process's ``max_rss_mb``).  Prints one JSON
 object.  Run from the repository root:
 
     PYTHONPATH=src python bench/bench_family.py [--degrees 4,5,6]
@@ -22,6 +25,7 @@ object.  Run from the repository root:
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 
@@ -70,15 +74,50 @@ def layers(n):
     return out
 
 
+def elimination(n):
+    """The rows the degree-n elimination reads (``read``) and those that
+    reduce to zero (``zero``), counted at each ``Subspace._add`` while
+    ``tideal.echelonize`` runs; the degrees below are built uncounted."""
+    from weakid import linalg, tideal
+
+    gens = tideal.default_generators()
+    if n > 1:
+        tideal.consequences_span(gens, n - 1)
+    counts = {"read": 0, "zero": 0}
+    add = linalg.Subspace._add
+
+    def counted(space, v):
+        dim = space.dim
+        add(space, v)
+        counts["read"] += 1
+        counts["zero"] += space.dim == dim
+
+    echelonize = tideal.echelonize
+
+    def counting(*args, **kwargs):
+        linalg.Subspace._add = counted
+        try:
+            return echelonize(*args, **kwargs)
+        finally:
+            linalg.Subspace._add = add
+
+    tideal.echelonize = counting
+    tideal._consequences(gens, n)
+    return counts
+
+
 def verify(n):
     from weakid import tideal
 
     t0 = time.perf_counter()
     report = tideal.verify_degree(n)
     return {"verify_s": round(time.perf_counter() - t0, 6),
-            "timings_ms": report.timings_ms, "equal": report.equal}
+            "timings_ms": report.timings_ms, "equal": report.equal,
+            "max_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 if __name__ == "__main__":
     sys.exit(harness.main(__file__, __doc__,
-                          {"layers": layers, "verify": verify}))
+                          {"layers": layers, "elimination": elimination,
+                           "verify": verify}))

@@ -13,9 +13,10 @@ appears.  The elimination engine works on content-normalized integer rows
 arithmetic is both exact and fast), and integer input reaches it without
 building a single ``Fraction``.
 
-Row spaces are presented in reduced row echelon form.  RREF is unique for a
-given row space, so results do not depend on the order in which vectors are
-fed in.
+Row spaces are held in reduced row echelon form as they are built
+(Gauss-Jordan), so a row is reduced in one pass over its pivot entries.
+RREF is unique for a given row space, so results do not depend on the
+order in which vectors are fed in.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "left_kernel",
     "intersection_dim",
 ]
-
-_STRIP_EVERY = 8  # axpy steps between content reductions of a work vector
 
 
 def _strip(row):
@@ -59,43 +58,34 @@ def _int_row(vec):
     return {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
 
 
-def _back_substitute(rows):
-    """Turn forward-echelon rows (pivot -> row) into RREF, in place."""
-    pivots = sorted(rows)
-    for i in range(len(pivots) - 1, -1, -1):
-        p = pivots[i]
-        rp = rows[p]
-        a = rp[p]
-        for q in pivots[:i]:
-            rq = rows[q]
-            b = rq.get(p)
-            if not b:
-                continue
-            for c in rq:
-                rq[c] *= a
-            for c, x in rp.items():
-                y = rq.get(c, 0) - b * x
-                if y:
-                    rq[c] = y
-                else:
-                    rq.pop(c, None)
-            _strip(rq)
+def _axpy(row, a, b, v):
+    """row := a*row - b*v, in place, dropping the entries that cancel."""
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, x in v.items():
+        y = row.get(c, 0) - b * x
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
 
 
 class Subspace:
     """A vector subspace of Q^N held as a reduced row echelon basis.
 
-    Internally rows are content-1 integer vectors with a positive lead, one
-    per pivot, built by ``_add``; the ``rows`` property back-substitutes
-    them on its first read and materializes the usual pivot-is-1 RREF as
-    dicts.  Once built, instances are conceptually immutable: that read is
-    a cached, deterministic normalization and every query is read-only.
+    Internally rows are integer vectors, one per pivot, each content-1 with
+    a positive lead and zero at every other pivot; ``_add`` keeps that
+    invariant as the space is built.  The ``rows`` property divides each by
+    its lead and materializes the usual pivot-is-1 RREF as dicts.  Once
+    built, instances are conceptually immutable: that read is a cached,
+    deterministic normalization and every query is read-only.
     """
 
     __slots__ = ("_rows", "_rref")
 
     def __init__(self, rows):
-        self._rows = rows  # pivot column -> content-1 integer row
+        self._rows = rows  # pivot column -> reduced content-1 integer row
         self._rref = None
 
     @classmethod
@@ -115,9 +105,8 @@ class Subspace:
     def rows(self):
         """RREF rows in increasing pivot order: dicts with pivot value 1 and
         keys in increasing column order.  Every caller gets the same cached
-        dicts, so they are read-only."""
+        dicts, so they are read-only; the stored rows are left as they are."""
         if self._rref is None:
-            _back_substitute(self._rows)
             out = []
             for p in sorted(self._rows):
                 piv = self._rows[p][p]
@@ -127,42 +116,39 @@ class Subspace:
         return self._rref
 
     def _reduce(self, v):
-        """Destructively reduce an integer row v against the stored rows;
-        returns v.  Forward Gaussian elimination, one pivot per column."""
+        """Destructively reduce an integer row v against the stored rows and
+        strip it; returns v.  One pass over v's pivot entries, in any order:
+        a stored row is zero at every other pivot, so subtracting it changes
+        no other pivot entry of v, and the result is the same."""
         rows = self._rows
-        steps = 0
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                break
-            a = row[lead]
-            b = v.pop(lead)
-            # v := a*v - b*row ; the lead entries cancel exactly
-            if a != 1:
-                for c in v:
-                    v[c] *= a
-            for c, x in row.items():
-                if c == lead:
-                    continue
-                y = v.get(c, 0) - b * x
-                if y:
-                    v[c] = y
-                else:
-                    v.pop(c, None)
-            steps += 1
-            if steps % _STRIP_EVERY == 0 and v:
-                _strip(v)
-        return _strip(v) if v else v
+        for p in v.keys() & rows.keys():
+            row = rows[p]
+            _axpy(v, row[p], v[p], row)  # the entries at p cancel exactly
+        return _strip(v)
 
     def _add(self, v):
-        """Insert a (destructible) integer row while the space is built."""
+        """Insert a (destructible) integer row while the space is built, and
+        clear its pivot from every stored row."""
         v = self._reduce(v)
-        if v:
-            self._rows[min(v)] = v
+        if not v:
+            return
+        p = min(v)
+        a = v[p]
+        rows = self._rows
+        for q, row in [(q, row) for q, row in rows.items() if p in row]:
+            _axpy(row, a, row[p], v)  # a > 0 keeps the lead row[q] positive
+            if row[q] != 1:  # a lead of 1 leaves no content to divide out
+                _strip(row)
+        rows[p] = v
 
     def contains(self, vec):
-        return not self._reduce(_int_row(vec))
+        """True iff vec lies in the space.  A member's least column is a
+        pivot, so a vector whose least column is not one is told apart at
+        once; any other is reduced."""
+        v = _int_row(vec)
+        if v and min(v) not in self._rows:
+            return False
+        return not self._reduce(v)
 
     def contains_all(self, vectors):
         """True iff every vector lies in the space, read off the RREF rows
@@ -176,7 +162,7 @@ class Subspace:
         Fraction; explicit zeros are dropped.  Every pivot entry of v is
         subtracted before a non-member is told apart, so a single query,
         likely a non-member, is cheaper through ``contains``, which stops
-        at the first lead without a pivot row.
+        when the least column is not a pivot.
         """
         by_pivot = dict(zip(self.pivots, self.rows))
         for v in vectors:
@@ -209,13 +195,13 @@ class Subspace:
 def echelonize(vectors, *, stop_dim=None):
     """Reduced row echelon basis of the span of the given vectors.
 
-    The vectors are inserted in the order given, each reduced against the
-    pivot rows before it, so a row that leads at a column no earlier row
-    leads at is stored as it stands after one lookup.  The span does not
-    depend on the order, but the work does: callers pass rows in an order
-    that does not change between runs.  ``stop_dim`` aborts insertion once
-    that dimension is reached; callers use it only when the span is
-    independently known to be capped at stop_dim.
+    The vectors are inserted in the order given, each reduced in one pass
+    against the rows before it; a row that meets no earlier pivot is stored
+    as it stands.  The span does not depend on the order, but the work
+    does: callers pass rows in an order that does not change between runs.
+    ``stop_dim`` aborts insertion once that dimension is reached; callers
+    use it only when the span is independently known to be capped at
+    stop_dim.
     """
     space = Subspace({})
     for v in vectors:
@@ -265,8 +251,9 @@ def left_kernel(rows):
     whose original part dies leaves its combination recorded in the id block.
     Denominators are cleared from each augmented row as a whole, so the id
     block records combinations of the rows as given.  A stored row that
-    leads in the id block has no entry outside it: shifted back, it is a
-    stored kernel row as it stands, and ``rows`` back-substitutes them.
+    leads in the id block has no entry outside it, and it is zero at every
+    other pivot: shifted back, these rows are the kernel's reduced rows as
+    they stand.
     """
     offset = 1 + max((c for r in rows for c in r), default=-1)
     space = Subspace({})

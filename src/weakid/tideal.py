@@ -96,8 +96,8 @@ __all__ = [
     "DegreeReport",
 ]
 
-# Highest degree the consequence engine accepts: degree 7 takes about 15 s
-# and 65 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
+# Highest degree the consequence engine accepts: degree 7 takes about 2.5 s
+# and 85 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
 _MAX_DEGREE = 7
 
 # Consequence spans, and unit specializations, kept, keyed by (generators,

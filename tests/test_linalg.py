@@ -258,8 +258,68 @@ def test_equal_subspaces_built_in_different_orders_compare_and_hash_equal(data):
     for r in shuffled:
         built._add(linalg._int_row(r))
     early = echelonize(rows)
-    assert early.rows is early.rows  # read early: back-substituted and cached
+    assert early.rows is early.rows  # read early: normalized and cached
     assert built == early and hash(built) == hash(early)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_stored_rows_are_reduced_and_independent_of_the_insertion_order(data):
+    """After every insertion each stored row is content-1, has a positive
+    lead at its pivot and is zero at every other pivot; the stored rows are
+    the same for any order, and reading ``rows`` leaves them as they are."""
+    rows, _ = data.draw(sparse_matrices())
+    shuffled = data.draw(st.permutations(rows))
+    built = linalg.Subspace({})
+    for r in shuffled:
+        built._add(linalg._int_row(r))
+        for p, row in built._rows.items():
+            assert min(row) == p and row[p] > 0
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1
+            assert not row.keys() & built._rows.keys() - {p}
+    stored = {p: dict(row) for p, row in built._rows.items()}
+    assert echelonize(rows)._rows == stored
+    assert len(built.rows) == len(stored)
+    assert built._rows == stored
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_contains_agrees_with_the_rank_oracle(matrix, data):
+    """Members, non-members whose least column is a pivot and non-members
+    whose least column is not (told apart before any reduction): ``contains``
+    is rank(rows + [v]) == rank(rows) on each.  Column ncols is in no row,
+    so it is never a pivot."""
+    rows, ncols = matrix
+    space = echelonize(rows)
+    member = {}
+    for row in space.rows:
+        a = data.draw(small_number)
+        for c, x in row.items():
+            member[c] = member.get(c, 0) + a * x
+    member = {c: x for c, x in member.items() if x}
+    free = data.draw(st.sampled_from(
+        [c for c in range(ncols + 1) if c not in space.pivots]))
+    no_pivot_lead = {c: x for c, x in member.items() if c > free}
+    no_pivot_lead[free] = data.draw(small_number.filter(bool))
+    cases = [(member, True), (no_pivot_lead, False)]
+    if space.dim:
+        p = data.draw(st.sampled_from(space.pivots))
+        pivot_lead = {**space.rows[space.pivots.index(p)], ncols: 1}
+        cases.append((pivot_lead, False))
+    for v, want in cases:
+        assert space.contains(v) == want == (rank(rows + [v]) == rank(rows))
+
+
+def test_contains_tells_a_lead_without_a_pivot_apart_unreduced(monkeypatch):
+    space = echelonize([{0: 1, 2: 1}, {1: 2, 3: 1}])
+
+    def refuse(*args):
+        raise AssertionError("a vector leading off the pivots was reduced")
+
+    monkeypatch.setattr(linalg.Subspace, "_reduce", refuse)
+    assert not space.contains({2: 1, 3: 5})
 
 
 @settings(max_examples=100, deadline=None)

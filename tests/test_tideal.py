@@ -322,8 +322,8 @@ def test_base_rows_do_not_depend_on_the_presentation(name):
 def test_stored_rows_do_not_depend_on_the_presentation(name):
     """The elimination stores the same rows, under the same pivots, for
     every presentation of the same generators, so its work is the same.
-    The stored rows are read before ``rows`` back-substitutes them, that is
-    before the next degree is built, so each presentation starts cold."""
+    The stored rows are reduced as they are built, and the span cache is
+    cleared before each presentation, so each presentation starts cold."""
     from weakid.tideal import _consequences
 
     def stored(gens):
