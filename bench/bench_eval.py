@@ -1,18 +1,17 @@
-"""Time the generic evaluation table and its rank, the first layers of every
-proof step, and the Hilbert series' evaluation rows and ranks.
+"""Time the generic evaluation rows and the kernel dimension, the first
+layers of every proof step, and the Hilbert series' evaluation rows and
+ranks.
 
-Builds ``matrep.eval_table`` without its cache on the multilinear words of
-each requested degree, and ``matrep.proper_rows`` of one walk at x1 = E11
-(what ``proper_image_rank`` reads) on the word universes of the Hilbert
-series to degree 7 (the two-variable commutator families of every bidegree of total
-degree at most 7), and prints one JSON object with the best wall time of
-five builds per universe (``s``).  Each multilinear table also gets the
-best time of five ``linalg.rank`` calls on its rows in the order
-``tideal.pn_kernel_dim`` passes them, short first (``rank_s``, the exact
-rank), and each degree the best time of five ``linalg.rank_mod2`` calls on
-the rows of one walk (``eval_rows`` at width 1) as it returns them, what
-``tideal._kernel_bound`` ranks (``rank_mod2_s``), with their nonzeros
-(``walk_nnz``).
+Walks ``matrep.eval_rows`` on the multilinear words of each requested
+degree, and ``matrep.proper_rows`` at x1 = E11 (what ``proper_image_rank``
+reads) on the word universes of the Hilbert series to degree 7 (the
+two-variable commutator families of every bidegree of total degree at most
+7), and prints one JSON object with the best wall time of five walks per
+universe (``s``) and the rows' nonzeros (``nnz``).  Each degree also gets
+the best time of five ``linalg.rank_mod2`` calls on its walk's rows as the
+walk returns them, what ``tideal._kernel_bound`` ranks (``rank_mod2_s``),
+and of five uncached ``tideal.pn_kernel_dim`` calls, the exact kernel
+dimension from GL(3) weight spaces (``kernel_dim_s``).
 ``hilbert_s`` is the best of five cold ``series.image_dims(n)`` at n = 7
 and 9, every cache of the package cleared before each.  ``check`` times
 what ``weakid check`` does to a fixed list of ``CHECKS`` expressions of
@@ -32,11 +31,11 @@ import platform
 import sys
 import time
 
-from weakid import freealg, matrep, series
+from weakid import freealg, matrep, series, tideal
 from weakid.expr import parse_poly
 from weakid.freealg import multilinear_words, two_var_commutator_family
-from weakid.linalg import rank, rank_mod2
-from weakid.matrep import (_width, eval_rows, eval_table, proper_rows,
+from weakid.linalg import rank_mod2
+from weakid.matrep import (_width, eval_rows, proper_rows,
                            weak_identity_witness)
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
@@ -84,14 +83,12 @@ def _e11_rows(words):
     return proper_rows(words, _width(words))
 
 
-def _record_with_rank(words):
-    out = _record(eval_table.__wrapped__, words)
-    rows = eval_table.__wrapped__(words)
-    short_first = sorted(rows, key=lambda r: (len(r), sorted(r.items())))
-    out["rank"], out["rank_s"] = _best(rank, short_first)
-    walk = _walk_rows(words)
-    out["walk_nnz"] = sum(len(r) for r in walk)
-    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, walk)
+def _record_with_kernel(n):
+    words = multilinear_words(n)
+    out = _record(_walk_rows, words)
+    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, _walk_rows(words))
+    out["kernel_dim"], out["kernel_dim_s"] = _best(
+        tideal.pn_kernel_dim.__wrapped__, n)
     return out
 
 
@@ -141,8 +138,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
 
-    multilinear = {str(n): _record_with_rank(multilinear_words(n))
-                   for n in degrees}
+    multilinear = {str(n): _record_with_kernel(n) for n in degrees}
     hilbert = {key: _record(_e11_rows, words)
                for key, words in hilbert_universes(HILBERT_MAX).items()}
     hilbert_s = {str(n): _best(_cold_image_dims, n)[1] for n in HILBERT_COLD}

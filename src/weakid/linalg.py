@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on dict vectors.
 
 Every rank, kernel (``left_kernel``), intersection dimension
 (``intersection_dim``) and subspace comparison in the toolkit runs through

@@ -32,8 +32,8 @@ exponent is at most the number of times its letter occurs, which is below
 2**w.  Multiplying by a letter then adds one precomputed int per coordinate
 and output entry.  Keys of different walks are not comparable; ``_decode``
 turns a key back into (entry, sorted tuple of slots), and is applied once
-per distinct column (``eval_table``) or per final coordinate (the weak
-identity test and the witness), never per row entry.
+per final coordinate (the weak identity test and the witness), never per
+row entry.
 
 Only the first row is evaluated.  Conjugating by P = [[0, 1], [1, 0]]
 sends X_i = [[a_i, b_i], [b_i, c_i]] (b_1 = 0 included) to the same matrix
@@ -46,23 +46,17 @@ whole matrix.  Only the witness, which reports all four entries, rebuilds
 the second row (``_reflected``).
 
 A word evaluates to a matrix whose entries have integer coefficients, so its
-evaluation row is an integer dict.  ``eval_table`` builds those rows once
-per word universe (a sorted tuple of words), with columns numbered
-sparse-first: by the number of rows that touch the column, then in deg-lex
-order of (monomial, entry).  The rank and the kernels do not depend on the
-column order, but the elimination takes its pivots in it, and pivots on
-sparse columns keep the fill-in down.  The exact kernel rank reads the
-multilinear rows from there; the kernel bound, a rank mod 2, ranks one
-walk's rows as they are.
-``image_rank`` reads each word universe of the Hilbert series once, so it
-evaluates each family member by its own terms over the {word: row} dict of
-one walk, keyed by the packed ints, with no word index: a rank depends
-neither on the names nor on the order of the columns, and these
-eliminations (at most a few dozen rows) are too small for the numbering to
-pay for itself.  The weak identity test (which also certifies the
-consequence family) and the witness search read, the same way, the generic
-coordinates of the one polynomial they are given.  The independent
-evaluation oracle the tests check all of this against lives in ``tests/``.
+evaluation row is an integer dict.  Every rank and kernel reads the rows of
+one walk, keyed by its packed ints, as they come: neither depends on the
+names or the order of the columns.  The kernel bound ranks the multilinear
+rows mod 2, and the exact kernel dimension the words of each content in x1,
+x2, x3 (``tideal._cocharacter``).  ``image_rank`` reads each word universe
+of the Hilbert series once, so it evaluates each family member by its own
+terms over the {word: row} dict of one walk, with no word index.  The weak
+identity test (which also certifies the consequence family) and the witness
+search read, the same way, the generic coordinates of the one polynomial
+they are given.  The independent evaluation oracle the tests check all of
+this against lives in ``tests/``.
 
 A proper polynomial (a combination of products of commutators) needs less:
 it may be evaluated at x1 = E11 (``proper_rows``, ``proper_image_rank``).
@@ -81,26 +75,22 @@ such polynomials the two evaluations have the same kernel, hence the same
 rank, as long as each coordinate fixes the x1-degree of what reaches it:
 it is 1 on multilinear words, and on words of one total degree in x1 and
 x2 it is that degree minus the x2-exponents of the coordinate.  The proper
-kernel reads the multilinear E11 rows as they come, with no table: its
-RREF is unique, whatever the column order.  A polynomial that is not
-proper breaks this: x1 [x2, x1] x1 is not a weak identity, but it vanishes at
-x1 = E11, since E11 [X, E11] E11 = 0.
+kernel reads the multilinear E11 rows as they come: its RREF is unique,
+whatever the column order.  A polynomial that is not proper breaks this:
+x1 [x2, x1] x1 is not a weak identity, but it vanishes at x1 = E11, since
+E11 [X, E11] E11 = 0.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
 from math import lcm
 
 from .linalg import echelonize, left_kernel, rank
 
 __all__ = [
-    "eval_table",
     "is_weak_identity",
     "weak_identity_witness",
     "Witness",
@@ -222,31 +212,6 @@ def proper_rows(words, width):
     return [table[w] for w in words]
 
 
-# Word universes eval_table keeps.  Only the exact kernel rank reads it, one
-# universe per degree (its multilinear words), so a small bound costs no
-# recomputation while keeping long sessions from holding every table they
-# ever built.
-_TABLES = 8
-
-
-@lru_cache(maxsize=_TABLES)
-def eval_table(words):
-    """The integer first-row evaluation rows of a sorted tuple of words, one
-    per word in order, with columns numbered sparse-first: by the number of
-    rows that touch the column, then by (entry, monomial) in deg-lex
-    order."""
-    width = _width(words)
-    rows = eval_rows(words, width)
-    counts = Counter(chain.from_iterable(rows))
-
-    def sparse_first(key):
-        entry, m = _decode(key, width)
-        return counts[key], len(m), m, entry
-
-    columns = {k: i for i, k in enumerate(sorted(counts, key=sparse_first))}
-    return tuple({columns[k]: v for k, v in row.items()} for row in rows)
-
-
 def poly_eval_row(coeffs, word_rows):
     """Evaluation coordinates of sum_i coeffs[i] * word_rows[i].
 
@@ -278,10 +243,9 @@ def poly_eval_row(coeffs, word_rows):
 def _generic_coords(f):
     """First-row coordinates {(entry, monomial): value} of f at generic
     symmetric matrices, the least variable diagonal, from a walk over f's
-    own words (no shared table grows); only the final coordinates are
-    decoded.  f's variables are relabelled onto 1..k in increasing order
-    first, since a packed key has a field for every slot up to that of the
-    largest label."""
+    own words; only the final coordinates are decoded.  f's variables are
+    relabelled onto 1..k in increasing order first, since a packed key has a
+    field for every slot up to that of the largest label."""
     label = {v: i for i, v in enumerate(sorted(f.support()), 1)}
     terms = {tuple(label[l] for l in w): c for w, c in f.terms.items()}
     width = _width(terms)
@@ -387,8 +351,8 @@ def weak_identity_witness(f):
 def image_rank(family):
     """Rank of the generic evaluation restricted to the span of the family:
     each member is evaluated by its own terms over the rows of one walk of
-    the family's words, keyed by its packed ints (no table or word index is
-    built or cached)."""
+    the family's words, keyed by its packed ints (no word index is built or
+    cached)."""
     return _image_rank(family, eval_rows)
 
 

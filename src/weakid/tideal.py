@@ -49,7 +49,7 @@ elimination may stop once it reaches the kernel dimension.  The second check
 needs only dim kernel <= dim span, so the kernel dimension is bounded from
 above by n! minus the evaluation rows' rank mod 2 (``_kernel_bound``); a
 certified span of that dimension is the whole kernel.  Where the bound is not
-reached, the exact rank over Q decides (``verify_degree``).
+reached, the exact one from GL(3) weight spaces decides (``pn_kernel_dim``).
 
 The pass evaluates only the unit specializations (``_specializations``), by
 ``is_weak_identity``, and takes the rest of the family by induction on the
@@ -73,16 +73,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .freealg import (NcPoly, coeff_vector, comm, linearize, multilinear_words,
-                      proper_span, standard_poly, word_index)
+                      perm_sign, proper_span, standard_poly, word_index)
 from .linalg import (Subspace, _int_row, echelonize, intersection_dim, rank,
                      rank_mod2)
-from .matrep import (eval_rows, eval_table, is_weak_identity, proper_rows,
+from .matrep import (_width, eval_rows, is_weak_identity, proper_rows,
                      weak_identities_within)
-from .repthy import _swaps, decompose_quotient
+from .repthy import _swaps, decompose_quotient, sym_dim
 
 __all__ = [
     "metabelian",
@@ -227,14 +227,47 @@ def _base(gens, n):
 # -- the full multilinear component -------------------------------------------
 
 
+def _cocharacter(n):
+    """The Sym(n)-multiplicities {partition: m} of P_n/K_n, K the weak
+    identities, from GL(3) weight spaces (Drensky, *Free Algebras and
+    PI-Algebras*, 2000; Berele, *Homogeneous polynomial identities*, 1982).
+
+    K is stable under linear substitutions, since a combination of symmetric
+    matrices is symmetric.  So the degree-n part of F_3/K (F_3 free on x1,
+    x2, x3) is a GL(3)-module sum m_lam * W_lam, with the m_lam of P_n/K_n
+    for every lam of at most three parts, and P_n/K_n has no other: it
+    embeds in the multilinear maps H^n -> M_2, H the symmetric matrices, and
+    dim H = 3 (Schur-Weyl).  The weight space of content
+    c is spanned by the words of content c, so its dimension d(c) is the
+    rank of their evaluation rows, and a permuted c gives the same.  Weyl's
+    character formula inverts these: m_lam = sum over s in Sym(3) of
+    sgn(s) * d(lam_i - i + s_i), where a weight with a negative part sorts
+    to no content and counts 0.  The formula subtracts, so the ranks must
+    be exact.
+    """
+    contents = {}
+    for w in product((1, 2, 3), repeat=n):
+        contents.setdefault((w.count(1), w.count(2), w.count(3)), []).append(w)
+    d = {c: rank(eval_rows(words, _width(words)))
+         for c, words in contents.items() if c[0] >= c[1] >= c[2]}
+    out = {}
+    for lam in d:
+        m = 0
+        for s in permutations(range(3)):
+            weight = (p - i + j for i, (p, j) in enumerate(zip(lam, s)))
+            m += perm_sign(s) * d.get(tuple(sorted(weight, reverse=True)), 0)
+        if m:
+            out[tuple(p for p in lam if p)] = m
+    return out
+
+
 @lru_cache(maxsize=None)
 def pn_kernel_dim(n):
-    """Dimension of the weak identities inside the multilinear component, the
-    exact-rank fallback of ``verify_degree``: the table's rows are eliminated
-    short first, in a canonical order, faster than in word order."""
-    rows = sorted(eval_table(multilinear_words(n)),
-                  key=lambda r: (len(r), sorted(r.items())))
-    return factorial(n) - rank(rows)
+    """Dimension of the weak identities inside the multilinear component,
+    the exact fallback of ``verify_degree``: n! minus the dimension of
+    P_n/K_n, sum m_lam * f^lam over ``_cocharacter(n)``."""
+    return factorial(n) - sum(m * sym_dim(lam)
+                              for lam, m in _cocharacter(n).items())
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +275,7 @@ def _kernel_bound(n):
     """An upper bound on ``pn_kernel_dim(n)``: the evaluation rows' rank
     mod 2 is at most their rank over Q (``rank_mod2``).  The rows, x1
     diagonal (the kernel of the generic rows, with half the nonzeros;
-    ``matrep``), are ranked as one walk returns them, with no table."""
+    ``matrep``), are ranked as one walk returns them."""
     return factorial(n) - rank_mod2(eval_rows(multilinear_words(n), 1))
 
 
@@ -372,8 +405,8 @@ def verify_degree(n, *, generators=None, proper=False, with_decomposition=False)
     span.  Equality additionally needs the dimensions to match.  In the
     full component dim span <= dim kernel <= ``_kernel_bound(n)`` once the
     family is certified, so a span of the bound's dimension closes the
-    sandwich and the bound is the kernel dimension; otherwise the kernel
-    dimension is the exact rank (``pn_kernel_dim``).
+    sandwich and the bound is the kernel dimension; otherwise it is the
+    exact one from the GL(3) weight spaces (``pn_kernel_dim``).
     ``proper`` restricts both sides to the proper (commutator-product)
     component.  The proper consequence dimension is dim span + dim Gamma -
     rank(span rows + Gamma rows): the dimension formula for an intersection,

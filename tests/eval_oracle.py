@@ -10,11 +10,12 @@ x_i -> [[a_i, b_i], [b_i, c_i]], with slots 3*(i-1) + 0/1/2, x1 included;
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
-from weakid.freealg import coeff_vector, word_index
+from weakid.freealg import multilinear_words
 from weakid.linalg import rank
 from weakid.matrep import (BASIS_MATRICES, _decode, _width, eval_rows,
-                           eval_table, poly_eval_row)
+                           poly_eval_row)
 
 
 class Comm:
@@ -145,15 +146,10 @@ def package_coords(f):
                          decoded_rows(words))
 
 
-def table_image_rank(family):
-    """The image rank by the package's earlier route: the family's rows
-    combined from ``eval_table`` (columns renumbered sparse-first) instead
-    of from the packed keys of one walk.  Reads the package's table, so it
-    checks that the column numbering does not change the rank."""
-    words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = word_index(words), eval_table.__wrapped__(words)
-    return rank([poly_eval_row(coeff_vector(f, index), word_rows)
-                 for f in family])
+def exact_kernel_dim(n):
+    """dim K_n by the direct route: n! minus the exact rank of all n!
+    multilinear evaluation rows."""
+    return factorial(n) - rank(eval_rows(multilinear_words(n), 1))
 
 
 def oracle_is_weak_identity(f):

@@ -7,16 +7,14 @@ def test_bench_eval_prints_json_at_degree_4():
     result = run_bench("bench_eval.py", "--degrees", "4")
     assert result["multilinear"]["4"]["words"] == 24
     assert result["multilinear"]["4"]["s"] > 0
-    # the kernel rank of the degree-4 table: 4! - 4 weak identities
-    assert result["multilinear"]["4"]["rank"] == 20
-    assert result["multilinear"]["4"]["rank_s"] > 0
+    assert result["multilinear"]["4"]["nnz"] > 0
+    # the exact kernel dimension at degree 4: 4 weak identities
+    assert result["multilinear"]["4"]["kernel_dim"] == 4
+    assert result["multilinear"]["4"]["kernel_dim_s"] > 0
     # the rank mod 2 of the walk's rows, which the kernel bound ranks, is
-    # tight here
+    # tight here: 4! - 4
     assert result["multilinear"]["4"]["rank_mod2"] == 20
     assert result["multilinear"]["4"]["rank_mod2_s"] > 0
-    # the walk's rows are the table's, columns unnumbered
-    assert (result["multilinear"]["4"]["walk_nnz"]
-            == result["multilinear"]["4"]["nnz"])
     # bidegrees (dx, dy) with dx, dy >= 1 and dx + dy <= 7
     assert len(result["hilbert"]["bidegrees"]) == 1 + 2 + 3 + 4 + 5 + 6
     # the E11 walk's rows of bidegree (1, 1): x1 x2 and x2 x1

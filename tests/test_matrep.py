@@ -16,7 +16,7 @@ from weakid import matrep, series, tideal
 from weakid.cli import main
 from weakid.expr import parse_poly
 from weakid.linalg import echelonize, left_kernel, rank, rank_mod2
-from weakid.matrep import (BASIS_MATRICES, eval_rows, eval_table, image_rank,
+from weakid.matrep import (BASIS_MATRICES, eval_rows, image_rank,
                            is_weak_identity, poly_eval_row, proper_image_rank,
                            weak_identities_within, weak_identity_witness)
 from weakid.tideal import metabelian
@@ -25,7 +25,7 @@ from tests.eval_oracle import (MAT_ZERO, at_diagonal_x1, brute_eval, coords,
                                decoded_rows, first_failing_basis_substitution,
                                generic_coords, generic_eval, mat_add, mat_mul,
                                mat_scale, mat_transpose, package_coords,
-                               swap_a_c, table_image_rank)
+                               swap_a_c)
 from tests.linalg_oracles import subspace_intersect
 
 x1, x2, x3, x4 = (NcPoly.variable(i) for i in range(1, 5))
@@ -101,27 +101,6 @@ def test_packed_keys_do_not_carry_at_width_boundaries(length):
         assert matrep._width(list(f.terms)) == length.bit_length()
 
 
-def _oracle_table(words, entries=(0, 1), diagonal_x1=False):
-    """Rows built from the oracle's evaluation of each word at the
-    given entries (the first row by default, as ``eval_table`` keeps),
-    fully generic or at x1 = diag(a1, c1) (``at_diagonal_x1``), with
-    columns sorted by (rows touching the column, deg-lex order of
-    (monomial, entry))."""
-    coords_ = []
-    for w in words:
-        c = generic_coords(NcPoly({w: 1}))
-        if diagonal_x1:
-            c = at_diagonal_x1(c)
-        coords_.append({k: v for k, v in c.items() if k[0] in entries})
-    counts = {}
-    for c in coords_:
-        for k in c:
-            counts[k] = counts.get(k, 0) + 1
-    keys = sorted(counts, key=lambda k: (counts[k], len(k[1]), k[1], k[0]))
-    columns = {k: i for i, k in enumerate(keys)}
-    return tuple({columns[k]: v for k, v in c.items()} for c in coords_)
-
-
 def _bidegree_words(dx, dy):
     return tuple(w for w in itertools.product((1, 2), repeat=dx + dy)
                  if w.count(1) == dx)
@@ -136,16 +115,18 @@ _TABLE_UNIVERSES = pytest.mark.parametrize(
 
 @_TABLE_UNIVERSES
 def test_eval_table_matches_the_oracle_table(words):
-    assert eval_table.__wrapped__(words) == _oracle_table(
-        words, diagonal_x1=True)
+    """Each word's ``eval_rows`` row, decoded and with the second row
+    rebuilt, is the oracle's evaluation at x1 = diag(a1, c1)."""
+    assert decoded_rows(words) == [
+        at_diagonal_x1(generic_coords(NcPoly({w: 1}))) for w in words]
 
 
 @_TABLE_UNIVERSES
 def test_first_row_table_has_the_rank_of_the_whole_matrix(words):
     # the second row is the first reflected, so dropping it loses no rank;
-    # nor does x1 = diag(a1, c1): the oracle's table here is fully generic
-    full = _oracle_table(words, entries=(0, 1, 2, 3))
-    assert rank(eval_table(words)) == rank(full)
+    # nor does x1 = diag(a1, c1): the oracle's rows here are fully generic
+    full = [generic_coords(NcPoly({w: 1})) for w in words]
+    assert rank(eval_rows(words, matrep._width(words))) == rank(full)
 
 
 def _at_point(coords_, point):
@@ -240,9 +221,8 @@ def test_eval_rows_are_integral():
 def test_proper_verify_evaluates_the_words_once(monkeypatch):
     """Every package module's name for ``eval_rows`` is counted, so a walk
     reached through a name imported elsewhere counts too."""
-    for cached in (matrep.eval_table, tideal.pn_kernel_dim,
-                   tideal._kernel_bound, tideal._consequences,
-                   tideal.proper_kernel):
+    for cached in (tideal.pn_kernel_dim, tideal._kernel_bound,
+                   tideal._consequences, tideal.proper_kernel):
         cached.cache_clear()
     calls = []
     real = matrep.eval_rows
@@ -259,29 +239,6 @@ def test_proper_verify_evaluates_the_words_once(monkeypatch):
     report = tideal.verify_degree(5, proper=True, with_decomposition=True)
     assert report.equal
     assert calls.count(list(multilinear_words(5))) == 1
-
-
-@pytest.mark.parametrize("run", [
-    lambda: tideal.verify_degree(5).equal,
-    lambda: tideal.consequences_span(None, 5).dim == 55,
-], ids=["verify_degree", "consequences_span"])
-def test_default_proof_builds_no_table_and_keeps_no_walk(run, monkeypatch):
-    """The kernel bound ranks the walk's rows as they come: a cold default
-    proof builds no sparse-first table, under any module's name for
-    ``eval_table``, and no cache keeps the walk."""
-    for cached in (matrep.eval_table, tideal.pn_kernel_dim,
-                   tideal._kernel_bound, tideal._consequences):
-        cached.cache_clear()
-
-    def refuse(words):
-        raise AssertionError("an evaluation table was built")
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("weakid"):
-            for name, value in list(vars(module).items()):
-                if value is matrep.eval_table:
-                    monkeypatch.setattr(module, name, refuse)
-    assert run()
 
 
 # -- weak identity testing -----------------------------------------------------
@@ -387,31 +344,6 @@ def test_check_evaluates_a_non_identity_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def _hilbert_universe(dx, dy):
-    return tuple(sorted({w for f in series._family(dx, dy) for w in f.terms}))
-
-
-def test_eval_table_cache_is_bounded():
-    eval_table.cache_clear()
-    bidegrees = ((1, 1), (2, 1), (3, 2), (4, 3))
-    universes = [multilinear_words(n) for n in range(1, 7)] + [
-        _hilbert_universe(dx, dy) for dx, dy in bidegrees]
-    for words in universes:
-        eval_table(words)
-    info = eval_table.cache_info()
-    assert info.maxsize == matrep._TABLES
-    # ten universes, more than the cache keeps
-    assert info.currsize <= matrep._TABLES < info.misses
-
-
-def test_image_dims_leave_the_table_cache_alone():
-    for cached in (series.image_dim, series._family):
-        cached.cache_clear()
-    before = eval_table.cache_info()
-    assert series.image_dims(7) == [1, 0, 1, 2, 4, 6, 9, 12]
-    assert eval_table.cache_info() == before
-
-
 # -- kernels --------------------------------------------------------------------
 
 
@@ -419,7 +351,8 @@ def family_kernel(family):
     """Kernel of (coefficients over the family) -> (generic evaluation), in
     the coordinates of the family list: the weak identities in its span."""
     words = tuple(sorted({w for f in family for w in f.terms}))
-    index, word_rows = word_index(words), eval_table(words)
+    index = word_index(words)
+    word_rows = eval_rows(words, matrep._width(words))
     return left_kernel([poly_eval_row(coeff_vector(f, index), word_rows)
                         for f in family])
 
@@ -458,16 +391,14 @@ def test_kernel_rejects_mixed_degrees():
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_image_rank_matches_the_table_route(n):
-    """The walk's rank, the table's, and the rank at x1 = E11 agree on
-    every bidegree's family, x1 of the higher degree or not, and on the
-    reduced family, whose members have several bidegrees."""
+    """The walk's rank and the rank at x1 = E11 agree on every bidegree's
+    family, x1 of the higher degree or not, and on the reduced family, whose
+    members have several bidegrees."""
     for dx in range(1, n):
         family = list(series._family(dx, n - dx))
-        assert (image_rank(family) == table_image_rank(family)
-                == proper_image_rank(family)), (dx, n - dx)
+        assert image_rank(family) == proper_image_rank(family), (dx, n - dx)
     family = series.tail_family(n)
-    assert (image_rank(family) == table_image_rank(family)
-            == proper_image_rank(family))
+    assert image_rank(family) == proper_image_rank(family)
 
 
 @st.composite
@@ -520,12 +451,6 @@ def homogeneous_families(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(homogeneous_families())
-def test_image_rank_matches_the_table_route_on_drawn_families(family):
-    assert image_rank(family) == table_image_rank(family)
-
-
-@settings(max_examples=100, deadline=None)
-@given(homogeneous_families())
 def test_image_rank_is_the_rank_of_the_fully_generic_rows(family):
     """x1 = diag(a1, c1) keeps the kernel on every span: the rank equals
     that of the oracle's four entries with x1 fully generic."""
@@ -570,21 +495,21 @@ def test_weak_identities_within_fractional_rref_match_family_kernel(n, seed):
         for i, c in k.items():
             g = g + family[i].scale(c)
         expected.append(coeff_vector(g, index))
-    got = weak_identities_within(space, eval_table(words))
+    got = weak_identities_within(space, eval_rows(words, 1))
     assert got == echelonize(expected) and got.dim > 0
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_proper_kernel_matches_the_generic_table(n):
-    """The E11 rows in word order give the RREF the generic table does."""
+    """The E11 rows give the RREF the x1 = diag(a1, c1) rows do."""
     expected = weak_identities_within(proper_span(n),
-                                      eval_table(multilinear_words(n)))
+                                      eval_rows(multilinear_words(n), 1))
     assert tideal.proper_kernel(n).rows == expected.rows
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_proper_kernel_is_full_kernel_intersected(n):
-    word_rows = eval_table(multilinear_words(n))
+    word_rows = eval_rows(multilinear_words(n), 1)
     everything = echelonize([{i: 1} for i in range(len(word_rows))])
     gamma_side = weak_identities_within(proper_span(n), word_rows)
     full_side = weak_identities_within(everything, word_rows)

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -19,7 +20,7 @@ from weakid.tideal import (consequence_family, consequences_span,
                            pn_kernel_dim, verify_degree)
 
 from tests import identities as ids
-from tests.eval_oracle import oracle_is_weak_identity
+from tests.eval_oracle import exact_kernel_dim, oracle_is_weak_identity
 from tests.family_oracles import (base_by_normalized, moves_by_words,
                                   specializations_by_substitution)
 from tests.linalg_oracles import subspace_intersect, subspace_sum
@@ -260,10 +261,10 @@ def test_cold_verify_substitutes_nothing_and_specializes_once(monkeypatch):
     """A cold ``verify_degree(5)`` builds each degree's unit specializations
     once, for the certification and the base together, and never calls
     ``freealg.substitute``, under any module's name for it."""
-    from weakid import freealg, matrep, tideal
+    from weakid import freealg, tideal
 
-    for cached in (matrep.eval_table, tideal._kernel_bound,
-                   tideal._consequences, tideal._specializations):
+    for cached in (tideal._kernel_bound, tideal._consequences,
+                   tideal._specializations):
         cached.cache_clear()
     calls = []
     real = freealg.substitute
@@ -447,14 +448,46 @@ def test_kernel_dims_low_degrees():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_weight_space_kernel_dim_is_the_exact_rank(n):
+    """The weight-space dimension equals n! minus the exact rank of all n!
+    multilinear evaluation rows."""
+    assert pn_kernel_dim(n) == exact_kernel_dim(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cocharacter_matches_the_trace_route(n):
+    """The weight-space multiplicities of P_n/K_n equal the trace
+    decomposition of the whole multilinear space modulo the kernel of its
+    evaluation rows."""
+    from weakid import tideal
+    from weakid.linalg import left_kernel
+    from weakid.matrep import eval_rows
+    from weakid.repthy import decompose_quotient
+
+    everything = echelonize([{i: 1} for i in range(factorial(n))])
+    kernel = left_kernel(eval_rows(multilinear_words(n), 1))
+    assert tideal._cocharacter(n) == decompose_quotient(everything, kernel, n)
+
+
+def test_degree_8_kernel_and_cocharacter():
+    """dim K_8 = 8! - 1,868, from 1,647 words in x1, x2, x3."""
+    from weakid import tideal
+
+    assert pn_kernel_dim(8) == 38452
+    assert tideal._cocharacter(8) == {
+        (8,): 1, (7, 1): 7, (6, 2): 10, (6, 1, 1): 6, (5, 3): 9,
+        (5, 2, 1): 8, (4, 4): 4, (4, 3, 1): 6, (4, 2, 2): 3, (3, 3, 2): 2}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_kernel_bound_is_tight_on_the_tables(n):
-    """The rank mod 2 of each multilinear evaluation table equals its rank
-    over Q, so the bound is the kernel dimension itself."""
+    """The rank mod 2 of each degree's multilinear evaluation rows equals
+    their rank over Q, so the bound is the kernel dimension itself."""
     from weakid import tideal
     from weakid.linalg import rank, rank_mod2
-    from weakid.matrep import eval_table
+    from weakid.matrep import eval_rows
 
-    rows = eval_table(multilinear_words(n))
+    rows = eval_rows(multilinear_words(n), 1)
     assert rank_mod2(rows) == rank(rows)
     assert tideal._kernel_bound(n) == pn_kernel_dim(n)
 
