@@ -25,8 +25,8 @@ owns, one at a time and with their parts timed:
 
 Another child times ``verify_degree(n, proper=True,
 with_decomposition=True)`` end to end (``verify_s``, with the report's
-``proper_ms`` and ``decompose_ms``).  Prints one JSON object.  Run from
-the repository root:
+``proper_ms`` and ``decompose_ms``, and the process's ``max_rss_mb``).
+Prints one JSON object.  Run from the repository root:
 
     PYTHONPATH=src python bench/bench_decompose.py [--degrees 4,5,6]
 """
@@ -34,6 +34,7 @@ the repository root:
 from __future__ import annotations
 
 import importlib
+import resource
 import sys
 import time
 
@@ -98,7 +99,9 @@ def verify(n):
     return {"verify_s": round(time.perf_counter() - t0, 6),
             "proper_ms": report.timings_ms["proper_ms"],
             "decompose_ms": report.timings_ms["decompose_ms"],
-            "equal": report.equal}
+            "equal": report.equal,
+            "max_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 
 if __name__ == "__main__":

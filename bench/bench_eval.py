@@ -2,12 +2,13 @@
 layers of every proof step, and the Hilbert series' evaluation rows and
 ranks.
 
-Walks ``matrep.eval_rows`` on the multilinear words of each requested
+Calls ``matrep.eval_rows`` on the multilinear words of each requested
 degree, and ``matrep.proper_rows`` at x1 = E11 (what ``proper_image_rank``
 reads) on the word universes of the Hilbert series to degree 7 (the
 two-variable commutator families of every bidegree of total degree at most
-7), and prints one JSON object with the best wall time of five walks per
-universe (``s``) and the rows' nonzeros (``nnz``).  Each degree also gets
+7), each on the words alone, as the package calls them (each walk chooses
+its own key width), and prints one JSON object with the best wall time of
+five walks per universe (``s``) and the rows' nonzeros (``nnz``).  Each degree also gets
 the best time of five ``linalg.rank_mod2`` calls on its walk's rows as the
 walk returns them, what ``tideal._kernel_bound`` ranks (``rank_mod2_s``),
 and of five uncached ``tideal.pn_kernel_dim`` calls, the exact kernel
@@ -35,8 +36,7 @@ from weakid import freealg, matrep, series, tideal
 from weakid.expr import parse_poly
 from weakid.freealg import multilinear_words, two_var_commutator_family
 from weakid.linalg import rank_mod2
-from weakid.matrep import (_width, eval_rows, proper_rows,
-                           weak_identity_witness)
+from weakid.matrep import eval_rows, proper_rows, weak_identity_witness
 
 HILBERT_MAX = 7  # highest total degree of the Hilbert bidegrees timed
 HILBERT_COLD = (7, 9)  # orders of the cold image_dims timed
@@ -75,18 +75,10 @@ def _record(build, words):
     return {"words": len(words), "nnz": sum(len(r) for r in rows), "s": s}
 
 
-def _walk_rows(words):
-    return eval_rows(words, _width(words))
-
-
-def _e11_rows(words):
-    return proper_rows(words, _width(words))
-
-
 def _record_with_kernel(n):
     words = multilinear_words(n)
-    out = _record(_walk_rows, words)
-    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, _walk_rows(words))
+    out = _record(eval_rows, words)
+    out["rank_mod2"], out["rank_mod2_s"] = _best(rank_mod2, eval_rows(words))
     out["kernel_dim"], out["kernel_dim_s"] = _best(
         tideal.pn_kernel_dim.__wrapped__, n)
     return out
@@ -139,7 +131,7 @@ def main(argv=None):
     degrees = [int(d) for d in args.degrees.split(",") if d.strip()]
 
     multilinear = {str(n): _record_with_kernel(n) for n in degrees}
-    hilbert = {key: _record(_e11_rows, words)
+    hilbert = {key: _record(proper_rows, words)
                for key, words in hilbert_universes(HILBERT_MAX).items()}
     hilbert_s = {str(n): _best(_cold_image_dims, n)[1] for n in HILBERT_COLD}
     print(json.dumps({

@@ -26,8 +26,10 @@ Inside one walk over a set of words the key is a packed int,
 
 where e_s is the exponent of slot s and the width w is the bit length of
 the most times one letter occurs in one word of the walk (1 for multilinear
-words).  No field carries into the next: each occurrence of letter i raises
-the exponent of exactly one of its slots a_i, b_i, c_i by one, so a slot's
+words).  The walk chooses the width from its words (``_width``), so
+callers pass words alone and the key format stays inside this module.  No
+field carries into the next: each occurrence of letter i raises the
+exponent of exactly one of its slots a_i, b_i, c_i by one, so a slot's
 exponent is at most the number of times its letter occurs, which is below
 2**w.  Multiplying by a letter then adds one precomputed int per coordinate
 and output entry.  Keys of different walks are not comparable; ``_decode``
@@ -160,9 +162,9 @@ def _times_generic(coords, steps):
 
 def _walk(words, width, *, e11=False):
     """Yield (word, coordinates) for each distinct word in sorted order,
-    keyed by packed ints of the given width (at least ``_width``); letter 1
-    is diag(a1, c1), or E11 with ``e11``, and every other letter generic
-    (module docstring).
+    keyed by packed ints of the given width (at least ``_width(words)``, and
+    the one to decode them with); letter 1 is diag(a1, c1), or E11 with
+    ``e11``, and every other letter generic (module docstring).
 
     A prefix stack keeps the first-row coordinates of the current word's
     prefixes, starting from the first row of the identity, so a set of words
@@ -195,20 +197,19 @@ def _walk(words, width, *, e11=False):
         prev = w
 
 
-def eval_rows(words, width):
+def eval_rows(words):
     """Coordinate dicts of the first row of the evaluation of each word
     (entries 0 and 1) at x1 = diag(a1, c1), every other letter generic,
-    keyed by the packed ints of one walk of the given width (at least
-    ``_width``).  They have the kernel of the fully generic rows on every
-    span (module docstring)."""
-    table = dict(_walk(words, width))
+    keyed by the packed ints of one walk over the words.  They have the
+    kernel of the fully generic rows on every span (module docstring)."""
+    table = dict(_walk(words, _width(words)))
     return [table[w] for w in words]
 
 
-def proper_rows(words, width):
+def proper_rows(words):
     """``eval_rows`` at x1 = E11: rows to combine proper polynomials from,
     and no others (module docstring)."""
-    table = dict(_walk(words, width, e11=True))
+    table = dict(_walk(words, _width(words), e11=True))
     return [table[w] for w in words]
 
 
@@ -371,7 +372,7 @@ def _image_rank(family, rows_of):
     if len(degs) > 1:
         raise ValueError(f"family mixes total degrees {sorted(degs)}")
     words = tuple(sorted({w for f in family for w in f.terms}))
-    walk = dict(zip(words, rows_of(words, _width(words))))
+    walk = dict(zip(words, rows_of(words)))
     return rank([poly_eval_row(f.terms, walk) for f in family])
 
 

@@ -22,8 +22,6 @@ __all__ = [
     "conjugate",
     "character",
     "sym_dim",
-    "gl2_dim",
-    "cycle_types",
     "class_size",
     "class_representative",
     "decompose",
@@ -102,22 +100,6 @@ def sym_dim(lam):
         for j in range(row):
             prod *= row - j + conj[j] - i - 1
     return factorial(n) // prod
-
-
-def gl2_dim(l1, l2=0):
-    """Dimension of the irreducible polynomial GL(2)-module: l1 - l2 + 1."""
-    if isinstance(l1, tuple):
-        lam = l1 + (0, 0)
-        if len(l1) > 2:
-            raise ValueError("GL(2) modules take partitions with at most 2 parts")
-        l1, l2 = lam[0], lam[1]
-    if l2 > l1:
-        raise ValueError("not a partition")
-    return l1 - l2 + 1
-
-
-def cycle_types(n):
-    return partitions(n)
 
 
 def class_size(rho):
@@ -223,7 +205,7 @@ def decompose_quotient(ambient, sub, n):
     _check_stable(ambient, swaps)
     _check_contained(sub, ambient)
     traces = {}
-    for rho in cycle_types(n):
+    for rho in partitions(n):
         perm = class_representative(rho)
         traces[rho] = (_trace(ambient, perm, words, index)
                        - _trace(sub, perm, words, index))

@@ -7,9 +7,11 @@ the total series can be compared coefficientwise with the closed form
 
     1 + t^2 * (1 - t)^-2 * (1 - t^2)^-1.
 
-The closed form expands the two-parameter sum of gl2_dim(p+q, p) * t^(2p+q)
-over p > 0, q >= 0; its second factor is (1 - t^2)^-1, not another copy of
-(1 - t)^-1, which the regression tests pin down.
+The closed form expands the two-parameter sum of (l1 - l2 + 1) * t^(2p+q)
+with (l1, l2) = (p+q, p), over p > 0, q >= 0 (l1 - l2 + 1 is the dimension
+of the irreducible GL(2)-module of (l1, l2)); its second factor is
+(1 - t^2)^-1, not another copy of (1 - t)^-1, which the regression tests
+pin down.
 
 Only the dominant weights dx >= dy are computed; ``family_dim`` and
 ``image_dim`` read the mirrored bidegree for dx < dy.  The swap

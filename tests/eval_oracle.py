@@ -132,9 +132,9 @@ def decoded_rows(words):
     walk, with each packed key decoded to (entry, sorted tuple of slots) and
     the second row rebuilt from the first (the package evaluates the first
     row only).  The one place the tests read packed keys as coordinates."""
-    width = _width(words)
+    width = _width(words)  # the width the walk chose, to decode its keys
     return [with_second_row({_decode(k, width): v for k, v in row.items()})
-            for row in eval_rows(words, width)]
+            for row in eval_rows(words)]
 
 
 def package_coords(f):
@@ -149,7 +149,7 @@ def package_coords(f):
 def exact_kernel_dim(n):
     """dim K_n by the direct route: n! minus the exact rank of all n!
     multilinear evaluation rows."""
-    return factorial(n) - rank(eval_rows(multilinear_words(n), 1))
+    return factorial(n) - rank(eval_rows(multilinear_words(n)))
 
 
 def oracle_is_weak_identity(f):

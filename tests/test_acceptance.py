@@ -18,7 +18,7 @@ from weakid.freealg import (NcPoly, comm, involution, multilinear_words,
                             perm_sign, proper_span, standard_poly,
                             substitute, word_index)
 from weakid.matrep import is_weak_identity, weak_identity_witness
-from weakid.repthy import (character, class_size, cycle_types, decompose,
+from weakid.repthy import (character, class_size, decompose,
                            decompose_quotient, partitions, sym_dim)
 from weakid.series import (closed_form_series, family_dims,
                            gl2_decomposition, gl2_intersection_decomposition,
@@ -205,7 +205,7 @@ def test_criterion_9_property_suites():
             for lam in parts:
                 for mu in parts:
                     total = sum(class_size(rho) * character(lam, rho)
-                                * character(mu, rho) for rho in cycle_types(n))
+                                * character(mu, rho) for rho in partitions(n))
                     assert total == (factorial(n) if lam == mu else 0)
 
         # every decomposition adds up to the dimension of its space

@@ -20,3 +20,4 @@ def test_bench_decompose_prints_json_at_degree_4():
     assert (d4["stable_s"] + d4["contained_s"] + d4["trace_s"]
             <= d4["decompose_s"])
     assert d4["proper_ms"] > 0 and d4["decompose_ms"] > 0
+    assert d4["max_rss_mb"] > 0

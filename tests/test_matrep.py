@@ -71,14 +71,15 @@ def brute_kernel_dim(family):
 def test_eval_single_variable():
     # x1 is diag(a1, c1): slot 1 (b1) never occurs
     assert decoded_rows([(1,)]) == [{(0, (0,)): 1, (3, (2,)): 1}]
-    # width 1: key = entry + 4 * 2**slot; only the first row is evaluated
-    assert eval_rows([(1,)], 1) == [{0 + 4 * 1: 1}]
+    # the walk takes width 1: key = entry + 4 * 2**slot; only the first row
+    # is evaluated
+    assert eval_rows([(1,)]) == [{0 + 4 * 1: 1}]
     assert package_coords(x1) == at_diagonal_x1(generic_coords(x1))
 
 
 def test_eval_unit():
     assert decoded_rows([()]) == [{(0, ()): 1, (3, ()): 1}]
-    assert eval_rows([()], 0) == [{0: 1}]
+    assert eval_rows([()]) == [{0: 1}]
     assert package_coords(NcPoly.one()) == generic_coords(NcPoly.one())
 
 
@@ -106,27 +107,27 @@ def _bidegree_words(dx, dy):
                  if w.count(1) == dx)
 
 
-_TABLE_UNIVERSES = pytest.mark.parametrize(
+_WORD_UNIVERSES = pytest.mark.parametrize(
     "words", [multilinear_words(n) for n in (2, 3, 4, 5)]
     + [_bidegree_words(dx, dy) for dx, dy in ((1, 1), (2, 1), (3, 2), (4, 4))],
     ids=[f"multilinear-{n}" for n in (2, 3, 4, 5)]
     + ["bidegree-1-1", "bidegree-2-1", "bidegree-3-2", "bidegree-4-4"])
 
 
-@_TABLE_UNIVERSES
-def test_eval_table_matches_the_oracle_table(words):
+@_WORD_UNIVERSES
+def test_eval_rows_match_the_oracle(words):
     """Each word's ``eval_rows`` row, decoded and with the second row
     rebuilt, is the oracle's evaluation at x1 = diag(a1, c1)."""
     assert decoded_rows(words) == [
         at_diagonal_x1(generic_coords(NcPoly({w: 1}))) for w in words]
 
 
-@_TABLE_UNIVERSES
-def test_first_row_table_has_the_rank_of_the_whole_matrix(words):
+@_WORD_UNIVERSES
+def test_first_rows_have_the_rank_of_the_whole_matrix(words):
     # the second row is the first reflected, so dropping it loses no rank;
     # nor does x1 = diag(a1, c1): the oracle's rows here are fully generic
     full = [generic_coords(NcPoly({w: 1})) for w in words]
-    assert rank(eval_rows(words, matrep._width(words))) == rank(full)
+    assert rank(eval_rows(words)) == rank(full)
 
 
 def _at_point(coords_, point):
@@ -219,26 +220,35 @@ def test_eval_rows_are_integral():
 
 
 def test_proper_verify_evaluates_the_words_once(monkeypatch):
-    """Every package module's name for ``eval_rows`` is counted, so a walk
-    reached through a name imported elsewhere counts too."""
+    """Every package module's name for ``eval_rows`` and ``proper_rows`` is
+    counted, so a walk reached through a name imported elsewhere counts
+    too: the bound walks the multilinear words once, and the proper kernel,
+    read by both the proper and the decomposition branch, is built once."""
     for cached in (tideal.pn_kernel_dim, tideal._kernel_bound,
                    tideal._consequences, tideal.proper_kernel):
         cached.cache_clear()
     calls = []
-    real = matrep.eval_rows
 
-    def counting(words, width):
-        calls.append(sorted(words))
-        return real(words, width)
+    def counting(real):
+        def walk(words):
+            calls.append((real.__name__, sorted(words)))
+            return real(words)
+        return walk
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("weakid"):
-            for name, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, name, counting)
+    for real in (matrep.eval_rows, matrep.proper_rows):
+        stub = counting(real)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("weakid"):
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, name, stub)
     report = tideal.verify_degree(5, proper=True, with_decomposition=True)
     assert report.equal
-    assert calls.count(list(multilinear_words(5))) == 1
+    words = list(multilinear_words(5))
+    assert calls.count(("eval_rows", words)) == 1
+    assert calls.count(("proper_rows", words)) == 1
+    assert list(report.timings_ms) == [
+        "kernel_ms", "consequences_ms", "proper_ms", "decompose_ms"]
 
 
 # -- weak identity testing -----------------------------------------------------
@@ -352,7 +362,7 @@ def family_kernel(family):
     the coordinates of the family list: the weak identities in its span."""
     words = tuple(sorted({w for f in family for w in f.terms}))
     index = word_index(words)
-    word_rows = eval_rows(words, matrep._width(words))
+    word_rows = eval_rows(words)
     return left_kernel([poly_eval_row(coeff_vector(f, index), word_rows)
                         for f in family])
 
@@ -390,7 +400,7 @@ def test_kernel_rejects_mixed_degrees():
 
 
 @pytest.mark.parametrize("n", range(2, 10))
-def test_image_rank_matches_the_table_route(n):
+def test_image_rank_matches_proper_image_rank(n):
     """The walk's rank and the rank at x1 = E11 agree on every bidegree's
     family, x1 of the higher degree or not, and on the reduced family, whose
     members have several bidegrees."""
@@ -462,7 +472,7 @@ def test_diagonal_rows_rank_mod2_is_the_exact_rank(n, kernel):
     """The rows ``tideal._kernel_bound`` ranks, x1 diagonal, keep the bound
     tight: their rank mod 2 is their exact rank, the codimension of the
     kernel."""
-    rows = eval_rows(multilinear_words(n), 1)
+    rows = eval_rows(multilinear_words(n))
     assert rank_mod2(rows) == factorial(n) - tideal.pn_kernel_dim(n)
     assert tideal.pn_kernel_dim(n) == kernel
 
@@ -495,7 +505,7 @@ def test_weak_identities_within_fractional_rref_match_family_kernel(n, seed):
         for i, c in k.items():
             g = g + family[i].scale(c)
         expected.append(coeff_vector(g, index))
-    got = weak_identities_within(space, eval_rows(words, 1))
+    got = weak_identities_within(space, eval_rows(words))
     assert got == echelonize(expected) and got.dim > 0
 
 
@@ -503,13 +513,13 @@ def test_weak_identities_within_fractional_rref_match_family_kernel(n, seed):
 def test_proper_kernel_matches_the_generic_table(n):
     """The E11 rows give the RREF the x1 = diag(a1, c1) rows do."""
     expected = weak_identities_within(proper_span(n),
-                                      eval_rows(multilinear_words(n), 1))
+                                      eval_rows(multilinear_words(n)))
     assert tideal.proper_kernel(n).rows == expected.rows
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_proper_kernel_is_full_kernel_intersected(n):
-    word_rows = eval_rows(multilinear_words(n), 1)
+    word_rows = eval_rows(multilinear_words(n))
     everything = echelonize([{i: 1} for i in range(len(word_rows))])
     gamma_side = weak_identities_within(proper_span(n), word_rows)
     full_side = weak_identities_within(everything, word_rows)

@@ -10,8 +10,7 @@ from weakid.freealg import multilinear_words, proper_span, word_index
 from weakid.linalg import Subspace, echelonize
 from weakid.repthy import (DecompositionError, _column_map, character,
                            class_representative, class_size, conjugate,
-                           cycle_types, decompose, decompose_quotient, gl2_dim,
-                           partitions, sym_dim)
+                           decompose, decompose_quotient, partitions, sym_dim)
 from weakid.tideal import proper_kernel
 
 
@@ -86,7 +85,7 @@ def test_character_small_tables():
 
 def test_character_trivial_and_sign():
     for n in range(2, 7):
-        for rho in cycle_types(n):
+        for rho in partitions(n):
             assert character((n,), rho) == 1
             parity = (-1) ** (n - len(rho))
             assert character((1,) * n, rho) == parity
@@ -94,7 +93,7 @@ def test_character_trivial_and_sign():
 
 def test_character_standard_rep_of_s3():
     # oracle: trace of the permutation action on Q^3 minus the trivial part
-    for rho in cycle_types(3):
+    for rho in partitions(3):
         perm = class_representative(rho)
         fixed = sum(1 for i in range(1, 4) if perm[i - 1] == i)
         assert character((2, 1), rho) == fixed - 1
@@ -122,21 +121,13 @@ def test_sym_dim_equals_character_at_identity():
             assert sym_dim(lam) == character(lam, (1,) * n)
 
 
-def test_gl2_dims():
-    assert gl2_dim(4, 2) == 3
-    assert gl2_dim((3, 3)) == 1
-    assert gl2_dim(5, 1) == 5
-    with pytest.raises(ValueError):
-        gl2_dim((2, 1, 1))
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 def test_first_orthogonality(n):
     parts = partitions(n)
     for lam in parts:
         for mu in parts:
             total = sum(class_size(rho) * character(lam, rho) * character(mu, rho)
-                        for rho in cycle_types(n))
+                        for rho in partitions(n))
             assert total == (factorial(n) if lam == mu else 0)
 
 
@@ -147,8 +138,8 @@ def test_dimension_column_sum(n):
 
 def test_class_sizes_sum():
     for n in range(2, 7):
-        assert sum(class_size(rho) for rho in cycle_types(n)) == factorial(n)
-        for rho in cycle_types(n):
+        assert sum(class_size(rho) for rho in partitions(n)) == factorial(n)
+        for rho in partitions(n):
             assert perm_cycle_type(class_representative(rho)) == tuple(rho)
 
 
@@ -221,7 +212,7 @@ def test_multiplicities_reject_inconsistent_traces():
     index = word_index(words)
     gamma = proper_span(4)
     traces = {rho: _trace(gamma, class_representative(rho), words, index)
-              for rho in cycle_types(4)}
+              for rho in partitions(4)}
     assert _multiplicities(traces, 4, gamma.dim) == decompose(gamma, 4)
     off = dict(traces)
     off[(1, 1, 1, 1)] += 1
@@ -277,7 +268,7 @@ def test_column_maps_relabel_each_word(n):
         perm[t - 1], perm[t] = perm[t], perm[t - 1]
         assert [words[c] for c in _column_map(perm, words, index)] == \
             [_swap(w, t) for w in words]
-    for rho in cycle_types(n):
+    for rho in partitions(n):
         image = dict(zip(range(1, n + 1), class_representative(rho)))
         assert [words[c] for c in _column_map(class_representative(rho),
                                               words, index)] == \

@@ -155,11 +155,10 @@ def test_gl2_decomposition_degree5():
 
 
 def test_gl2_dimension_bookkeeping():
-    from weakid.repthy import gl2_dim
-
+    # the irreducible GL(2)-module of (l1, l2) has dimension l1 - l2 + 1
     for n in (5, 6):
         dec = gl2_decomposition(n)
-        total = sum(m * gl2_dim(l1, l2) for (l1, l2), m in dec.items())
+        total = sum(m * (l1 - l2 + 1) for (l1, l2), m in dec.items())
         assert total == family_dims(n)[n]
 
 

@@ -465,7 +465,7 @@ def test_cocharacter_matches_the_trace_route(n):
     from weakid.repthy import decompose_quotient
 
     everything = echelonize([{i: 1} for i in range(factorial(n))])
-    kernel = left_kernel(eval_rows(multilinear_words(n), 1))
+    kernel = left_kernel(eval_rows(multilinear_words(n)))
     assert tideal._cocharacter(n) == decompose_quotient(everything, kernel, n)
 
 
@@ -487,7 +487,7 @@ def test_kernel_bound_is_tight_on_the_tables(n):
     from weakid.linalg import rank, rank_mod2
     from weakid.matrep import eval_rows
 
-    rows = eval_rows(multilinear_words(n), 1)
+    rows = eval_rows(multilinear_words(n))
     assert rank_mod2(rows) == rank(rows)
     assert tideal._kernel_bound(n) == pn_kernel_dim(n)
 
