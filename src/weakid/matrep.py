@@ -20,22 +20,23 @@ Slot 3*(i-1)+0/1/2 is a_i / b_i / c_i, and matrix entries are numbered
 2*row + column.  A matrix over these polynomials is held only as the
 coordinate dict {key: number} of its first row, one key per (entry,
 commutative monomial).
-Inside one walk over a set of words the key is a packed int,
+Inside one walk over a list of words the key is a packed int,
 
     key = entry + 4 * sum_s e_s * 2**(w*s),
 
-where e_s is the exponent of slot s and the width w is the bit length of
-the most times one letter occurs in one word of the walk (1 for multilinear
-words).  The walk chooses the width from its words (``_width``), so
-callers pass words alone and the key format stays inside this module.  No
-field carries into the next: each occurrence of letter i raises the
-exponent of exactly one of its slots a_i, b_i, c_i by one, so a slot's
-exponent is at most the number of times its letter occurs, which is below
-2**w.  Multiplying by a letter then adds one precomputed int per coordinate
-and output entry.  Keys of different walks are not comparable; ``_decode``
-turns a key back into (entry, sorted tuple of slots), and is applied once
-per final coordinate (the weak identity test and the witness), never per
-row entry.
+where e_s is the exponent of slot s and the width w is exactly the bit
+length of the most times one letter occurs in one word of the walk (1 for
+multilinear words; only words that repeat a letter are counted).  The walk
+chooses the width (``_width``), so callers pass words alone and the key
+format stays inside this module; it yields rows in the order of the words
+given (sorted words share prefixes).  No field carries into the next: each
+occurrence of letter i raises the exponent of exactly one of its slots a_i,
+b_i, c_i by one, so a slot's exponent is at most the number of times its
+letter occurs, which is below 2**w.  A product with a letter adds one
+precomputed int per coordinate and output entry.  Keys of different walks
+are not comparable; ``_decode`` turns a key back into (entry, sorted tuple
+of slots), and is applied once per final coordinate (the weak identity test
+and the witness), never per row entry.
 
 Only the first row is evaluated.  Conjugating by P = [[0, 1], [1, 0]]
 sends X_i = [[a_i, b_i], [b_i, c_i]] (b_1 = 0 included) to the same matrix
@@ -115,12 +116,11 @@ def slot_c(i):
 
 
 def _width(words):
-    """Bits per slot exponent in the packed keys of a walk over the words:
-    the bit length of the most times one letter occurs in one word.  No
-    exponent carries into the next field, because each occurrence of a
-    letter raises exactly one of its three slot exponents by one."""
-    return max((w.count(letter) for w in words for letter in w),
-               default=0).bit_length()
+    """Bits per slot exponent in a walk's packed keys, exactly: the bit
+    length of the most times one letter occurs in one word, counted only in
+    the words that repeat a letter (module docstring)."""
+    return max((max(map(w.count, w)) if len(set(w)) < len(w) else 1
+                for w in words if w), default=0).bit_length()
 
 
 def _decode(key, width):
@@ -161,22 +161,23 @@ def _times_generic(coords, steps):
 
 
 def _walk(words, width, *, e11=False):
-    """Yield (word, coordinates) for each distinct word in sorted order,
-    keyed by packed ints of the given width (at least ``_width(words)``, and
-    the one to decode them with); letter 1 is diag(a1, c1), or E11 with
+    """Yield each word's first-row coordinates, in the order given, keyed
+    by packed ints of the given width (at least ``_width(words)``, and the
+    one to decode them with); letter 1 is diag(a1, c1), or E11 with
     ``e11``, and every other letter generic (module docstring).
 
     A prefix stack keeps the first-row coordinates of the current word's
-    prefixes, starting from the first row of the identity, so a set of words
-    costs one row-times-matrix product per distinct prefix.  Times
-    diag(a1, c1), entry (0, k) keeps its column and gains the slot a1
-    (k = 0) or c1 (k = 1), so the row does not branch.
+    prefixes, from the identity's; each word reuses the prefix it shares
+    with the last, so sorted words cost one product per distinct prefix, and
+    a repeated word yields its row again.  Times diag(a1, c1), entry (0, k)
+    keeps its column and gains a1 (k = 0) or c1 (k = 1): the row does not
+    branch.
     """
     steps = {}
     diag = (4 << width * slot_a(1), 4 << width * slot_c(1))
     stack = [{0: 1}]
     prev = ()
-    for w in sorted(set(words)):
+    for w in words:
         k = 0
         while k < len(prev) and k < len(w) and prev[k] == w[k]:
             k += 1
@@ -193,24 +194,22 @@ def _walk(words, width, *, e11=False):
             else:
                 stack.append({key + diag[key & 3]: v
                               for key, v in stack[-1].items()})
-        yield w, stack[-1]
+        yield stack[-1]
         prev = w
 
 
 def eval_rows(words):
-    """Coordinate dicts of the first row of the evaluation of each word
-    (entries 0 and 1) at x1 = diag(a1, c1), every other letter generic,
-    keyed by the packed ints of one walk over the words.  They have the
-    kernel of the fully generic rows on every span (module docstring)."""
-    table = dict(_walk(words, _width(words)))
-    return [table[w] for w in words]
+    """First-row coordinate dicts (entries 0 and 1) of the words, in the
+    order given, at x1 = diag(a1, c1), every other letter generic, keyed by
+    the packed ints of one walk (sorted words share prefixes).  They have
+    the kernel of the fully generic rows on every span (module docstring)."""
+    return list(_walk(words, _width(words)))
 
 
 def proper_rows(words):
     """``eval_rows`` at x1 = E11: rows to combine proper polynomials from,
     and no others (module docstring)."""
-    table = dict(_walk(words, _width(words), e11=True))
-    return [table[w] for w in words]
+    return list(_walk(words, _width(words), e11=True))
 
 
 def poly_eval_row(coeffs, word_rows):
@@ -249,8 +248,9 @@ def _generic_coords(f):
     field for every slot up to that of the largest label."""
     label = {v: i for i, v in enumerate(sorted(f.support()), 1)}
     terms = {tuple(label[l] for l in w): c for w, c in f.terms.items()}
-    width = _width(terms)
-    acc = poly_eval_row(terms, dict(_walk(terms, width)))
+    words = sorted(terms)
+    width = _width(words)
+    acc = poly_eval_row(terms, dict(zip(words, _walk(words, width))))
     return {_decode(k, width): v for k, v in acc.items()}
 
 

@@ -88,6 +88,11 @@ def test_packed_key_layout():
     assert matrep._width([(1, 2, 1), (2,)]) == 2
     assert matrep._width(multilinear_words(4)) == 1
     assert matrep._width([()]) == 0
+    # exact: multilinear words of any length give 1, and one word that
+    # repeats a letter sets the width for the whole list
+    assert matrep._width(multilinear_words(2) + multilinear_words(5)) == 1
+    assert matrep._width(multilinear_words(3) + ((2, 1, 2, 2),)) == 2
+    assert matrep._width(((4, 4, 4, 4),) + multilinear_words(4)) == 3
     # width 2: slot s sits at bit 2 + 2*s
     assert matrep._decode(1 + 4 * (1 + 2 * 4 ** 3), 2) == (1, (0, 3, 3))
     assert matrep._decode(3, 5) == (3, ())
@@ -107,11 +112,19 @@ def _bidegree_words(dx, dy):
                  if w.count(1) == dx)
 
 
+def _with_repeats(words):
+    """The words with the first one repeated next to itself and at the end."""
+    return words[:1] + words + words[:1]
+
+
+# rows come in the order of the words given, sorted or not, repeated or not
 _WORD_UNIVERSES = pytest.mark.parametrize(
     "words", [multilinear_words(n) for n in (2, 3, 4, 5)]
-    + [_bidegree_words(dx, dy) for dx, dy in ((1, 1), (2, 1), (3, 2), (4, 4))],
+    + [_bidegree_words(dx, dy) for dx, dy in ((1, 1), (2, 1), (3, 2), (4, 4))]
+    + [multilinear_words(4)[::-1], _with_repeats(_bidegree_words(2, 2))],
     ids=[f"multilinear-{n}" for n in (2, 3, 4, 5)]
-    + ["bidegree-1-1", "bidegree-2-1", "bidegree-3-2", "bidegree-4-4"])
+    + ["bidegree-1-1", "bidegree-2-1", "bidegree-3-2", "bidegree-4-4"]
+    + ["multilinear-4-reversed", "bidegree-2-2-repeated"])
 
 
 @_WORD_UNIVERSES
@@ -510,7 +523,7 @@ def test_weak_identities_within_fractional_rref_match_family_kernel(n, seed):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_proper_kernel_matches_the_generic_table(n):
+def test_proper_kernel_matches_the_diagonal_x1_rows(n):
     """The E11 rows give the RREF the x1 = diag(a1, c1) rows do."""
     expected = weak_identities_within(proper_span(n),
                                       eval_rows(multilinear_words(n)))

@@ -480,7 +480,7 @@ def test_degree_8_kernel_and_cocharacter():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_kernel_bound_is_tight_on_the_tables(n):
+def test_kernel_bound_is_tight_on_the_multilinear_rows(n):
     """The rank mod 2 of each degree's multilinear evaluation rows equals
     their rank over Q, so the bound is the kernel dimension itself."""
     from weakid import tideal
