@@ -2,16 +2,15 @@
 
 Every rank, kernel (``left_kernel``), intersection dimension
 (``intersection_dim``) and subspace comparison in the toolkit runs through
-this module.  All but two go through its one elimination engine:
-``Subspace.contains_all`` tests many vectors at once against the RREF rows
-by subtraction alone, and ``rank_mod2`` is only a lower bound on a rank,
-and reads rows with any column keys, such as an evaluation walk's.  There
-is no floating point anywhere.  A vector is a plain dict {column: number};
-a number is an int, or a ``Fraction`` only where a denominator above 1
-appears.  The elimination engine works on content-normalized integer rows
-(a scalar multiple of a row spans the same space, so scale-free integer
-arithmetic is both exact and fast), and integer input reaches it without
-building a single ``Fraction``.
+this module.  All but one go through its one elimination engine:
+``rank_mod2`` is only a lower bound on a rank, and reads rows with any
+column keys, such as an evaluation walk's.  There is no floating point
+anywhere.  A vector is a plain dict {column: number}; a number is an int,
+or a ``Fraction`` only where a denominator above 1 appears.  The
+elimination engine works on content-normalized integer rows (a scalar
+multiple of a row spans the same space, so scale-free integer arithmetic
+is both exact and fast), and integer input reaches it without building a
+single ``Fraction``.
 
 Row spaces are held in reduced row echelon form as they are built
 (Gauss-Jordan), so a row is reduced in one pass over its pivot entries.
@@ -76,10 +75,12 @@ class Subspace:
 
     Internally rows are integer vectors, one per pivot, each content-1 with
     a positive lead and zero at every other pivot; ``_add`` keeps that
-    invariant as the space is built.  The ``rows`` property divides each by
-    its lead and materializes the usual pivot-is-1 RREF as dicts.  Once
-    built, instances are conceptually immutable: that read is a cached,
-    deterministic normalization and every query is read-only.
+    invariant as the space is built.  These rows are unique for the space,
+    so ``==`` compares them and ``hash`` reads the pivots, neither building
+    the RREF.  The ``rows`` property divides each by its lead and
+    materializes the usual pivot-is-1 RREF as dicts.  Once built, instances
+    are conceptually immutable: that read is a cached, deterministic
+    normalization and every query is read-only.
     """
 
     __slots__ = ("_rows", "_rref")
@@ -150,43 +151,13 @@ class Subspace:
             return False
         return not self._reduce(v)
 
-    def contains_all(self, vectors):
-        """True iff every vector lies in the space, read off the RREF rows
-        with no elimination.
-
-        A member v is a combination sum_p c_p * rref_p over the pivots p.
-        An RREF row is 1 at its own pivot and 0 at every other pivot, so
-        reading that combination at pivot p gives c_p = v[p]: the pivot
-        entries fix the only possible combination, and v lies in the space
-        iff v - sum_p v[p] * rref_p is zero.  Entries may be int or
-        Fraction; explicit zeros are dropped.  Every pivot entry of v is
-        subtracted before a non-member is told apart, so a single query,
-        likely a non-member, is cheaper through ``contains``, which stops
-        when the least column is not a pivot.
-        """
-        by_pivot = dict(zip(self.pivots, self.rows))
-        for v in vectors:
-            w = {c: x for c, x in v.items() if x}
-            # subtracting rref_p leaves every other pivot entry of w as it is
-            for p in by_pivot.keys() & w.keys():
-                b = w[p]
-                for c, x in by_pivot[p].items():
-                    y = w.get(c, 0) - b * x
-                    if y:
-                        w[c] = y
-                    else:
-                        del w[c]
-            if w:
-                return False
-        return True
-
     def __eq__(self, other):
         if isinstance(other, Subspace):
-            return self.rows == other.rows
+            return self._rows == other._rows
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(tuple(row.items()) for row in self.rows))
+        return hash(self.pivots)
 
     def __repr__(self):
         return f"<Subspace dim={self.dim} pivots={self.pivots[:8]}{'...' if self.dim > 8 else ''}>"

@@ -147,18 +147,20 @@ def _swaps(n):
 
 def _check_stable(space, swaps):
     """Raise unless every adjacent transposition maps the row space into
-    itself; swaps[t - 1] is the column map of (t t+1)."""
-    rows = space.rows
+    itself; swaps[t - 1] is the column map of (t t+1).  Each stored row is
+    moved and reduced against the stored rows."""
+    rows = space._rows.values()
     for t, to in enumerate(swaps, 1):
-        if not space.contains_all({to[c]: v for c, v in row.items()}
-                                  for row in rows):
+        if any(space._reduce({to[c]: v for c, v in row.items()})
+               for row in rows):
             raise DecompositionError(
                 f"subspace is not stable under the transposition ({t} {t + 1})")
 
 
 def _check_contained(sub, ambient):
-    """Raise unless every row of sub lies in ambient."""
-    if not ambient.contains_all(sub.rows):
+    """Raise unless every row of sub lies in ambient: a copy of each stored
+    row of sub is reduced against ambient's."""
+    if any(ambient._reduce(dict(row)) for row in sub._rows.values()):
         raise DecompositionError("sub is not contained in ambient")
 
 

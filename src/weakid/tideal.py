@@ -153,7 +153,10 @@ def _moves(gens, n, index):
     onto the letters other than j, and prefixing j, both keep the
     lexicographic order of words, so each x_j * r keeps the leading column
     of r, and the blocks of different j have disjoint supports.  They lead
-    the family, so the elimination stores each after one pivot lookup."""
+    the family, so none meets a stored pivot and each is stored as it
+    stands; but ``Subspace._add`` still scans every stored row for an entry
+    at its new pivot, and finds none (seeding the space with them is
+    ROADMAP item 1, step 2)."""
     if n == 1:
         return [], [], []
     words = multilinear_words(n - 1)
@@ -289,17 +292,13 @@ def _consequences(gens, n):
     dimension is at most ``_kernel_bound(n)``, where the elimination stops.
     From the least generator degree on, the bound is taken before the
     family is built, so the bound's walk and the family are never held
-    together.  Below that degree the family is often empty (always for the
-    default generators), so no walk is taken there, and a family that is
-    not empty is eliminated to the end."""
+    together.  Below that degree no walk is taken, and the family, often
+    empty (always for the default generators), is eliminated to the end."""
     certified = ((n == 1 or _consequences(gens, n - 1)[1])
                  and all(map(is_weak_identity, _specializations(gens, n))))
     reached = any(n >= _arity(g) for g in gens)
     ceiling = _kernel_bound(n) if certified and reached else None
-    family = consequence_family(gens, n)
-    if not family:
-        return Subspace.zero(), certified
-    return echelonize(family, stop_dim=ceiling), certified
+    return echelonize(consequence_family(gens, n), stop_dim=ceiling), certified
 
 
 def _norm_gens(gens):

@@ -176,50 +176,6 @@ def test_containment_antisymmetric(d1, d2):
     assert (a == b) == (a_in_b and b_in_a)
 
 
-@settings(max_examples=100, deadline=None)
-@given(sparse_matrices(), st.data())
-def test_contains_all_agrees_with_contains(matrix, data):
-    """The RREF membership test against ``contains``, the oracle: a random
-    rational combination of the rows, the same with one entry changed, and
-    the combination with explicit zeros at every column it misses."""
-    rows, ncols = matrix
-    space = echelonize(rows)
-    member = {}
-    for row in space.rows:
-        a = data.draw(small_number)
-        for c, x in row.items():
-            member[c] = member.get(c, 0) + a * x
-    member = {c: x for c, x in member.items() if x}
-    col = data.draw(st.integers(0, ncols - 1))
-    changed = {**member,
-               col: member.get(col, 0) + data.draw(small_number.filter(bool))}
-    padded = {**{c: 0 for c in range(ncols)}, **member}
-    assert space.contains_all([member]) and space.contains(member)
-    assert space.contains_all([padded]) and space.contains(padded)
-    assert space.contains_all([changed]) == space.contains(changed)
-    assert space.contains_all([member, padded, changed]) == \
-        space.contains(changed)
-    assert space.contains_all([])
-
-
-def test_contains_all_reads_the_rref_only(monkeypatch):
-    """Neither an integer row is built nor a least column sought: the pivot
-    entries alone fix the combination, with int and Fraction entries."""
-    space = echelonize([{0: 2, 2: 1, 3: 3}, {1: 3, 2: -1}])
-    assert space.rows == ({0: 1, 2: Fraction(1, 2), 3: Fraction(3, 2)},
-                          {1: 1, 2: Fraction(-1, 3)})
-
-    def refuse(*args):
-        raise AssertionError("the RREF test eliminated")
-
-    monkeypatch.setattr(linalg, "_int_row", refuse)
-    monkeypatch.setattr(linalg, "min", refuse, raising=False)
-    assert space.contains_all([{0: 4, 1: 3, 2: 1, 3: 6}, {2: 0},
-                               {0: Fraction(2, 3), 2: Fraction(1, 3), 3: 1}])
-    assert not space.contains_all([{0: 2, 2: 1, 3: 3}, {0: 2, 2: 1, 3: 4}])
-    assert not space.contains_all([{2: 1}])
-
-
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices(), sparse_matrices())
 def test_sum_intersect_dimension_formula(d1, d2):
@@ -260,6 +216,27 @@ def test_equal_subspaces_built_in_different_orders_compare_and_hash_equal(data):
     early = echelonize(rows)
     assert early.rows is early.rows  # read early: normalized and cached
     assert built == early and hash(built) == hash(early)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_equality_and_hash_read_the_stored_rows_only(data):
+    """``==`` and ``hash`` build no RREF, a space differs from another with
+    the same pivots, and from each proper subspace of itself."""
+    rows, ncols = data
+    space, again = echelonize(rows), echelonize(rows)
+    assert space == again and hash(space) == hash(again)
+    stored = list(space._rows.values())
+    for i, row in enumerate(stored):
+        others = stored[:i] + stored[i + 1:]
+        # column ncols is in no row, so never a pivot: the changed row keeps
+        # every pivot, and it lies outside the space
+        changed = echelonize([*others, {**row, ncols: 1}])
+        assert changed.pivots == space.pivots
+        assert changed != space and space != changed
+        smaller = echelonize(others)
+        assert smaller != space and space != smaller
+    assert space._rref is None and again._rref is None
 
 
 @settings(max_examples=100, deadline=None)

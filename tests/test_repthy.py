@@ -5,10 +5,12 @@ import re
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakid.freealg import multilinear_words, proper_span, word_index
-from weakid.linalg import Subspace, echelonize
-from weakid.repthy import (DecompositionError, _column_map, character,
+from weakid.linalg import Subspace, _int_row, echelonize
+from weakid.repthy import (DecompositionError, _check_contained, _check_stable,
+                           _column_map, _swaps, character,
                            class_representative, class_size, conjugate,
                            decompose, decompose_quotient, partitions, sym_dim)
 from weakid.tideal import proper_kernel
@@ -257,6 +259,75 @@ def test_stability_check_names_the_one_breaking_transposition(n, t):
     with pytest.raises(DecompositionError,
                        match=re.escape(f"transposition ({t} {t + 1})")):
         decompose_quotient(proper_span(n), space, n)
+
+
+@st.composite
+def multilinear_spaces(draw, n):
+    """A subspace of the degree-n multilinear component: the span of a few
+    small integer vectors closed under a drawn set of the adjacent
+    transpositions, so stable under all of them, some or none."""
+    swaps = _swaps(n)
+    closed_under = draw(st.sets(st.integers(1, n - 1)))
+    todo = draw(st.lists(st.dictionaries(st.integers(0, factorial(n) - 1),
+                                         st.integers(-2, 2), min_size=1,
+                                         max_size=4),
+                         min_size=1, max_size=3))
+    space = Subspace.zero()
+    while todo:
+        v = todo.pop()
+        dim = space.dim
+        space._add(_int_row(v))
+        if space.dim > dim:
+            todo += [{swaps[t - 1][c]: x for c, x in v.items()}
+                     for t in closed_under]
+    return space
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_checks_raise_exactly_when_contains_finds_a_row_outside(data):
+    """Against the ``Subspace.contains`` oracle: ``_check_stable`` raises,
+    naming the first breaking transposition, exactly when a moved RREF row
+    lies outside the space, and ``_check_contained`` exactly when a row of
+    sub lies outside ambient; neither changes the stored rows.  Sub is a
+    span of combinations of ambient's rows, or a space drawn alone."""
+    n = data.draw(st.sampled_from((3, 4)))
+    swaps = _swaps(n)
+    ambient = data.draw(multilinear_spaces(n))
+    if data.draw(st.booleans()):
+        combos = data.draw(st.lists(st.lists(st.integers(-2, 2),
+                                             min_size=ambient.dim,
+                                             max_size=ambient.dim),
+                                    max_size=3))
+        sums = []
+        for coeffs in combos:
+            v = {}
+            for a, row in zip(coeffs, ambient._rows.values()):
+                for c, x in row.items():
+                    v[c] = v.get(c, 0) + a * x
+            sums.append({c: x for c, x in v.items() if x})
+        sub = echelonize(sums)
+    else:
+        sub = data.draw(multilinear_spaces(n))
+    stored = [{p: dict(row) for p, row in space._rows.items()}
+              for space in (ambient, sub)]
+    for space in (ambient, sub):
+        broken = [t for t, to in enumerate(swaps, 1)
+                  if not all(space.contains({to[c]: x for c, x in row.items()})
+                             for row in space.rows)]
+        if broken:
+            t = broken[0]
+            with pytest.raises(DecompositionError,
+                               match=re.escape(f"transposition ({t} {t + 1})")):
+                _check_stable(space, swaps)
+        else:
+            _check_stable(space, swaps)
+    if all(ambient.contains(row) for row in sub.rows):
+        _check_contained(sub, ambient)
+    else:
+        with pytest.raises(DecompositionError, match="not contained"):
+            _check_contained(sub, ambient)
+    assert [ambient._rows, sub._rows] == stored
 
 
 @pytest.mark.parametrize("n", range(2, 7))
