@@ -31,7 +31,7 @@ _VERIFY_SPAN = f"{_VERIFY_DEGREES.start}..{_MAX_DEGREE}"
 _HILBERT_CAP = 10
 
 # Highest linearized degree ``check --mode consequence`` accepts: a degree-7
-# query exits 2 at once, and ``verify --degree 7`` (about 2.5 s and 85 MB)
+# query exits 2 at once, and ``verify --degree 7`` (about 2.1 s and 59 MB)
 # builds it.
 _CONSEQUENCE_CAP = 6
 

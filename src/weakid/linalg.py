@@ -16,6 +16,13 @@ Row spaces are held in reduced row echelon form as they are built
 (Gauss-Jordan), so a row is reduced in one pass over its pivot entries.
 RREF is unique for a given row space, so results do not depend on the
 order in which vectors are fed in.
+
+A space may be seeded with fixed reducers, an echelon block reduced
+within itself and stored as given (``echelonize``).  A new pivot is then
+cleared from the built rows only, and the reducers are cleared at the
+built pivots once, when the stored rows are first read: the split of F4's
+linear algebra into known pivot rows and new rows (Faugere and Lachartre,
+PASCO 2010).
 """
 
 from __future__ import annotations
@@ -51,8 +58,11 @@ def _strip(row):
 
 
 def _int_row(vec):
-    """Clear denominators: a vector -> a fresh integer dict.  Its content is
-    left to ``_strip``, where every caller ends."""
+    """Clear denominators: a vector -> a fresh integer dict, copied as it
+    stands when every entry is an int.  Its content is left to ``_strip``,
+    where every caller ends."""
+    if set(map(type, vec.values())) <= {int}:
+        return {c: v for c, v in vec.items() if v}
     den = lcm(*(v.denominator for v in vec.values()))
     return {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
 
@@ -74,19 +84,23 @@ class Subspace:
     """A vector subspace of Q^N held as a reduced row echelon basis.
 
     Internally rows are integer vectors, one per pivot, each content-1 with
-    a positive lead and zero at every other pivot; ``_add`` keeps that
-    invariant as the space is built.  These rows are unique for the space,
-    so ``==`` compares them and ``hash`` reads the pivots, neither building
-    the RREF.  The ``rows`` property divides each by its lead and
-    materializes the usual pivot-is-1 RREF as dicts.  Once built, instances
-    are conceptually immutable: that read is a cached, deterministic
-    normalization and every query is read-only.
+    a positive lead and zero at every other pivot.  They sit in two dicts,
+    pivot column -> row: the fixed reducers (``echelonize``), none for most
+    spaces, and the rows ``_add`` builds, kept so as the space is built.  A
+    reducer may still meet a built pivot until ``_rows``, the one reader of
+    the stored rows, clears it there and merges the dicts.  The merged rows
+    are unique for the space, so ``==`` compares them and ``hash`` reads
+    the pivots, neither building the RREF.  The ``rows`` property divides
+    each by its lead and materializes the usual pivot-is-1 RREF as dicts.
+    Once built, instances are conceptually immutable: those reads are
+    cached, deterministic normalizations and every query is read-only.
     """
 
-    __slots__ = ("_rows", "_rref")
+    __slots__ = ("_built", "_fixed", "_rref")
 
-    def __init__(self, rows):
-        self._rows = rows  # pivot column -> reduced content-1 integer row
+    def __init__(self, rows, fixed=None):
+        self._built = rows  # pivot column -> reduced content-1 integer row
+        self._fixed = fixed or {}  # pivot column -> reducer, as given
         self._rref = None
 
     @classmethod
@@ -95,47 +109,73 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self._rows)
+        return len(self._built) + len(self._fixed)
 
     @property
     def pivots(self):
         """Pivot columns in increasing order."""
-        return tuple(sorted(self._rows))
+        return tuple(sorted([*self._built, *self._fixed]))
+
+    @property
+    def _rows(self):
+        """The stored rows, pivot column -> reduced content-1 integer row.
+        The first read clears each reducer at the built pivots in one pass,
+        in any order: a built row is zero at every other pivot, and its
+        entries lie beyond its pivot, hence beyond the reducer's lead, so
+        subtracting it moves neither the lead nor another pivot entry."""
+        built, fixed = self._built, self._fixed
+        if fixed:
+            for q, row in fixed.items():
+                met = row.keys() & built.keys()
+                for p in met:
+                    b = built[p]
+                    _axpy(row, b[p], row[p], b)  # b[p] > 0 keeps row[q] positive
+                if met and row[q] != 1:
+                    _strip(row)
+            built.update(fixed)
+            self._fixed = {}
+        return built
 
     @property
     def rows(self):
         """RREF rows in increasing pivot order: dicts with pivot value 1 and
         keys in increasing column order.  Every caller gets the same cached
-        dicts, so they are read-only; the stored rows are left as they are."""
+        dicts, so they are read-only; they are built from ``_rows``, which
+        they leave as it is."""
         if self._rref is None:
+            stored = self._rows
             out = []
-            for p in sorted(self._rows):
-                piv = self._rows[p][p]
+            for p in sorted(stored):
+                piv = stored[p][p]
                 out.append({c: Fraction(v, piv) if v % piv else v // piv
-                            for c, v in sorted(self._rows[p].items())})
+                            for c, v in sorted(stored[p].items())})
             self._rref = tuple(out)
         return self._rref
 
     def _reduce(self, v):
         """Destructively reduce an integer row v against the stored rows and
-        strip it; returns v.  One pass over v's pivot entries, in any order:
-        a stored row is zero at every other pivot, so subtracting it changes
-        no other pivot entry of v, and the result is the same."""
-        rows = self._rows
-        for p in v.keys() & rows.keys():
-            row = rows[p]
-            _axpy(v, row[p], v[p], row)  # the entries at p cancel exactly
+        strip it; returns v.  One pass over v's entries at the reducer
+        pivots, then one over those at the built pivots, each in any order:
+        a stored row is zero at every other pivot of its own dict, so
+        subtracting it changes no other such entry of v.  A reducer may add
+        entries at built pivots, which the second pass takes; a built row is
+        zero at every reducer pivot, so it adds none back."""
+        for rows in (self._fixed, self._built):
+            for p in v.keys() & rows.keys():
+                row = rows[p]
+                _axpy(v, row[p], v[p], row)  # the entries at p cancel exactly
         return _strip(v)
 
     def _add(self, v):
         """Insert a (destructible) integer row while the space is built, and
-        clear its pivot from every stored row."""
+        clear its pivot from every built row; the reducers keep theirs until
+        ``_rows`` is read."""
         v = self._reduce(v)
         if not v:
             return
         p = min(v)
         a = v[p]
-        rows = self._rows
+        rows = self._built
         for q, row in [(q, row) for q, row in rows.items() if p in row]:
             _axpy(row, a, row[p], v)  # a > 0 keeps the lead row[q] positive
             if row[q] != 1:  # a lead of 1 leaves no content to divide out
@@ -147,8 +187,10 @@ class Subspace:
         pivot, so a vector whose least column is not one is told apart at
         once; any other is reduced."""
         v = _int_row(vec)
-        if v and min(v) not in self._rows:
-            return False
+        if v:
+            lead = min(v)
+            if lead not in self._built and lead not in self._fixed:
+                return False
         return not self._reduce(v)
 
     def __eq__(self, other):
@@ -163,7 +205,7 @@ class Subspace:
         return f"<Subspace dim={self.dim} pivots={self.pivots[:8]}{'...' if self.dim > 8 else ''}>"
 
 
-def echelonize(vectors, *, stop_dim=None):
+def echelonize(vectors, *, stop_dim=None, reducers=()):
     """Reduced row echelon basis of the span of the given vectors.
 
     The vectors are inserted in the order given, each reduced in one pass
@@ -173,8 +215,13 @@ def echelonize(vectors, *, stop_dim=None):
     ``stop_dim`` aborts insertion once that dimension is reached; callers
     use it only when the span is independently known to be capped at
     stop_dim.
+
+    ``reducers`` are integer rows with distinct leads, each content-1 with
+    a positive lead and zero at the others' leads.  They are stored as
+    given, not copied (the space owns them), and count towards
+    ``stop_dim``; the vectors are reduced against them first.
     """
-    space = Subspace({})
+    space = Subspace({}, {min(r): r for r in reducers})
     for v in vectors:
         if stop_dim is not None and space.dim >= stop_dim:
             break

@@ -11,8 +11,9 @@ is a combination of circle trees: a block's letters, each once, joined by
 u o v = uv + vu.
 
 ``consequence_family`` builds that space from the degree-(n - 1) one by
-three one-letter moves, each applied to every RREF row r of the
-degree-(n - 1) span relabelled onto the letters other than j, plus a base:
+three one-letter moves, each applied to every stored row r of the
+degree-(n - 1) span (an RREF row, scaled to content-1 integers) relabelled
+onto the letters other than j, plus a base:
 
 * left and right multiples x_j * r and r * x_j;
 * circle expansions r[x_i -> x_i o x_j] for i < j;
@@ -76,8 +77,9 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .freealg import (NcPoly, coeff_vector, comm, linearize, multilinear_words,
-                      perm_sign, proper_span, standard_poly, word_index)
+from .freealg import (NcPoly, _add_terms, coeff_vector, comm, linearize,
+                      multilinear_words, perm_sign, proper_span, standard_poly,
+                      word_index)
 from .linalg import (Subspace, _int_row, echelonize, intersection_dim, rank,
                      rank_mod2)
 from .matrep import (eval_rows, is_weak_identity, proper_rows,
@@ -96,8 +98,8 @@ __all__ = [
     "DegreeReport",
 ]
 
-# Highest degree the consequence engine accepts: degree 7 takes about 2.5 s
-# and 85 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
+# Highest degree the consequence engine accepts: degree 7 takes about 2.1 s
+# and 59 MB (2-vCPU VM), and degree 8 has 8! = 40320 multilinear words.
 _MAX_DEGREE = 7
 
 # Consequence spans, and unit specializations, kept, keyed by (generators,
@@ -126,6 +128,12 @@ def _arity(f):
     return k
 
 
+@lru_cache(maxsize=_SPANS)
+def _arities(gens):
+    """Each generator's arity, checked once per presentation."""
+    return tuple(map(_arity, gens))
+
+
 def consequence_family(gens, n):
     """Spanning family of the degree-n multilinear consequence space, as
     rows over the columns of ``multilinear_words(n)``: with d the dimension
@@ -139,28 +147,29 @@ def consequence_family(gens, n):
 
 def _moves(gens, n, index):
     """(left, right, expanded): x_j * r, r * x_j, and r[x_i -> x_i o x_j] for
-    i < j, for each letter j of 1..n and each RREF row r of
-    ``consequences_span(gens, n - 1)`` relabelled onto the letters other than
-    j, as rows over ``index``; none at n = 1.  Each row moves through column
-    maps from a degree-(n - 1) word w to columns of degree-n words, w' the
-    relabelled w: x_j * w' or w' * x_j, and for an expansion both w' with
-    x_j inserted just after x_i and w' with x_j inserted just before.  The
-    maps are injective, and the two of an expansion have disjoint images
-    (x_j follows x_i in one and precedes it in the other), so no two entries
-    of a row meet in one column.
+    i < j, for each letter j of 1..n and each stored row r of
+    ``consequences_span(gens, n - 1)``, in pivot order, relabelled onto the
+    letters other than j, as integer rows over ``index``; none at n = 1.
+    Each row moves through column maps from a degree-(n - 1) word w to
+    columns of degree-n words, w' the relabelled w: x_j * w' or w' * x_j,
+    and for an expansion both w' with x_j inserted just after x_i and w'
+    with x_j inserted just before.  The maps are injective, and the two of
+    an expansion have disjoint images (x_j follows x_i in one and precedes
+    it in the other), so no two entries of a row meet in one column.
 
-    The left multiples are in echelon form: relabelling 1..n-1 increasingly
-    onto the letters other than j, and prefixing j, both keep the
-    lexicographic order of words, so each x_j * r keeps the leading column
-    of r, and the blocks of different j have disjoint supports.  They lead
-    the family, so none meets a stored pivot and each is stored as it
-    stands; but ``Subspace._add`` still scans every stored row for an entry
-    at its new pivot, and finds none (seeding the space with them is
-    ROADMAP item 1, step 2)."""
+    The left multiples are the shape ``echelonize`` takes as ``reducers``.
+    Each stored row r is content-1 with a positive lead and zero at every
+    other lead, and a map moves its entries unchanged, so x_j * r is too,
+    at the images of those leads.  Relabelling 1..n-1 increasingly onto the
+    letters other than j, and prefixing j, both keep the lexicographic
+    order of words, so x_j * r leads at the image of r's lead: the leads of
+    the block of j are distinct, each row zero at the others'.  Blocks of
+    different j have disjoint supports, the words that begin with j."""
     if n == 1:
         return [], [], []
     words = multilinear_words(n - 1)
-    rows = consequences_span(gens, n - 1).rows
+    stored = consequences_span(gens, n - 1)._rows
+    rows = [stored[p] for p in sorted(stored)]
 
     def moved(*maps):
         return [{m[c]: v for m in maps for c, v in r.items()} for r in rows]
@@ -187,24 +196,24 @@ def _specializations(gens, n):
     equal words add up.  Built once per (generators, degree), for both the
     certification and the base."""
     out = []
-    for f in gens:
-        k = _arity(f)
+    for f, k in zip(gens, _arities(gens)):
         for kept in combinations(range(1, k + 1), n):
             label = [0] * (k + 1)  # slot -> new letter, 0 for a unit slot
             for i, slot in enumerate(kept, 1):
                 label[slot] = i
             relabel = label.__getitem__
-            g = NcPoly((tuple(filter(None, map(relabel, w))), c)
-                       for w, c in f.terms.items())
-            if g:
-                out.append(g)
+            terms = _add_terms({}, ((tuple(filter(None, map(relabel, w))), c)
+                                    for w, c in f.terms.items()))
+            if terms:
+                out.append(NcPoly._raw(terms))
     return tuple(out)
 
 
 def _base(gens, n):
-    """The RREF rows, over the columns of ``multilinear_words(n)``, of the
-    Sym(n)-module the unit specializations span: unique, so independent of
-    the generators' order or variable names.  For the default generators,
+    """The stored RREF rows, content-1 integers in pivot order, over the
+    columns of ``multilinear_words(n)``, of the Sym(n)-module the unit
+    specializations span: unique, so independent of the generators' order
+    or variable names.  For the default generators,
     the span of S4 and the three pairings of [[x1, x2], [x3, x4]] at degree
     4, and nothing elsewhere.  Each vector that raises the dimension is
     pushed through the n - 1 adjacent transpositions, which generate
@@ -224,7 +233,8 @@ def _base(gens, n):
         space._add(_int_row(v))
         if space.dim > dim:
             todo += [{to[c]: x for c, x in v.items()} for to in swaps]
-    return list(space.rows)
+    stored = space._rows
+    return [stored[p] for p in sorted(stored)]
 
 
 # -- the full multilinear component -------------------------------------------
@@ -287,18 +297,25 @@ def _consequences(gens, n):
     """(span, family_certified): the echelonized consequence space and whether
     every family member is a weak identity.  Only the unit specializations
     are evaluated; the moves and the base rows inherit the flag
-    (module docstring).  The family is eliminated in the order it is built
-    (``_moves``, ``_base``).  A certified span lies in the kernel, so its
+    (module docstring).  The family's first n * d rows, d the dimension one
+    degree down, are the left multiples, an echelon block reduced within
+    itself (``_moves``): they seed the space as fixed reducers, and the
+    rest is eliminated in the order it is built (``_moves``, ``_base``).  A certified span lies in the kernel, so its
     dimension is at most ``_kernel_bound(n)``, where the elimination stops.
     From the least generator degree on, the bound is taken before the
     family is built, so the bound's walk and the family are never held
     together.  Below that degree no walk is taken, and the family, often
     empty (always for the default generators), is eliminated to the end."""
-    certified = ((n == 1 or _consequences(gens, n - 1)[1])
+    below, certified = (_consequences(gens, n - 1) if n > 1
+                        else (Subspace.zero(), True))
+    certified = (certified
                  and all(map(is_weak_identity, _specializations(gens, n))))
-    reached = any(n >= _arity(g) for g in gens)
+    reached = any(n >= k for k in _arities(gens))
     ceiling = _kernel_bound(n) if certified and reached else None
-    return echelonize(consequence_family(gens, n), stop_dim=ceiling), certified
+    family = consequence_family(gens, n)
+    left = n * below.dim
+    span = echelonize(family[left:], stop_dim=ceiling, reducers=family[:left])
+    return span, certified
 
 
 def _norm_gens(gens):

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion, including wall-clock timings.  Degree 7 runs with the rest, as
 ``weakid verify --degree 7`` does, and its report is pinned byte for byte:
-on a 2-vCPU VM it took 15 s wall and 88 MB max RSS.
+on a 2-vCPU VM that command took 2.0-2.3 s wall and 58.5 MB max RSS.
 """
 
 import itertools
@@ -72,8 +72,8 @@ def test_criterion_2_main_theorem_degrees_5_and_6():
 
 
 def test_criterion_2_stretch_degree_7():
-    # Measured once on a 2-vCPU VM: 15 s wall, 88 MB max RSS
-    # (dim_P 5040, kernel = consequences = 4417).
+    # `weakid verify --degree 7` on a 2-vCPU VM: 2.0-2.3 s wall, 58.5 MB
+    # max RSS (dim_P 5040, kernel = consequences = 4417).
     with Budget("criterion 2c: main equality at degree 7", 300):
         report7 = verify_degree(7)
         assert report7.containment and report7.equal

@@ -434,3 +434,74 @@ def test_stop_dim_caps_echelon_rows_and_the_rest():
     assert echelonize(echelon + rest, stop_dim=4).dim == 4
     assert echelonize(echelon + rest, stop_dim=1).pivots == (0,)
     assert echelonize(echelon + rest).dim == 5
+
+
+@st.composite
+def reducer_blocks(draw, ncols=10):
+    """Fixed reducers: integer rows with distinct leads, each content-1 with
+    a positive lead and zero at the others' leads."""
+    leads = draw(st.sets(st.integers(0, ncols - 1), max_size=6))
+    block = []
+    for lead in sorted(leads):
+        free = [c for c in range(lead + 1, ncols) if c not in leads]
+        row = {lead: draw(st.integers(1, 6))}
+        if free:
+            row.update(draw(st.dictionaries(st.sampled_from(free),
+                                            st.integers(-6, 6).filter(bool),
+                                            max_size=4)))
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        block.append({c: v // g for c, v in row.items()})
+    return block
+
+
+rows10 = st.lists(st.dictionaries(st.integers(0, 9), st.integers(-6, 6),
+                                  max_size=6), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducer_blocks(), rows10, rows10)
+def test_reducers_answer_as_the_plain_elimination_of_all_the_rows(block, rows,
+                                                                 others):
+    """A space seeded with fixed reducers answers every query as the plain
+    elimination of the reducers and the rows together: before its stored
+    rows are first read, and after that read has cleared the reducers at
+    the built pivots."""
+    plain = echelonize([*block, *rows])
+    other = echelonize(others)
+    probes = [*block, *rows, *others, {}]
+
+    def seeded():
+        return echelonize(rows, reducers=[dict(r) for r in block])
+
+    def answers(s):
+        return s.dim, s.pivots, hash(s), [s.contains(v) for v in probes]
+
+    s = seeded()
+    assert answers(s) == answers(plain)
+    assert len(s._fixed) == len(block)  # none of those read the stored rows
+    assert intersection_dim(seeded(), other) == intersection_dim(plain, other)
+    assert seeded() == plain and plain == seeded()
+    assert s._rows == plain._rows
+    assert not s._fixed
+    assert answers(s) == answers(plain)
+    assert intersection_dim(s, other) == intersection_dim(plain, other)
+    assert s == plain and s.rows == plain.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows, int_rows, st.booleans())
+def test_inputs_are_left_as_they_were(a_rows, b_rows, halve):
+    """``echelonize``, ``rank`` and ``intersection_dim`` eliminate copies:
+    the input dicts, all-int ones included, and the operands' stored rows
+    are unchanged after each."""
+    if halve:
+        a_rows = [{c: Fraction(v, 2) for c, v in r.items()} for r in a_rows]
+    given_rows = [dict(r) for r in a_rows + b_rows]
+    a, b = echelonize(a_rows), echelonize(b_rows)
+    rank(a_rows + b_rows)
+    assert a_rows + b_rows == given_rows
+    stored = [{p: dict(r) for p, r in s._rows.items()} for s in (a, b)]
+    intersection_dim(a, b)
+    assert [a._rows, b._rows] == stored

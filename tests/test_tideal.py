@@ -323,8 +323,10 @@ def test_base_rows_do_not_depend_on_the_presentation(name):
 def test_stored_rows_do_not_depend_on_the_presentation(name):
     """The elimination stores the same rows, under the same pivots, for
     every presentation of the same generators, so its work is the same.
-    The stored rows are reduced as they are built, and the span cache is
-    cleared before each presentation, so each presentation starts cold."""
+    The rows compared are the settled ones: reading ``_rows`` clears the
+    left multiples, seeded as fixed reducers, at the built pivots, which
+    gives the RREF rows.  The span cache is cleared before each
+    presentation, so each presentation starts cold."""
     from weakid.tideal import _consequences
 
     def stored(gens):
@@ -336,6 +338,36 @@ def test_stored_rows_do_not_depend_on_the_presentation(name):
     want = stored(gens)
     for seed in (1, 2):
         assert stored(_seeded_presentation(gens, seed)) == want, seed
+
+
+SEEDED = {**PRESENTED, "s3": (standard_poly(3),),
+          "commutator": (comm(NcPoly.variable(1), NcPoly.variable(2)),)}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeded_reducers_settle_to_the_plain_elimination(name):
+    """``_consequences`` seeds each degree's left multiples as fixed
+    reducers; once its stored rows are read (settled), they are the rows
+    the reducer-free elimination of the whole family stores."""
+    from weakid.tideal import _consequences
+
+    gens = SEEDED[name]
+    _consequences.cache_clear()
+    below = 0
+    for n in range(1, 7):
+        span = _consequences(gens, n)[0]
+        assert len(span._fixed) == n * below, n  # seeded, not yet settled
+        plain = echelonize(consequence_family(gens, n))
+        assert span._rows == plain._rows, n
+        below = span.dim
+
+
+def test_seeded_reducers_settle_to_the_plain_elimination_at_degree_7():
+    from weakid.tideal import _consequences
+
+    gens = default_generators()
+    plain = echelonize(consequence_family(gens, 7))
+    assert _consequences(gens, 7)[0]._rows == plain._rows
 
 
 def test_consequences_span_rejects_degrees_outside_the_supported_range():
